@@ -3,12 +3,14 @@
 Everything the algebra layers consume lives here: isoclass registries,
 Hall numbers g^L_{MN}, automorphism counts a_M, Euler forms, and
 filtration counts.  All counting is exact brute force over the finite
-field, guarded by the enumeration budget.
+field, guarded by the enumeration budget.  Suites run their instances
+sequentially on the calling thread (`--threads` is accepted but ignored),
+so nothing in the package calls a backend from more than one thread and
+the memo tables are plain dicts with no lock.
 """
 
 import itertools
 import json
-import threading
 
 from .caps import Budget
 from .fq import (FpMatrix, enumerate_subspaces, gaussian_binomial, gl_order,
@@ -77,6 +79,8 @@ class QuiverBackend:
     The isoclass registry assigns ids by full enumeration of each
     dimension vector in a fixed order, so ids within a dimvec are
     reproducible no matter which representation gets classified first.
+    Memo tables fill lazily without locking: not safe to share across
+    threads.
     """
 
     def __init__(self, quiver, p):
@@ -84,7 +88,6 @@ class QuiverBackend:
         self.quiver = quiver
         self.p = p
         self.q = p
-        self._lock = threading.RLock()
         self._classes = []
         self._key_to_id = {}
         self._dimvec_classes = {}
@@ -154,52 +157,49 @@ class QuiverBackend:
     def iso_classes(self, dimvec):
         """All isoclass ids of the given dimension vector, fixed order."""
         dimvec = tuple(int(d) for d in dimvec)
-        with self._lock:
-            got = self._dimvec_classes.get(dimvec)
-            if got is not None:
-                return list(got)
-            quiver = self.quiver
-            slots = [(dimvec[t] * dimvec[s]) for s, t in quiver.arrows]
-            total = sum(slots)
-            budget = Budget("iso_classes")
-            budget.check_upfront(self.p ** total)
-            found = []
-            for assign in itertools.product(range(self.p), repeat=total):
-                budget.spend()
-                maps = []
-                pos = 0
-                for (s, t), n_ent in zip(quiver.arrows, slots):
-                    chunk = assign[pos:pos + n_ent]
-                    pos += n_ent
-                    rows = [chunk[r * dimvec[s]:(r + 1) * dimvec[s]]
-                            for r in range(dimvec[t])]
-                    maps.append(FpMatrix(self.p, dimvec[t], dimvec[s], rows))
-                cand = Rep(quiver, self.p, dimvec, tuple(maps))
-                if not any(self.is_iso(cand, self._classes[cid]) for cid in found):
-                    cid = self._key_to_id.get(cand.key)
-                    if cid is None:
-                        cid = self._register(cand)
-                    found.append(cid)
-            self._dimvec_classes[dimvec] = found
-            return list(found)
+        got = self._dimvec_classes.get(dimvec)
+        if got is not None:
+            return list(got)
+        quiver = self.quiver
+        slots = [(dimvec[t] * dimvec[s]) for s, t in quiver.arrows]
+        total = sum(slots)
+        budget = Budget("iso_classes")
+        budget.check_upfront(self.p ** total)
+        found = []
+        for assign in itertools.product(range(self.p), repeat=total):
+            budget.spend()
+            maps = []
+            pos = 0
+            for (s, t), n_ent in zip(quiver.arrows, slots):
+                chunk = assign[pos:pos + n_ent]
+                pos += n_ent
+                rows = [chunk[r * dimvec[s]:(r + 1) * dimvec[s]]
+                        for r in range(dimvec[t])]
+                maps.append(FpMatrix(self.p, dimvec[t], dimvec[s], rows))
+            cand = Rep(quiver, self.p, dimvec, tuple(maps))
+            if not any(self.is_iso(cand, self._classes[cid]) for cid in found):
+                cid = self._key_to_id.get(cand.key)
+                if cid is None:
+                    cid = self._register(cand)
+                found.append(cid)
+        self._dimvec_classes[dimvec] = found
+        return list(found)
 
     def classify(self, rep):
         """IsoClassId of rep; same input class always gets the same id."""
         if isinstance(rep, int):
             return rep
-        with self._lock:
-            cid = self._key_to_id.get(rep.key)
-            if cid is not None:
-                return cid
-            for candidate in self.iso_classes(rep.dims):
-                if self.is_iso(rep, self._classes[candidate]):
-                    self._key_to_id[rep.key] = candidate
-                    return candidate
-            raise AssertionError("enumeration missed a class")  # unreachable
+        cid = self._key_to_id.get(rep.key)
+        if cid is not None:
+            return cid
+        for candidate in self.iso_classes(rep.dims):
+            if self.is_iso(rep, self._classes[candidate]):
+                self._key_to_id[rep.key] = candidate
+                return candidate
+        raise AssertionError("enumeration missed a class")  # unreachable
 
     def class_rep(self, cid):
-        with self._lock:
-            return self._classes[cid]
+        return self._classes[cid]
 
     def class_dim(self, cid):
         return self.class_rep(cid).dims
@@ -278,19 +278,18 @@ class QuiverBackend:
     def hom_dim(self, a, b):
         a, b = self._coerce_rep(a), self._coerce_rep(b)
         memo_key = (a.key, b.key)
-        with self._lock:
-            got = self._hom.get(memo_key)
-            if got is not None:
-                return got
-            total, rows = self._hom_system(a, b)
-            if total == 0:
-                dim = 0
-            elif not rows:
-                dim = total
-            else:
-                dim = total - rank(FpMatrix.from_rows(self.p, rows, cols=total))
-            self._hom[memo_key] = dim
-            return dim
+        got = self._hom.get(memo_key)
+        if got is not None:
+            return got
+        total, rows = self._hom_system(a, b)
+        if total == 0:
+            dim = 0
+        elif not rows:
+            dim = total
+        else:
+            dim = total - rank(FpMatrix.from_rows(self.p, rows, cols=total))
+        self._hom[memo_key] = dim
+        return dim
 
     def ext_dim(self, a, b):
         a, b = self._coerce_rep(a), self._coerce_rep(b)
@@ -324,35 +323,34 @@ class QuiverBackend:
     def subobject_pairs(self, rep):
         """All (sub, quotient) pairs of subrepresentations, canonical bases."""
         rep = self._coerce_rep(rep)
-        with self._lock:
-            got = self._subs.get(rep.key)
-            if got is not None:
-                return got
-            quiver = self.quiver
-            p = self.p
-            budget = Budget("subobjects")
-            per_vertex = []
-            for d in rep.dims:
-                bases = []
-                for k in range(d + 1):
-                    bases.extend(enumerate_subspaces(d, k, p, budget))
-                per_vertex.append(bases)
-            pairs = []
-            for combo in itertools.product(*per_vertex):
-                budget.spend()
-                ok = True
-                for idx, (s, t) in enumerate(quiver.arrows):
-                    f = rep.maps[idx]
-                    for row in combo[s].entries:
-                        if not in_rowspace(f.apply(row), combo[t]):
-                            ok = False
-                            break
-                    if not ok:
+        got = self._subs.get(rep.key)
+        if got is not None:
+            return got
+        quiver = self.quiver
+        p = self.p
+        budget = Budget("subobjects")
+        per_vertex = []
+        for d in rep.dims:
+            bases = []
+            for k in range(d + 1):
+                bases.extend(enumerate_subspaces(d, k, p, budget))
+            per_vertex.append(bases)
+        pairs = []
+        for combo in itertools.product(*per_vertex):
+            budget.spend()
+            ok = True
+            for idx, (s, t) in enumerate(quiver.arrows):
+                f = rep.maps[idx]
+                for row in combo[s].entries:
+                    if not in_rowspace(f.apply(row), combo[t]):
+                        ok = False
                         break
-                if ok:
-                    pairs.append(self._make_sub_quot(rep, combo))
-            self._subs[rep.key] = pairs
-            return pairs
+                if not ok:
+                    break
+            if ok:
+                pairs.append(self._make_sub_quot(rep, combo))
+        self._subs[rep.key] = pairs
+        return pairs
 
     def _make_sub_quot(self, rep, combo):
         quiver, p = self.quiver, self.p
@@ -381,9 +379,6 @@ class QuiverBackend:
         quot = Rep(quiver, p, quot_dims, tuple(quot_maps))
         return sub, quot
 
-    def subobjects(self, rep):
-        return self.subobject_pairs(rep)
-
     # -- counting -----------------------------------------------------
 
     def inj_count(self, a, b):
@@ -392,24 +387,23 @@ class QuiverBackend:
         of #Inj(a/K, b)."""
         a, b = self._coerce_rep(a), self._coerce_rep(b)
         memo_key = (a.key, b.key)
-        with self._lock:
-            got = self._inj.get(memo_key)
-            if got is not None:
-                return got
-            if any(x > y for x, y in zip(a.dims, b.dims)):
-                self._inj[memo_key] = 0
-                return 0
-            total = self.p ** self.hom_dim(a, b)
-            for sub, quot in self.subobject_pairs(a):
-                if sub.is_zero():
-                    continue
-                # quot has strictly smaller total dim than a, so classifying
-                # here cannot re-enter an in-progress iso_classes(a.dims);
-                # recursing on the registered representative collapses the
-                # memo key space to one key per isoclass.
-                total -= self.inj_count(self.class_rep(self.classify(quot)), b)
-            self._inj[memo_key] = total
-            return total
+        got = self._inj.get(memo_key)
+        if got is not None:
+            return got
+        if any(x > y for x, y in zip(a.dims, b.dims)):
+            self._inj[memo_key] = 0
+            return 0
+        total = self.p ** self.hom_dim(a, b)
+        for sub, quot in self.subobject_pairs(a):
+            if sub.is_zero():
+                continue
+            # quot has strictly smaller total dim than a, so classifying
+            # here cannot re-enter an in-progress iso_classes(a.dims);
+            # recursing on the registered representative collapses the
+            # memo key space to one key per isoclass.
+            total -= self.inj_count(self.class_rep(self.classify(quot)), b)
+        self._inj[memo_key] = total
+        return total
 
     def aut_count(self, m):
         m = self._coerce_rep(m)
@@ -428,22 +422,21 @@ class QuiverBackend:
         lid = self.classify(big)
         mid = self.classify(outer)
         nid = self.classify(inner)
-        with self._lock:
-            got = self._hall.get((lid, mid, nid))
-            if got is not None:
-                return got
-            lrep = self._classes[lid]
-            mrep, nrep = self._classes[mid], self._classes[nid]
-            if add_class(mrep.dims, nrep.dims) != lrep.dims:
-                count = 0
-            else:
-                count = 0
-                for sub, quot in self.subobject_pairs(lrep):
-                    if sub.dims == nrep.dims and quot.dims == mrep.dims \
-                            and self.is_iso(sub, nrep) and self.is_iso(quot, mrep):
-                        count += 1
-            self._hall[(lid, mid, nid)] = count
-            return count
+        got = self._hall.get((lid, mid, nid))
+        if got is not None:
+            return got
+        lrep = self._classes[lid]
+        mrep, nrep = self._classes[mid], self._classes[nid]
+        if add_class(mrep.dims, nrep.dims) != lrep.dims:
+            count = 0
+        else:
+            count = 0
+            for sub, quot in self.subobject_pairs(lrep):
+                if sub.dims == nrep.dims and quot.dims == mrep.dims \
+                        and self.is_iso(sub, nrep) and self.is_iso(quot, mrep):
+                    count += 1
+        self._hall[(lid, mid, nid)] = count
+        return count
 
     def middle_terms(self, outer, inner):
         mid = self.classify(outer)
@@ -456,21 +449,20 @@ class QuiverBackend:
         """g^M_{N1..Nt}: filtrations with successive quotients N1, N2, ..."""
         big = self._coerce_rep(big)
         part_ids = tuple(self.classify(x) for x in parts)
-        with self._lock:
-            memo_key = (big.key, part_ids)
-            got = self._filt.get(memo_key)
-            if got is not None:
-                return got
-            if not part_ids:
-                count = 1 if big.is_zero() else 0
-            else:
-                head = self._classes[part_ids[0]]
-                count = 0
-                for sub, quot in self.subobject_pairs(big):
-                    if quot.dims == head.dims and self.is_iso(quot, head):
-                        count += self.filtration_count(sub, part_ids[1:])
-            self._filt[memo_key] = count
-            return count
+        memo_key = (big.key, part_ids)
+        got = self._filt.get(memo_key)
+        if got is not None:
+            return got
+        if not part_ids:
+            count = 1 if big.is_zero() else 0
+        else:
+            head = self._classes[part_ids[0]]
+            count = 0
+            for sub, quot in self.subobject_pairs(big):
+                if quot.dims == head.dims and self.is_iso(quot, head):
+                    count += self.filtration_count(sub, part_ids[1:])
+        self._filt[memo_key] = count
+        return count
 
     # -- enumeration oracles (slow, used by tests at tiny sizes) -------
 

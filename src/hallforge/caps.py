@@ -9,12 +9,17 @@ DEFAULT_MAX_ENUM = 10_000_000
 
 
 class CapExceeded(Exception):
-    """Raised when an enumeration would visit more candidates than allowed."""
+    """Raised when an enumeration would visit more candidates than allowed.
 
-    def __init__(self, op, limit):
-        super().__init__("enumeration cap exceeded in %s (limit %d)" % (op, limit))
+    `spent` is the visits counted when the operation was refused: those
+    made so far plus, for an up-front refusal, the ones it asked for."""
+
+    def __init__(self, op, limit, spent):
+        super().__init__("enumeration cap exceeded in %s (spent %d, limit %d)"
+                         % (op, spent, limit))
         self.op = op
         self.limit = limit
+        self.spent = spent
 
 
 def max_enum():
@@ -43,9 +48,9 @@ class Budget:
     def spend(self, n=1):
         self.spent += n
         if self.spent > self.limit:
-            raise CapExceeded(self.op, self.limit)
+            raise CapExceeded(self.op, self.limit, self.spent)
 
     def check_upfront(self, n):
         """Refuse an enumeration whose size is known to bust the cap."""
         if self.spent + n > self.limit:
-            raise CapExceeded(self.op, self.limit)
+            raise CapExceeded(self.op, self.limit, self.spent + n)

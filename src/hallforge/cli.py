@@ -118,7 +118,8 @@ def _build_parser():
     p.add_argument("--idx-window", type=int, default=3,
                    help="complex-degree bound for indexed relations")
     p.add_argument("--out", default=None, help="write the JSON report here")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted but ignored: instances run sequentially")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(fn=_cmd_verify)
 

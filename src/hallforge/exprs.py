@@ -312,7 +312,7 @@ def _word_order(be, word):
 def render_elt(be, x):
     """Deterministic text form of a FreeElt or NormalElt."""
     if isinstance(x, NormalElt):
-        x = embed(x)
+        x = embed(x, be.p)
     words = sorted(x.terms, key=lambda w: _word_order(be, w))
     return _join_terms([_term_piece(be, w, x.terms[w]) for w in words])
 

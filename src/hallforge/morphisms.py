@@ -108,7 +108,7 @@ def _render_params(params):
 def apply_hom(h, x):
     """Multiplicative extension of h's generator images to an element."""
     if isinstance(x, NormalElt):
-        x = embed(x)
+        x = embed(x, h.source.q)
     out = h.target_zero()
     for word, c in x.terms.items():
         acc = h.target_unit()

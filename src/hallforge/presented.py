@@ -91,8 +91,6 @@ def KdMinus(alpha):
     return ("KD", -1, tuple(alpha))
 
 
-GenSymbol = tuple
-
 _FAMILY_KINDS = {
     "hd": frozenset(("K", "mu")),
     "hhd": frozenset(("Kc", "nu")),
@@ -271,13 +269,12 @@ class NormalElt:
         return "NormalElt(%s, %r)" % (self.tag, sorted(self.terms))
 
 
-def embed(x):
-    """Forget normality: NormalElt -> FreeElt over the same words."""
-    q = None
-    for c in x.terms.values():
-        q = c.q
-        break
-    return FreeElt(q if q is not None else 2, dict(x.terms))
+def embed(x, q):
+    """Forget normality: NormalElt -> FreeElt over the same words.
+
+    A NormalElt carries no field of its own, so the caller passes the q of
+    its algebra or backend; reading it off a coefficient fails for zero."""
+    return FreeElt(q, dict(x.terms))
 
 
 class TensorSquareElt:
@@ -645,7 +642,7 @@ def normal_form(alg, x, budget=None):
     if alg.family == "d":
         raise ValueError("the double presentation has no oriented rule table")
     if isinstance(x, NormalElt):
-        x = embed(x)
+        x = embed(x, alg.q)
     terms = _normalize_terms(alg, x.terms, budget)
     canonical = all(_word_canonical(alg, w) for w in terms)
     if not canonical:
@@ -657,8 +654,8 @@ def normal_form(alg, x, budget=None):
 
 def pmult(alg, a, b):
     """Product of two (normal or free) elements, renormalized."""
-    fa = embed(a) if isinstance(a, NormalElt) else a
-    fb = embed(b) if isinstance(b, NormalElt) else b
+    fa = embed(a, alg.q) if isinstance(a, NormalElt) else a
+    fb = embed(b, alg.q) if isinstance(b, NormalElt) else b
     return normal_form(alg, fa * fb)
 
 

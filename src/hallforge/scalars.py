@@ -171,10 +171,6 @@ def vpow(n, q):
     return SqrtScalar(0, Fraction(q) ** ((n - 1) // 2), q)
 
 
-# spec-facing alias
-scalar_vpow = vpow
-
-
 def _render_fraction(r):
     if r.denominator == 1:
         return str(r.numerator)

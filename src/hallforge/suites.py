@@ -1,17 +1,17 @@
 """Verification suites: ordered check fans folded into one JSON report.
 
 Every suite expands a RunConfig into a list of instances whose order is
-fixed by construction, runs them (optionally across a thread pool), and
-aggregates pass/fail counts.  Because the instance list and each
-instance's outcome are independent of scheduling, a run with one thread
-and a run with many produce the same report up to the timestamp and
-elapsed_ms fields.
+fixed by construction, runs them in that order on the calling thread, and
+aggregates pass/fail counts.  `RunConfig.threads` (the CLI's `--threads`)
+is accepted but ignored: the checks are pure Python under one interpreter
+lock, and a thread pool over them measured slower than one thread.  Two
+runs of one configuration produce the same report up to the timestamp and
+elapsed_ms fields, whatever `threads` says.
 """
 
 import itertools
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -47,7 +47,7 @@ class RunConfig:
     max_dim: int = None
     idx_window: int = 3
     alphas: tuple = None
-    threads: int = 1
+    threads: int = 1  # accepted for compatibility; instances run sequentially
     seed: int = DEFAULT_SEED
     out: str = None
 
@@ -615,11 +615,7 @@ def run_suite(cfg):
         default_dim = 4 if cfg.suite == "backend-oracle" else 2
         cfg = RunConfig(**dict(_cfg_dict(cfg), max_dim=default_dim))
     instances = _BUILDERS[cfg.suite](be, cfg)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(_run_one, instances))
-    else:
-        results = [_run_one(inst) for inst in instances]
+    results = [_run_one(inst) for inst in instances]
     params = {"max_dim": cfg.max_dim, "m": cfg.m, "i": cfg.i,
               "idx_window": cfg.idx_window, "seed": cfg.seed}
     if cfg.alphas is not None:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hallforge.backend import A1ClosedFormBackend, QuiverBackend
-from hallforge.caps import CapExceeded
+from hallforge.caps import Budget, CapExceeded
 from hallforge.fq import gaussian_binomial, gl_order
 from hallforge.quiver import Quiver, preset
 
@@ -248,6 +248,21 @@ def test_cap_guard():
             be.iso_classes((2, 2))
     finally:
         del os.environ["HALLFORGE_MAX_ENUM"]
+
+
+def test_cap_reports_budget_spent(monkeypatch):
+    monkeypatch.setenv("HALLFORGE_MAX_ENUM", "100")
+    be = QuiverBackend(preset("kronecker"), 5)
+    with pytest.raises(CapExceeded) as refused:
+        be.iso_classes((2, 2))
+    # refused up front: the 5^8 arrow assignments it asked for
+    assert refused.value.spent == 5 ** 8 and refused.value.limit == 100
+    assert "spent 390625, limit 100" in str(refused.value)
+    budget = Budget("visits", limit=3)
+    with pytest.raises(CapExceeded) as busted:
+        for _ in range(5):
+            budget.spend()
+    assert busted.value.spent == 4 and busted.value.op == "visits"
 
 
 @st.composite

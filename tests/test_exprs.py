@@ -111,6 +111,6 @@ def test_parse_render_round_trip(data):
     coeff = SqrtScalar.of(Fraction(num, den), 2) * vpow(vexp, 2)
     if coeff.is_zero():
         coeff = SqrtScalar.one(2)
-    x = embed(normal_form(HD, w(word, coeff)))
+    x = embed(normal_form(HD, w(word, coeff)), HD.q)
     text = render_elt(BE, x)
     assert parse_expr(text, HD) == x

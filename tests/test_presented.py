@@ -114,7 +114,7 @@ def test_idempotence():
             MuMinus(P), KPlus((0, 1))]
     for trip in itertools.product(gens, repeat=3):
         nf = normal_form(HD, w(trip))
-        again = normal_form(HD, embed(nf))
+        again = normal_form(HD, embed(nf, HD.q))
         assert again == nf
         assert again.canonical
 
@@ -149,8 +149,8 @@ def test_associativity_sampled_other_tags():
                 warnings.simplefilter("ignore")
                 ab = normal_form(alg, a * b)
                 bc = normal_form(alg, b * c)
-                assert normal_form(alg, embed(ab) * c) == \
-                    normal_form(alg, a * embed(bc))
+                assert normal_form(alg, embed(ab, alg.q) * c) == \
+                    normal_form(alg, a * embed(bc, alg.q))
 
 
 def test_relation_instances_hold_in_engine():
@@ -335,6 +335,17 @@ def test_pmult_units():
     assert pmult(HD, one, x) == x
 
 
+def test_embed_zero_keeps_the_field():
+    # a zero NormalElt has no coefficient to read q from
+    be3 = QuiverBackend(preset("a2"), 3)
+    hd3 = Algebra("hd", be3)
+    zero = normal_form(hd3, FreeElt(3))
+    assert zero.is_zero()
+    one = FreeElt.word(3, ())
+    assert embed(zero, hd3.q) == FreeElt(3)
+    assert embed(zero, hd3.q) - one == one.scale(-1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_random_words_idempotent(data):
@@ -345,7 +356,7 @@ def test_random_words_idempotent(data):
     n = data.draw(st.integers(min_value=0, max_value=3))
     word = tuple(data.draw(st.sampled_from(letters)) for _ in range(n))
     nf = normal_form(HD, w(word))
-    assert normal_form(HD, embed(nf)) == nf
+    assert normal_form(HD, embed(nf, HD.q)) == nf
     deg = word_degree(HD, word)
     for word2 in nf.terms:
         assert word_degree(HD, word2) == deg

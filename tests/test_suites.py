@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from hallforge.backend import make_backend
@@ -44,3 +46,13 @@ def test_backend_oracle_defaults_to_dim_four():
 def test_report_params_skip_thread_count():
     rep = run_suite(RunConfig(suite="backend-oracle", q=2, threads=3))
     assert "threads" not in rep["params"]
+
+
+def test_run_suite_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("run_suite started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    rep = run_suite(RunConfig(suite="backend-oracle", quiver="a1", q=2,
+                              threads=4))
+    assert rep["instances"] == rep["passes"] == 155
