@@ -4,7 +4,7 @@ comultiplication, Green's pairing, gamma coefficients, Green's formula."""
 from fractions import Fraction
 
 from .quiver import add_class, sub_class
-from .scalars import SqrtScalar, vpow
+from .scalars import SqrtScalar, render_scalar, vpow
 
 
 def _vp(be, n):
@@ -321,7 +321,6 @@ def _render_basis(be, mid, alpha):
 
 
 def render_hall(x):
-    from .scalars import render_scalar
     if not x.terms:
         return "0"
     chunks = []

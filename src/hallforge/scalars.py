@@ -1,6 +1,7 @@
 """Exact arithmetic in Q(sqrt q): numbers a + b*v with v*v = q, q prime."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -23,29 +24,51 @@ def is_prime(n):
 
 
 class SqrtScalar:
-    """a + b*v with v^2 = q. Immutable, hashable, componentwise equality."""
+    """a + b*v with v^2 = q. Immutable, hashable, componentwise equality.
 
-    __slots__ = ("a", "b", "q")
+    Stored as one reduced triple of ints: the value is (an + bn*v) / den
+    with den > 0 and gcd(an, bn, den) == 1, so equal values have equal
+    triples.  `a` and `b` are Fraction views of the two components.
+    """
+
+    __slots__ = ("_an", "_bn", "_den", "q")
 
     def __init__(self, a, b, q):
-        object.__setattr__(self, "a", a if isinstance(a, Fraction) else Fraction(a))
-        object.__setattr__(self, "b", b if isinstance(b, Fraction) else Fraction(b))
-        object.__setattr__(self, "q", q)
+        # both parts in lowest terms over their lcm denominator: reduced
+        an, ad = _num_den(a)
+        bn, bd = _num_den(b)
+        den = ad if ad == bd else lcm(ad, bd)
+        an *= den // ad
+        bn *= den // bd
+        _set_an(self, an)
+        _set_bn(self, bn)
+        _set_den(self, den)
+        _set_q(self, q)
 
     def __setattr__(self, name, value):
         raise AttributeError("SqrtScalar is immutable")
 
+    @property
+    def a(self):
+        return Fraction(self._an, self._den)
+
+    @property
+    def b(self):
+        return Fraction(self._bn, self._den)
+
     @staticmethod
     def of(r, q):
+        if isinstance(r, (int, Fraction)):
+            return _rational(r, q)
         return SqrtScalar(r, 0, q)
 
     @staticmethod
     def zero(q):
-        return SqrtScalar(0, 0, q)
+        return _make(0, 0, 1, q)
 
     @staticmethod
     def one(q):
-        return SqrtScalar(1, 0, q)
+        return _make(1, 0, 1, q)
 
     def _coerce(self, other):
         if isinstance(other, SqrtScalar):
@@ -53,41 +76,53 @@ class SqrtScalar:
                 raise ValueError("mixed base fields: q=%r vs q=%r" % (self.q, other.q))
             return other
         if isinstance(other, (int, Fraction)):
-            return SqrtScalar(other, 0, self.q)
+            return _rational(other, self.q)
         return None
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        if not isinstance(other, SqrtScalar):
-            return NotImplemented
-        return self.q == other.q and self.a == other.a and self.b == other.b
+        if isinstance(other, SqrtScalar):
+            return (self._an == other._an and self._bn == other._bn
+                    and self._den == other._den and self.q == other.q)
+        if isinstance(other, int):
+            return self._bn == 0 and self._den == 1 and self._an == other
+        if isinstance(other, Fraction):
+            return (self._bn == 0 and self._an == other.numerator
+                    and self._den == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self.q))
+        return hash((self._an, self._bn, self._den, self.q))
 
     def is_zero(self):
-        return self.a == 0 and self.b == 0
+        return self._an == 0 and self._bn == 0
 
     def is_rational(self):
-        return self.b == 0
+        return self._bn == 0
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return SqrtScalar(self.a + o.a, self.b + o.b, self.q)
+        d, f = self._den, o._den
+        if d == f:
+            return _reduced(self._an + o._an, self._bn + o._bn, d, self.q)
+        return _reduced(self._an * f + o._an * d, self._bn * f + o._bn * d,
+                        d * f, self.q)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SqrtScalar(-self.a, -self.b, self.q)
+        return _make(-self._an, -self._bn, self._den, self.q)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return SqrtScalar(self.a - o.a, self.b - o.b, self.q)
+        d, f = self._den, o._den
+        if d == f:
+            return _reduced(self._an - o._an, self._bn - o._bn, d, self.q)
+        return _reduced(self._an * f - o._an * d, self._bn * f - o._bn * d,
+                        d * f, self.q)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -100,20 +135,21 @@ class SqrtScalar:
         if o is None:
             return NotImplemented
         # (a + bv)(c + dv) = ac + bd q + (ad + bc) v
-        return SqrtScalar(
-            self.a * o.a + self.b * o.b * self.q,
-            self.a * o.b + self.b * o.a,
-            self.q,
-        )
+        a, b, c, d = self._an, self._bn, o._an, o._bn
+        return _reduced(a * c + b * d * self.q, a * d + b * c,
+                        self._den * o._den, self.q)
 
     __rmul__ = __mul__
 
     def inverse(self):
         # conjugate trick: (a + bv)(a - bv) = a^2 - q b^2, nonzero for q prime
-        n = self.a * self.a - self.q * self.b * self.b
+        a, b, d = self._an, self._bn, self._den
+        n = a * a - self.q * b * b
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt %d)" % self.q)
-        return SqrtScalar(self.a / n, -self.b / n, self.q)
+        if n < 0:
+            return _reduced(-d * a, d * b, -n, self.q)
+        return _reduced(d * a, -d * b, n, self.q)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -148,6 +184,48 @@ class SqrtScalar:
         return render_scalar(self)
 
 
+# the slot setters bypass the __setattr__ guard
+_new = object.__new__
+_set_an = SqrtScalar._an.__set__
+_set_bn = SqrtScalar._bn.__set__
+_set_den = SqrtScalar._den.__set__
+_set_q = SqrtScalar.q.__set__
+
+
+def _make(an, bn, den, q):
+    """A SqrtScalar from a triple already in reduced form."""
+    x = _new(SqrtScalar)
+    _set_an(x, an)
+    _set_bn(x, bn)
+    _set_den(x, den)
+    _set_q(x, q)
+    return x
+
+
+def _reduced(an, bn, den, q):
+    """A SqrtScalar from any triple with den > 0."""
+    if den != 1:
+        g = gcd(an, bn, den)
+        if g != 1:
+            an, bn, den = an // g, bn // g, den // g
+    return _make(an, bn, den, q)
+
+
+def _rational(r, q):
+    """r, an int or a Fraction, as a SqrtScalar."""
+    if isinstance(r, int):
+        return _make(int(r), 0, 1, q)
+    return _make(r.numerator, 0, r.denominator, q)
+
+
+def _num_den(r):
+    if isinstance(r, int):
+        return int(r), 1
+    if not isinstance(r, Fraction):
+        r = Fraction(r)
+    return r.numerator, r.denominator
+
+
 def scalar_arith(op, x, y):
     """add|sub|mul|div|neg on SqrtScalars sharing one q."""
     if op == "neg":
@@ -166,9 +244,10 @@ def scalar_arith(op, x, y):
 def vpow(n, q):
     """v^n exactly: q^(n/2) for even n, q^((n-1)/2) * v for odd n."""
     assert isinstance(n, int)
-    if n % 2 == 0:
-        return SqrtScalar(Fraction(q) ** (n // 2), 0, q)
-    return SqrtScalar(0, Fraction(q) ** ((n - 1) // 2), q)
+    k, odd = divmod(n, 2)
+    p = q ** abs(k)
+    num, den = (p, 1) if k >= 0 else (1, p)
+    return _make(0, num, den, q) if odd else _make(num, 0, den, q)
 
 
 def _render_fraction(r):

@@ -95,10 +95,12 @@ def _named(be, prm):
     return out
 
 
-def _plain(map_name, rel, named, ok, lhs=None, rhs=None, note=""):
+def _plain(map_name, rel, named, ok, sides=None, note=""):
+    """`sides` returns the rendered (lhs, rhs); it is called only when the
+    check fails, so passing instances render nothing."""
     rep = CheckReport(map_name, rel, named, ok, note=note)
-    if not ok:
-        rep.lhs, rep.rhs = lhs, rhs
+    if not ok and sides is not None:
+        rep.lhs, rep.rhs = sides()
     return rep
 
 
@@ -208,7 +210,7 @@ def _build_green(be, cfg):
         def fn(m=m, n=n, mp=mp, np_=np_, named=named):
             lhs, rhs, ok = green_formula_check(be, m, n, mp, np_)
             return _plain("green", "green", named, ok,
-                          render_scalar(lhs), render_scalar(rhs))
+                          lambda: (render_scalar(lhs), render_scalar(rhs)))
 
         insts.append(_Inst("green", named, fn))
     return insts
@@ -269,7 +271,8 @@ def _build_heis_oracle(be, cfg):
                 got = hd_cross(be, side, m, n)
                 want = hd_cross_oracle(be, side, m, n)
                 return _plain("heis-oracle", rel, named, got == want,
-                              render_elt(be, got), render_elt(be, want))
+                              lambda: (render_elt(be, got),
+                                       render_elt(be, want)))
 
             insts.append(_Inst(rel, named, fn))
     dd = algebra("d", be)
@@ -282,8 +285,8 @@ def _build_heis_oracle(be, cfg):
             ok = (d_quasi(be, l13) == d_quasi(be, r18)
                   and d_quasi(be, r13) == d_quasi(be, l18))
             return _plain("heis-oracle", "2.13~2.18", named, ok,
-                          render_elt(be, d_quasi(be, l13)),
-                          render_elt(be, d_quasi(be, r18)))
+                          lambda: (render_elt(be, d_quasi(be, l13)),
+                                   render_elt(be, d_quasi(be, r18))))
 
         insts.append(_Inst("2.13~2.18", named, fn))
     return insts
@@ -305,8 +308,8 @@ def _build_kashaev(be, cfg):
             scale = be.aut_count(m) * be.aut_count(n)
             ok = le == lhs.scale(scale) and re_ == rhs.scale(scale)
             return _plain("kashaev", "2.18~2.18r", named, ok,
-                          render_elt(be, le),
-                          render_elt(be, lhs.scale(scale)))
+                          lambda: (render_elt(be, le),
+                                   render_elt(be, lhs.scale(scale))))
 
         insts.append(_Inst("2.18~2.18r", named, fn))
 
@@ -371,8 +374,8 @@ def _build_bridgeland(be, cfg):
             got = apply_hom(second, apply_hom(first, x))
             want = normal_form(alg, x)
             return _plain("bridgeland-derived", "roundtrip", named,
-                          got == want, render_elt(be, got),
-                          render_elt(be, want))
+                          got == want,
+                          lambda: (render_elt(be, got), render_elt(be, want)))
         return fn
 
     for n in range(-w, w + 1):
@@ -445,7 +448,8 @@ def _build_gradings(be, cfg):
                 except ValueError as exc:
                     ok, note = False, str(exc)
                 return _plain("gradings", rel, named, ok,
-                              render_elt(be, lhs), render_elt(be, rhs),
+                              lambda: (render_elt(be, lhs),
+                                       render_elt(be, rhs)),
                               note=note)
 
             insts.append(_Inst(rel, named, fn))
@@ -504,7 +508,8 @@ def _build_rewrite_sanity(be, cfg):
             ok = left == right and idem
             note = "" if idem else "normal form not idempotent"
             return _plain("rewrite-sanity", rel, named, ok,
-                          render_elt(be, left), render_elt(be, right),
+                          lambda: (render_elt(be, left),
+                                   render_elt(be, right)),
                           note=note)
         return fn
 
@@ -551,8 +556,8 @@ def _build_backend_oracle(be, cfg):
             ok = n_classes == 1 and \
                 brute.aut_count(cids[d]) == closed.aut_count(d)
             return _plain("backend-oracle", "aut", named, ok,
-                          str(brute.aut_count(cids[d])),
-                          str(closed.aut_count(d)))
+                          lambda: (str(brute.aut_count(cids[d])),
+                                   str(closed.aut_count(d))))
 
         insts.append(_Inst("aut", named, fn))
     for a, b in itertools.product(range(dmax + 1), repeat=2):
@@ -572,7 +577,7 @@ def _build_backend_oracle(be, cfg):
             got = brute.hall_number(cids[l], cids[m], cids[n])
             want = closed.hall_number(l, m, n)
             return _plain("backend-oracle", "hall", named, got == want,
-                          str(got), str(want))
+                          lambda: (str(got), str(want)))
 
         insts.append(_Inst("hall", named, fn))
     return insts

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from hallforge.scalars import SqrtScalar, is_prime, render_scalar, scalar_arith, vpow
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+operands = st.one_of(st.integers(-6, 6), rationals)
 
 
 def sq(a, b, q=2):
@@ -79,3 +81,119 @@ def test_is_prime():
     assert not is_prime(1)
     assert is_prime(2503)
     assert not is_prime(2501)
+
+
+class RefScalar:
+    """Oracle: a + b*v kept as two Fractions, the form SqrtScalar stored
+    before it moved to a reduced int triple."""
+
+    def __init__(self, a, b, q):
+        self.a, self.b, self.q = Fraction(a), Fraction(b), q
+
+    def _lift(self, other):
+        return other if isinstance(other, RefScalar) else RefScalar(other, 0, self.q)
+
+    def __add__(self, other):
+        o = self._lift(other)
+        return RefScalar(self.a + o.a, self.b + o.b, self.q)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RefScalar(-self.a, -self.b, self.q)
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return self._lift(other) - self
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        return RefScalar(self.a * o.a + self.b * o.b * self.q,
+                         self.a * o.b + self.b * o.a, self.q)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        n = self.a * self.a - self.q * self.b * self.b
+        return RefScalar(self.a / n, -self.b / n, self.q)
+
+    def __truediv__(self, other):
+        return self * self._lift(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self._lift(other) * self.inverse()
+
+    def __pow__(self, n):
+        base = self if n >= 0 else self.inverse()
+        out = RefScalar(1, 0, self.q)
+        for _ in range(abs(n)):
+            out = out * base
+        return out
+
+
+def assert_canonical(x):
+    assert x._den > 0 and gcd(x._an, x._bn, x._den) == 1
+
+
+def assert_agrees(got, want):
+    assert isinstance(got, SqrtScalar)
+    assert_canonical(got)
+    assert isinstance(got.a, Fraction) and isinstance(got.b, Fraction)
+    assert (got.a, got.b) == (want.a, want.b)
+    assert got == SqrtScalar(want.a, want.b, want.q)
+    assert render_scalar(got) == render_scalar(want)
+
+
+@given(rationals, rationals, rationals, rationals, operands,
+       st.integers(-4, 4), st.sampled_from([2, 3, 5]))
+def test_matches_fraction_pair_reference(a1, b1, a2, b2, r, n, q):
+    x, y = SqrtScalar(a1, b1, q), SqrtScalar(a2, b2, q)
+    rx, ry = RefScalar(a1, b1, q), RefScalar(a2, b2, q)
+    assert_agrees(x, rx)
+    cases = [(x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry),
+             (-x, -rx), (x + r, rx + r), (r + x, r + rx), (x - r, rx - r),
+             (r - x, r - rx), (x * r, rx * r), (r * x, r * rx)]
+    if not y.is_zero():
+        cases += [(x / y, rx / ry), (r / y, r / ry), (y.inverse(), ry.inverse()),
+                  (y ** n, ry ** n)]
+    if r != 0:
+        cases.append((x / r, rx / r))
+    for got, want in cases:
+        assert_agrees(got, want)
+    assert (x == y) == ((rx.a, rx.b) == (ry.a, ry.b))
+    assert (x == r) == (rx.b == 0 and rx.a == r)
+    assert SqrtScalar(r, 0, q) == r and SqrtScalar.of(r, q) == r
+
+
+def test_mixed_operands_frozen():
+    x = SqrtScalar(Fraction(1, 2), 0, 2)
+    assert x == Fraction(1, 2) and Fraction(1, 2) == x
+    assert not x == 1 and x != Fraction(1, 3)
+    assert 3 - x == Fraction(5, 2)
+    assert 1 / x == 2 and (1 / x).b == 0
+    assert x ** -2 == 4
+
+
+def test_canonical_form_hashes_equal():
+    half, half2 = SqrtScalar(Fraction(2, 4), 0, 2), SqrtScalar(Fraction(1, 2), 0, 2)
+    assert half == half2 and hash(half) == hash(half2)
+    x = SqrtScalar(Fraction(3, 4), Fraction(-5, 6), 3)
+    y = SqrtScalar(Fraction(2, 9), 7, 3)
+    routes = [(x * y) / y, x + 0, 0 + x, (x * 6) / 6, -(-x), x - y + y,
+              SqrtScalar(Fraction(9, 12), Fraction(-10, 12), 3)]
+    for z in routes:
+        assert_canonical(z)
+        assert z == x and hash(z) == hash(x)
+    assert len(set(routes)) == 1
+
+
+def test_inverse_of_negative_norm_keeps_den_positive():
+    v = SqrtScalar(0, 1, 2)
+    inv = (1 + v).inverse()  # norm 1 - 2 = -1
+    assert_canonical(inv)
+    assert inv == -1 + v and hash(inv) == hash(-1 + v)
+    third = SqrtScalar(1, 2, 3).inverse()  # norm 1 - 12 = -11
+    assert_canonical(third)
+    assert third == SqrtScalar(Fraction(-1, 11), Fraction(2, 11), 3)

@@ -3,7 +3,7 @@ import threading
 import pytest
 
 from hallforge.backend import make_backend
-from hallforge.suites import (RunConfig, _BUILDERS, _index_window,
+from hallforge.suites import (RunConfig, _BUILDERS, _index_window, _plain,
                               run_suite)
 
 BE = make_backend("a2", 2)
@@ -56,3 +56,13 @@ def test_run_suite_starts_no_thread(monkeypatch):
     rep = run_suite(RunConfig(suite="backend-oracle", quiver="a1", q=2,
                               threads=4))
     assert rep["instances"] == rep["passes"] == 155
+
+
+def test_plain_renders_sides_only_on_failure():
+    def render():
+        raise AssertionError("a passing check was rendered")
+
+    assert _plain("m", "r", {}, True, render).lhs is None
+    failed = _plain("m", "r", {}, False, lambda: ("L", "R"), note="n")
+    assert (failed.lhs, failed.rhs, failed.note) == ("L", "R", "n")
+    assert _plain("m", "r", {}, False).lhs is None
