@@ -73,14 +73,22 @@ def _zero_maps(quiver, p, dims):
     return tuple(FpMatrix.zero(p, dims[t], dims[s]) for s, t in quiver.arrows)
 
 
+class EnumerationError(ArithmeticError):
+    """An isoclass table failed the orbit-counting identity."""
+
+
 class QuiverBackend:
     """Brute-force backend over a fixed quiver and prime field.
 
-    The isoclass registry assigns ids by full enumeration of each
-    dimension vector in a fixed order, so ids within a dimvec are
-    reproducible no matter which representation gets classified first.
-    Memo tables fill lazily without locking: not safe to share across
-    threads.
+    The isoclass registry lists the classes of each dimension vector in
+    the order a scan of the arrow assignments first meets them (see
+    `iso_classes`), so the classes within a dimvec, and their names
+    X{d}#j, are reproducible no matter which representation gets
+    classified first.  Global integer ids are handed out as classes are
+    registered, across dimvecs, in whatever order the computation asks
+    for them; their numbering is not stable across versions, and nothing
+    sorts or renders by raw id.  Memo tables fill lazily without
+    locking: not safe to share across threads.
     """
 
     def __init__(self, quiver, p):
@@ -155,18 +163,38 @@ class QuiverBackend:
         return cid
 
     def iso_classes(self, dimvec):
-        """All isoclass ids of the given dimension vector, fixed order."""
+        """All isoclass ids of the given dimension vector, fixed order.
+
+        Scans the p^N arrow assignments (N arrow-matrix entries) in
+        `itertools.product` order and keeps each one not isomorphic to a
+        class already found.  By orbit counting, the classes M at d satisfy
+        sum_M |GL_d| / a_M = p^N with |GL_d| = prod_i |GL_{d_i}(F_p)|, so
+        the scan stops as soon as the orbits found cover the space: the
+        classes and their order are those of a full scan.  An orbit count
+        that does not divide |GL_d|, or orbits that overshoot p^N or fall
+        short of it after a full scan, raise EnumerationError.
+
+        Calling aut_count during the scan classifies the quotients of each
+        new class, which can enumerate smaller dimvecs earlier than a scan
+        without it would; that changes the global ids, never the order
+        within a dimvec.
+        """
         dimvec = tuple(int(d) for d in dimvec)
         got = self._dimvec_classes.get(dimvec)
         if got is not None:
             return list(got)
-        quiver = self.quiver
+        quiver, p = self.quiver, self.p
         slots = [(dimvec[t] * dimvec[s]) for s, t in quiver.arrows]
         total = sum(slots)
+        space = p ** total
         budget = Budget("iso_classes")
-        budget.check_upfront(self.p ** total)
+        budget.check_upfront(space)
+        group = 1
+        for d in dimvec:
+            group *= gl_order(d, p)
         found = []
-        for assign in itertools.product(range(self.p), repeat=total):
+        covered = 0
+        for assign in itertools.product(range(p), repeat=total):
             budget.spend()
             maps = []
             pos = 0
@@ -175,13 +203,30 @@ class QuiverBackend:
                 pos += n_ent
                 rows = [chunk[r * dimvec[s]:(r + 1) * dimvec[s]]
                         for r in range(dimvec[t])]
-                maps.append(FpMatrix(self.p, dimvec[t], dimvec[s], rows))
-            cand = Rep(quiver, self.p, dimvec, tuple(maps))
-            if not any(self.is_iso(cand, self._classes[cid]) for cid in found):
-                cid = self._key_to_id.get(cand.key)
-                if cid is None:
-                    cid = self._register(cand)
-                found.append(cid)
+                maps.append(FpMatrix(p, dimvec[t], dimvec[s], rows))
+            cand = Rep(quiver, p, dimvec, tuple(maps))
+            if any(self.is_iso(cand, self._classes[cid]) for cid in found):
+                continue
+            cid = self._key_to_id.get(cand.key)
+            if cid is None:
+                cid = self._register(cand)
+            found.append(cid)
+            if space == 1:
+                # one assignment, one class: its orbit is the whole space
+                covered = 1
+                break
+            aut = self.aut_count(cid)
+            orbit, rest = divmod(group, aut)
+            if rest:
+                raise EnumerationError(
+                    f"a_M = {aut} does not divide |GL_{dimvec}| = {group}")
+            covered += orbit
+            if covered >= space:
+                break
+        if covered != space:
+            raise EnumerationError(
+                f"orbits of the {len(found)} classes at {dimvec} cover "
+                f"{covered} of {space} arrow assignments")
         self._dimvec_classes[dimvec] = found
         return list(found)
 

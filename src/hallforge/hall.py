@@ -140,13 +140,13 @@ def comult(x):
     be = x.be
     out = {}
     for (lid, alpha), c in x.terms.items():
-        a_l = Fraction(be.aut_count(lid))
+        c_over_a_l = c / be.aut_count(lid)
         for sub, quot in be.subobject_pairs(lid):
             mid = be.classify(quot)
             nid = be.classify(sub)
             mhat, nhat = be.class_dim(mid), be.class_dim(nid)
-            coeff = c * _vp(be, be.euler_form(mhat, nhat)) \
-                * (Fraction(be.aut_count(mid)) * be.aut_count(nid) / a_l)
+            coeff = c_over_a_l * _vp(be, be.euler_form(mhat, nhat)) \
+                * (be.aut_count(mid) * be.aut_count(nid))
             key = ((mid, add_class(nhat, alpha)), (nid, alpha))
             s = out.get(key)
             out[key] = coeff if s is None else s + coeff
@@ -174,17 +174,17 @@ def gamma(be, m, n, x, y):
         return SqrtScalar.zero(be.q)
     if any(d < 0 for d in diff):
         return SqrtScalar.zero(be.q)
-    acc = Fraction(0)
+    acc = 0
     for lid in be.iso_classes(diff):
         g1 = be.hall_number(m, lid, x)
         if not g1:
             continue
         g2 = be.hall_number(n, y, lid)
         if g2:
-            acc += Fraction(be.aut_count(lid)) * g1 * g2
-    acc *= Fraction(be.aut_count(x)) * be.aut_count(y) \
-        / (Fraction(be.aut_count(m)) * be.aut_count(n))
-    return SqrtScalar.of(acc, be.q)
+            acc += be.aut_count(lid) * g1 * g2
+    return SqrtScalar.of(
+        Fraction(acc * be.aut_count(x) * be.aut_count(y),
+                 be.aut_count(m) * be.aut_count(n)), be.q)
 
 
 def _decomp_ids(be, total):
@@ -209,17 +209,19 @@ def green_formula_check(be, m, n, mp, np_):
     total = add_class(be.class_dim(m), be.class_dim(n))
     lhs = SqrtScalar.zero(q)
     if total == add_class(be.class_dim(mp), be.class_dim(np_)):
-        acc = Fraction(0)
+        # sum of g1 g2 / a_L as one int fraction num / den
+        num, den = 0, 1
         for lid in be.iso_classes(total):
             g1 = be.hall_number(lid, m, n)
             if not g1:
                 continue
             g2 = be.hall_number(lid, mp, np_)
             if g2:
-                acc += Fraction(g1 * g2, be.aut_count(lid))
-        acc *= Fraction(be.aut_count(m)) * be.aut_count(n) \
+                a_l = be.aut_count(lid)
+                num, den = num * a_l + g1 * g2 * den, den * a_l
+        num *= be.aut_count(m) * be.aut_count(n) \
             * be.aut_count(mp) * be.aut_count(np_)
-        lhs = SqrtScalar.of(acc, q)
+        lhs = SqrtScalar.of(Fraction(num, den), q)
     rhs = SqrtScalar.zero(q)
     for a_cls, ap_cls in _decomp_ids(be, be.class_dim(m)):
         g_m = be.hall_number(m, a_cls, ap_cls)
@@ -235,7 +237,7 @@ def green_formula_check(be, m, n, mp, np_):
             g_np = be.hall_number(np_, ap_cls, bp_cls)
             if not g_np:
                 continue
-            weight = Fraction(be.aut_count(a_cls)) * be.aut_count(ap_cls) \
+            weight = be.aut_count(a_cls) * be.aut_count(ap_cls) \
                 * be.aut_count(b_cls) * be.aut_count(bp_cls) \
                 * g_m * g_n * g_mp * g_np
             factor = _vp(be, -2 * be.euler_form(be.class_dim(a_cls),

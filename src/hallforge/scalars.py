@@ -91,6 +91,10 @@ class SqrtScalar:
         return NotImplemented
 
     def __hash__(self):
+        # a rational value equals the int or Fraction it names, so it
+        # hashes like one
+        if self._bn == 0:
+            return hash(Fraction(self._an, self._den))
         return hash((self._an, self._bn, self._den, self.q))
 
     def is_zero(self):

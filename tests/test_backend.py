@@ -3,7 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hallforge.backend import A1ClosedFormBackend, QuiverBackend
+from hallforge import backend
+from hallforge.backend import A1ClosedFormBackend, EnumerationError, QuiverBackend
 from hallforge.caps import Budget, CapExceeded
 from hallforge.fq import gaussian_binomial, gl_order
 from hallforge.quiver import Quiver, preset
@@ -263,6 +264,81 @@ def test_cap_reports_budget_spent(monkeypatch):
         for _ in range(5):
             budget.spend()
     assert busted.value.spent == 4 and busted.value.op == "visits"
+
+
+def full_scan_reps(be, dimvec):
+    """Class representatives at dimvec from a scan of every arrow
+    assignment, keeping each one not isomorphic to an earlier keeper:
+    the enumeration without the orbit-counting stop."""
+    arrows = be.quiver.arrows
+    slots = [dimvec[t] * dimvec[s] for s, t in arrows]
+    reps = []
+    for assign in itertools.product(range(be.p), repeat=sum(slots)):
+        entries, pos = [], 0
+        for (s, t), n_ent in zip(arrows, slots):
+            chunk = assign[pos:pos + n_ent]
+            pos += n_ent
+            entries.append([chunk[r * dimvec[s]:(r + 1) * dimvec[s]]
+                            for r in range(dimvec[t])])
+        cand = be.rep(dimvec, entries)
+        if not any(be.is_iso(cand, rep) for rep in reps):
+            reps.append(cand)
+    return reps
+
+
+@pytest.mark.parametrize("tag,p,dimvec", [
+    ("a2", 2, (3, 2)), ("a2", 2, (2, 3)), ("kronecker", 2, (2, 2)),
+    ("a2", 3, (2, 2)), ("a3", 2, (2, 2, 1))])
+def test_iso_classes_match_full_scan(tag, p, dimvec):
+    be = QuiverBackend(preset(tag), p)
+    ids = be.iso_classes(dimvec)
+    ref_be = QuiverBackend(preset(tag), p)
+    ref = full_scan_reps(ref_be, dimvec)
+    assert [be.class_rep(c).key for c in ids] == [r.key for r in ref]
+    name = "X{" + ",".join(map(str, dimvec)) + "}#"
+    assert [be.class_name(c) for c in ids] == [name + str(j) for j in range(len(ref))]
+    auts = [ref_be.aut_count(r) for r in ref]
+    assert [be.aut_count(c) for c in ids] == auts
+    # the orbits of the full scan's classes cover the space exactly
+    group = 1
+    for d in dimvec:
+        group *= gl_order(d, p)
+    assert sum(group // a for a in auts) == p ** sum(
+        dimvec[s] * dimvec[t] for s, t in be.quiver.arrows)
+
+
+def test_iso_classes_stop_once_orbits_cover_the_space(monkeypatch):
+    asked = []
+
+    class RecordingBudget(Budget):
+        def check_upfront(self, n):
+            super().check_upfront(n)
+            asked.append((self, n))
+
+    monkeypatch.setattr(backend, "Budget", RecordingBudget)
+    be = QuiverBackend(preset("a2"), 2)
+    assert len(be.iso_classes((5, 1))) == 2
+    # zero map (orbit 1) then rank one (orbit 31): 2 of the 2^5 visits
+    (top,) = [b for b, n in asked if b.op == "iso_classes" and n == 32]
+    assert top.spent == 2
+
+
+def test_iso_classes_raise_when_classes_merge(monkeypatch):
+    monkeypatch.setattr(QuiverBackend, "is_iso", lambda self, a, b: True)
+    be = QuiverBackend(preset("a2"), 2)
+    with pytest.raises(EnumerationError, match="cover 1 of 2"):
+        be.iso_classes((1, 1))
+    assert (1, 1) not in be._dimvec_classes
+
+
+@pytest.mark.parametrize("aut,message", [
+    (7, r"a_M = 7 does not divide \|GL_\(2, 1\)\| = 6"),
+    (1, "cover 6 of 4")])  # one orbit of |GL_(2,1)| = 6 overshoots 2^2
+def test_iso_classes_raise_on_bad_orbit_count(monkeypatch, aut, message):
+    monkeypatch.setattr(QuiverBackend, "aut_count", lambda self, m: aut)
+    be = QuiverBackend(preset("a2"), 2)
+    with pytest.raises(EnumerationError, match=message):
+        be.iso_classes((2, 1))
 
 
 @st.composite

@@ -197,3 +197,17 @@ def test_inverse_of_negative_norm_keeps_den_positive():
     third = SqrtScalar(1, 2, 3).inverse()  # norm 1 - 12 = -11
     assert_canonical(third)
     assert third == SqrtScalar(Fraction(-1, 11), Fraction(2, 11), 3)
+
+
+def test_rational_hash_agrees_with_int_and_fraction():
+    # a rational SqrtScalar equals the int or Fraction it names, so it
+    # must find that key in a dict and the key must find it
+    one, half = SqrtScalar.one(2), SqrtScalar(Fraction(1, 2), 0, 3)
+    for x, plain in [(one, 1), (SqrtScalar.of(-4, 5), -4), (SqrtScalar.zero(2), 0),
+                     (half, Fraction(1, 2)), (SqrtScalar.of(Fraction(6, 4), 2), Fraction(3, 2))]:
+        assert x == plain and hash(x) == hash(plain)
+        assert {plain: "k"}[x] == "k" and {x: "k"}[plain] == "k"
+    assert {1: "one"}[one] == "one"
+    assert {Fraction(2, 2): "one"}[one] == "one"
+    assert {Fraction(1, 2): "half"}[half] == "half"
+    assert SqrtScalar(1, 1, 2) not in {1: None, Fraction(1, 2): None}
