@@ -106,13 +106,18 @@ def _render_params(params):
 
 
 def apply_hom(h, x):
-    """Multiplicative extension of h's generator images to an element."""
+    """Multiplicative extension of h's generator images to an element.
+
+    A word's product starts from the image of its first letter: images are
+    normal, so the unit times an image is that image.  The cached images
+    are shared; scale and + build new elements.
+    """
     if isinstance(x, NormalElt):
         x = embed(x, h.source.q)
     out = h.target_zero()
     for word, c in x.terms.items():
-        acc = h.target_unit()
-        for letter in word:
+        acc = h.image(word[0]) if word else h.target_unit()
+        for letter in word[1:]:
             img = h.image(letter)
             if h.is_tensor():
                 acc = tensor_mult(acc, img)

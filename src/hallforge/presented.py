@@ -5,6 +5,22 @@ pair rules.  A rule receives two adjacent letters and answers either None
 ("normally ordered, leave alone") or a list of (scalar, replacement letters)
 summands.  All coefficients are exact SqrtScalar values.
 
+The driver keeps a stack of (word, coefficient, start) entries and searches
+each word for its leftmost redex from `start` on:
+
+- Resume.  A rewrite at pair i leaves the pairs left of i - 1 as they were,
+  and they held no redex, so the words it produces start at i - 1.
+- Seam.  A word of a NormalElt holds no redex, so in pmult with a normal
+  left factor, and in both legs of tensor_mult, a product word starts at
+  the pair that joins its two factors' words.
+
+Either way the search finds the redex a search from 0 would find, so every
+word goes through the same rewrites and spends the same budget visits.
+Each Algebra remembers its rules' answers, as tuples, keyed by the pair of
+letters: the table holds one entry per distinct adjacent pair the algebra
+has looked at and lives as long as the Algebra.  A rule that raises (a cap
+hit in the backend) leaves no entry.
+
 Letters are plain tuples:
 
     ("mu", s, mid)    ("K", s, alpha)      s = +1 / -1        tag hd
@@ -127,7 +143,7 @@ def _is_unit(letter):
 class Algebra:
     """A presented algebra: tag + quiver backend (+ modulus for dhm)."""
 
-    __slots__ = ("tag", "be", "m", "family")
+    __slots__ = ("tag", "be", "m", "family", "_pair_rules")
 
     def __init__(self, tag, be):
         if tag.startswith("dhm:"):
@@ -143,6 +159,9 @@ class Algebra:
             raise ValueError("unknown algebra tag %r" % (tag,))
         self.tag = tag
         self.be = be
+        # (a, b) -> the family rule's answer: None, or a tuple of
+        # (scalar, letters); one entry per distinct adjacent pair looked at
+        self._pair_rules = {}
 
     @property
     def q(self):
@@ -595,34 +614,61 @@ _REDUCERS = {
 # ---------------------------------------------------------------------------
 # the rewrite driver
 
-def _leftmost(alg, reduce_pair, w):
-    for i in range(len(w) - 1):
-        res = reduce_pair(alg, w[i], w[i + 1])
-        if res is not None:
-            return i, res
-    return -1, None
+_UNSEEN = object()
 
 
-def _normalize_terms(alg, terms, budget=None):
+def _canon_word(alg, w):
+    return _strip(tuple(alg.canon_letter(l) for l in w))
+
+
+def _seam(word):
+    """Where a search in word + suffix starts when word holds no redex."""
+    return max(len(word) - 1, 0)
+
+
+def _rewrite(alg, stack, budget=None):
+    """Normal-order the sum of c * w over the stack entries (w, c, start).
+
+    w is spelled in canonical non-unit letters and holds no redex at a pair
+    left of `start`.  Each step rewrites the leftmost redex, at pair i; the
+    words it produces keep the pairs left of i - 1, so they resume there.
+    Pair-rule answers come from the algebra's table, filled on first use.
+    """
     reduce_pair = _REDUCERS[alg.family]
+    rules = alg._pair_rules
     if budget is None:
         budget = Budget("normal_form", max_enum())
     out = {}
-    stack = []
-    for w, c in terms.items():
-        cw = _strip(tuple(alg.canon_letter(l) for l in w))
-        stack.append((cw, c))
     while stack:
-        w, c = stack.pop()
+        w, c, i = stack.pop()
         budget.spend(1)
-        i, res = _leftmost(alg, reduce_pair, w)
-        if res is None:
+        last = len(w) - 1
+        while i < last:
+            pair = w[i:i + 2]
+            res = rules.get(pair, _UNSEEN)
+            if res is _UNSEEN:
+                res = reduce_pair(alg, w[i], w[i + 1])
+                if res is not None:
+                    res = tuple(res)
+                rules[pair] = res
+            if res is not None:
+                break
+            i += 1
+        else:
             s = out.get(w)
             out[w] = c if s is None else s + c
             continue
+        head, tail = w[:i], w[i + 2:]
+        resume = max(i - 1, 0)
         for scal, letters in res:
-            stack.append((w[:i] + letters + w[i + 2:], c * scal))
+            stack.append((head + letters + tail, c * scal, resume))
     return {w: c for w, c in out.items() if not c.is_zero()}
+
+
+def _normalize_terms(alg, terms, budget=None):
+    """Normal form of free terms {word: coeff}, searched from the start."""
+    return _rewrite(alg, [(_canon_word(alg, w), c, 0)
+                          for w, c in terms.items()], budget)
 
 
 def _word_canonical(alg, w):
@@ -637,13 +683,7 @@ def _word_canonical(alg, w):
     return (b - a) % alg.m == 1 or (a - b) % alg.m == 1
 
 
-def normal_form(alg, x, budget=None):
-    """Rewrite a FreeElt to its normal form in alg.  Raises for tag 'd'."""
-    if alg.family == "d":
-        raise ValueError("the double presentation has no oriented rule table")
-    if isinstance(x, NormalElt):
-        x = embed(x, alg.q)
-    terms = _normalize_terms(alg, x.terms, budget)
+def _normal_elt(alg, terms):
     canonical = all(_word_canonical(alg, w) for w in terms)
     if not canonical:
         warnings.warn("normal_form(%s): word outside the two-residue contract;"
@@ -652,23 +692,69 @@ def normal_form(alg, x, budget=None):
     return NormalElt(alg.tag, terms, canonical)
 
 
+def _check_oriented(alg):
+    if alg.family == "d":
+        raise ValueError("the double presentation has no oriented rule table")
+
+
+def normal_form(alg, x, budget=None):
+    """Rewrite a FreeElt to its normal form in alg.  Raises for tag 'd'."""
+    _check_oriented(alg)
+    if isinstance(x, NormalElt):
+        x = embed(x, alg.q)
+    return _normal_elt(alg, _normalize_terms(alg, x.terms, budget))
+
+
+def _canon_words(alg, x):
+    """{word: the same word in canonical non-unit letters} over x's words."""
+    if isinstance(x, NormalElt) and x.tag == alg.tag:
+        return {w: w for w in x.terms}
+    return {w: _canon_word(alg, w) for w in x.terms}
+
+
 def pmult(alg, a, b):
-    """Product of two (normal or free) elements, renormalized."""
-    fa = embed(a, alg.q) if isinstance(a, NormalElt) else a
-    fb = embed(b, alg.q) if isinstance(b, NormalElt) else b
-    return normal_form(alg, fa * fb)
+    """Product of two (normal or free) elements, renormalized.
+
+    Equal to normal_form of the free product.  A word of a NormalElt of alg
+    holds no redex, so when `a` is one the search in each product word
+    starts at the seam, the pair that joins a's word to b's.
+    """
+    _check_oriented(alg)
+    seam_start = isinstance(a, NormalElt) and a.tag == alg.tag
+    canon_a, canon_b = _canon_words(alg, a), _canon_words(alg, b)
+    # keyed by the raw product word, as the free product accumulates
+    prod = {}
+    for w1, c1 in a.terms.items():
+        k1 = canon_a[w1]
+        start = _seam(k1) if seam_start else 0
+        for w2, c2 in b.terms.items():
+            w = w1 + w2
+            c = c1 * c2
+            entry = prod.get(w)
+            if entry is None:
+                prod[w] = [k1 + canon_b[w2], c, start]
+            else:
+                entry[1] = entry[1] + c
+    stack = [tuple(e) for e in prod.values() if not e[1].is_zero()]
+    return _normal_elt(alg, _rewrite(alg, stack))
 
 
 def tensor_mult(x, y):
-    """Componentwise product of tensor-square elements (no sign rule)."""
+    """Componentwise product of tensor-square elements (no sign rule).
+
+    Both legs of every term are normal, so each leg of a product starts its
+    search at its seam.
+    """
     assert x.tags() == y.tags()
     a1, a2 = x.algs
     out = TensorSquareElt(x.algs)
+    one = SqrtScalar.one(a2.q)
     terms = {}
     for (u1, u2), c in x.terms.items():
+        s1, s2 = _seam(u1), _seam(u2)
         for (w1, w2), d in y.terms.items():
-            left = _normalize_terms(a1, {u1 + w1: c * d})
-            right = _normalize_terms(a2, {u2 + w2: SqrtScalar.one(a2.q)})
+            left = _rewrite(a1, [(u1 + w1, c * d, s1)])
+            right = _rewrite(a2, [(u2 + w2, one, s2)])
             for lw, lc in left.items():
                 for rw, rc in right.items():
                     key = (lw, rw)

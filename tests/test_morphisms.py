@@ -1,12 +1,15 @@
+import itertools
+
 import pytest
 
 from hallforge.backend import QuiverBackend
 from hallforge.morphisms import (GenMap, SOURCE_RELATIONS, apply_hom,
                                  build_hom, check_relation, double_monomials,
                                  rank_independence, tensor_apply)
-from hallforge.presented import (E, FreeElt, Kc, KPlus, KdMinus, KdPlus, Kz,
-                                 MuPlus, NuPlus, OmMinus, OmPlus, Zg, algebra,
-                                 normal_form, tensor_word)
+from hallforge.presented import (E, FreeElt, Kc, KMinus, KPlus, KcMinus,
+                                 KcPlus, KdMinus, KdPlus, Kz, MuMinus, MuPlus,
+                                 NuMinus, NuPlus, OmMinus, OmPlus, Zg, algebra,
+                                 normal_form, pmult, tensor_mult, tensor_word)
 from hallforge.quiver import preset
 from hallforge.scalars import vpow
 
@@ -181,3 +184,89 @@ def test_double_monomials_rank():
     assert len({tuple(m.terms) for m in monos}) == 8
     images = [apply_hom(I, m) for m in monos]
     assert rank_independence(images) == 8
+
+
+# ---------------------------------------------------------------------------
+# apply_hom starts each word from its first image, not from the unit
+
+OBJS_NZ = [c for c in WINDOW if c]
+ALPHAS_NZ = [a for a in ALPHAS if any(a)]
+IDX = range(-3, 4)
+
+
+def _generators(family):
+    """Source generators of the gate's maps over the max_dim 2 window."""
+    if family == "d":
+        return ([OmPlus(c) for c in OBJS_NZ] + [OmMinus(c) for c in OBJS_NZ]
+                + [KdPlus(a) for a in ALPHAS_NZ]
+                + [KdMinus(a) for a in ALPHAS_NZ])
+    if family == "hd":
+        return ([MuPlus(c) for c in OBJS_NZ] + [MuMinus(c) for c in OBJS_NZ]
+                + [KPlus(a) for a in ALPHAS_NZ]
+                + [KMinus(a) for a in ALPHAS_NZ])
+    if family == "hhd":
+        return ([NuPlus(c) for c in OBJS_NZ] + [NuMinus(c) for c in OBJS_NZ]
+                + [KcPlus(a) for a in ALPHAS_NZ]
+                + [KcMinus(a) for a in ALPHAS_NZ])
+    if family == "dhce":
+        return ([Zg(c, i) for c in OBJS_NZ for i in IDX]
+                + [Kz(a, i) for a in ALPHAS_NZ for i in IDX])
+    assert family == "dhm"
+    return ([E(c, i) for c in OBJS_NZ for i in IDX]
+            + [Kc(a, i) for a in ALPHAS_NZ for i in IDX])
+
+
+def _gate_maps():
+    maps = [build_hom(BE, "I"), build_hom(BE, "phi"),
+            build_hom(BE, "phiInv")]
+    for m, idxs in ((0, (-1, 0, 1)), (4, (1, 3))):
+        for i in idxs:
+            maps.append(build_hom(BE, "kappa", m=m, i=i))
+            maps.append(build_hom(BE, "kappaCheck", m=m, i=i))
+    for m, idxs in ((0, (-2, -1, 0, 1)), (4, (1,))):
+        maps += [build_hom(BE, "psi", m=m, i=i) for i in idxs]
+    maps += [build_hom(BE, "varphi", i=i) for i in (-2, -1, 0, 1)]
+    return maps
+
+
+def _unit_first_apply(h, x):
+    """apply_hom as it read when every word started from the unit."""
+    out = h.target_zero()
+    for word, c in x.terms.items():
+        acc = h.target_unit()
+        for letter in word:
+            img = h.image(letter)
+            if h.is_tensor():
+                acc = tensor_mult(acc, img)
+            else:
+                acc = pmult(h.target, acc, img)
+        out = out + acc.scale(c)
+    return out
+
+
+def test_unit_times_each_image_is_the_image():
+    for h in _gate_maps():
+        unit = h.target_unit()
+        for letter in _generators(h.source.family):
+            img = h.image(letter)
+            if h.is_tensor():
+                assert tensor_mult(unit, img) == img, (h, letter)
+            else:
+                prod = pmult(h.target, unit, img)
+                assert prod == img and prod.canonical == img.canonical, \
+                    (h, letter)
+
+
+def test_apply_hom_matches_unit_first_loop():
+    for h in _gate_maps():
+        gens = _generators(h.source.family)[::3][:8]
+        images = {g: dict(h.image(g).terms) for g in gens}
+        words = [w(a, b) for a, b in itertools.product(gens[:4], gens[4:])]
+        words += [w(*gens[k:k + 3]) for k in range(0, len(gens) - 2, 3)]
+        words.append(w(gens[0], gens[-1]) + w(gens[1]).scale(vpow(1, 2))
+                     + w())
+        for x in words:
+            assert apply_hom(h, x) == _unit_first_apply(h, x), (h, x)
+        # the cached images are shared, never updated in place
+        for g, terms in images.items():
+            assert h.image(g).terms == terms

@@ -2,8 +2,9 @@ import itertools
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from hallforge import presented
 from hallforge.backend import QuiverBackend
 from hallforge.caps import Budget, CapExceeded
 from hallforge.presented import (Algebra, E, FreeElt, Kc, KcMinus, KcPlus,
@@ -12,8 +13,8 @@ from hallforge.presented import (Algebra, E, FreeElt, Kc, KcMinus, KcPlus,
                                  OmPlus, TensorSquareElt, Zg, algebra, d_quasi,
                                  embed, grading_check, hd_cross,
                                  hd_cross_oracle, homogeneous_degree,
-                                 normal_form, pmult, relation_instance,
-                                 tensor_mult, tensor_word,
+                                 is_torus, letter_mid, normal_form, pmult,
+                                 relation_instance, tensor_mult, tensor_word,
                                  twist_consistency_check, word_degree)
 from hallforge.quiver import preset
 from hallforge.scalars import SqrtScalar, vpow
@@ -360,3 +361,219 @@ def test_random_words_idempotent(data):
     deg = word_degree(HD, word)
     for word2 in nf.terms:
         assert word_degree(HD, word2) == deg
+
+
+# ---------------------------------------------------------------------------
+# the resuming, seam-starting driver against the plain one
+
+# letters per family over S1, S2, P and the simple classes; dhm:4 and the
+# Z families get residues outside their canonical range or far apart
+ALPHAS_1 = [(1, 0), (0, -1)]
+LETTERS = {
+    HD: [MuPlus(S1), MuMinus(S2), MuPlus(P), MuMinus(P)]
+        + [KPlus(a) for a in ALPHAS_1] + [KMinus(a) for a in ALPHAS_1],
+    HHD: [NuPlus(S2), NuMinus(S1), NuPlus(P), NuMinus(P)]
+         + [KcPlus(a) for a in ALPHAS_1] + [KcMinus(a) for a in ALPHAS_1],
+    DH0: [E(S1, 0), E(S2, 1), E(P, -1), E(S1, 1)]
+         + [Kc(a, i) for a in ALPHAS_1 for i in (0, 1)],
+    DH4: [E(S1, 0), E(S2, 1), E(P, 2), E(S1, 5)]
+         + [Kc(a, i) for a in ALPHAS_1 for i in (3, 4)],
+    DH: [Zg(S1, 0), Zg(S2, 1), Zg(P, 2), Zg(S1, -1)],
+    DHTW: [Zg(S1, 0), Zg(S2, 1), Zg(P, 2), Zg(S1, -1)],
+    DHCE: [Zg(S1, 0), Zg(S2, 1), Zg(P, -1), Zg(S1, 2)]
+          + [Kz(a, i) for a in ALPHAS_1 for i in (-1, 0)],
+}
+
+
+def _dims(words):
+    total = [0, 0]
+    for word in words:
+        for letter in word:
+            if not is_torus(letter):
+                for k, d in enumerate(BE.class_dim(letter_mid(letter))):
+                    total[k] += d
+    return total
+
+
+def _draw_elt(data, alg, max_len):
+    """A FreeElt of one or two words of alg's letters, with v-power
+    coefficients."""
+    words = data.draw(st.lists(
+        st.lists(st.sampled_from(LETTERS[alg]), max_size=max_len)
+        .map(tuple), min_size=1, max_size=2))
+    out = FreeElt(2)
+    for word in words:
+        out = out + w(word, vpow(data.draw(st.integers(-2, 2)), 2))
+    return words, out
+
+
+def _reference_normalize(alg, terms):
+    """The driver before resume and seam starts: every word searches from
+    its first pair and every pair rule is evaluated afresh.  Returns the
+    reduced terms and the words visited."""
+    reduce_pair = presented._REDUCERS[alg.family]
+    out = {}
+    stack = []
+    for word, c in terms.items():
+        stack.append((presented._strip(
+            tuple(alg.canon_letter(l) for l in word)), c))
+    visits = 0
+    while stack:
+        word, c = stack.pop()
+        visits += 1
+        for i in range(len(word) - 1):
+            res = reduce_pair(alg, word[i], word[i + 1])
+            if res is not None:
+                break
+        else:
+            s = out.get(word)
+            out[word] = c if s is None else s + c
+            continue
+        for scal, letters in res:
+            stack.append((word[:i] + letters + word[i + 2:], c * scal))
+    return {w_: c for w_, c in out.items() if not c.is_zero()}, visits
+
+
+TAGS = [HD, HHD, DH0, DH4, DH, DHTW, DHCE]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_driver_matches_restart_from_zero(data):
+    alg = data.draw(st.sampled_from(TAGS))
+    words, x = _draw_elt(data, alg, 3)
+    assume(max(_dims(words)) <= 3)
+    want, visits = _reference_normalize(alg, x.terms)
+    budget = Budget("normal_form", 10 ** 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = normal_form(alg, x, budget=budget)
+    # the same leftmost rewrites in the same order: equal terms, in the same
+    # order, after the same number of visits
+    assert list(got.terms.items()) == list(want.items())
+    assert budget.spent == visits
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_pmult_matches_normal_form_of_free_product(data):
+    alg = data.draw(st.sampled_from(TAGS))
+    a_words, a = _draw_elt(data, alg, 2)
+    b_words, b = _draw_elt(data, alg, 2)
+    assume(max(_dims(a_words + b_words)) <= 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        na, nb = normal_form(alg, a), normal_form(alg, b)
+        for left, right in ((na, nb), (na, b), (a, nb), (a, b)):
+            got = pmult(alg, left, right)
+            want = normal_form(alg, embed(left, alg.q) * embed(right, alg.q))
+            assert got == want
+            assert got.canonical == want.canonical
+
+
+def test_pmult_of_normal_factors_spends_the_same_visits(monkeypatch):
+    # only the search start moves: the words visited are the same, so the
+    # reference's visit count is exactly the cap pmult needs
+    a = normal_form(HD, w((MuMinus(S1), MuPlus(S2))))
+    b = normal_form(HD, w((MuMinus(S2), MuPlus(S1))))
+    want, visits = _reference_normalize(HD, (embed(a, 2) * embed(b, 2)).terms)
+    assert visits > 1
+    assert pmult(HD, a, b).terms == want
+    monkeypatch.setenv("HALLFORGE_MAX_ENUM", str(visits))
+    assert pmult(Algebra("hd", BE), a, b).terms == want
+    monkeypatch.setenv("HALLFORGE_MAX_ENUM", str(visits - 1))
+    with pytest.raises(CapExceeded) as exc:
+        pmult(Algebra("hd", BE), a, b)
+    assert exc.value.op == "normal_form"
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_tensor_mult_matches_legwise_normal_form(data):
+    alg = data.draw(st.sampled_from(TAGS))
+    algs = (alg, alg)
+    legs = st.lists(st.sampled_from(LETTERS[alg]), max_size=2).map(tuple)
+    x_legs = data.draw(st.lists(st.tuples(legs, legs), min_size=1,
+                                max_size=2))
+    y_legs = data.draw(st.tuples(legs, legs))
+    assume(max(_dims([u for u, _ in x_legs] + [y_legs[0]])) <= 3)
+    assume(max(_dims([u for _, u in x_legs] + [y_legs[1]])) <= 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        x = TensorSquareElt(algs)
+        for u1, u2 in x_legs:
+            x = x + tensor_word(algs, u1, u2)
+        y = tensor_word(algs, *y_legs)
+        got = tensor_mult(x, y)
+        want = TensorSquareElt(algs)
+        for (u1, u2), c in x.terms.items():
+            for (w1, w2), d in y.terms.items():
+                left = normal_form(alg, w(u1 + w1, c * d))
+                right = normal_form(alg, w(u2 + w2))
+                want = want + TensorSquareElt(algs, {
+                    (lw, rw): lc * rc for lw, lc in left.terms.items()
+                    for rw, rc in right.terms.items()})
+    assert got == want
+
+
+def test_pmult_cap_on_normal_factors(monkeypatch):
+    a = normal_form(HD, w((MuPlus(S1),)))
+    b = normal_form(HD, w((MuMinus(S1),)))
+    # warm the backend, then multiply in a fresh algebra: the only budget
+    # left to bust is the rewrite's own
+    assert len(pmult(HD, a, b).terms) == 2
+    monkeypatch.setenv("HALLFORGE_MAX_ENUM", "2")
+    with pytest.raises(CapExceeded) as exc:
+        pmult(Algebra("hd", BE), a, b)
+    assert exc.value.op == "normal_form"
+    assert exc.value.limit == 2
+
+
+def test_cap_inside_a_pair_rule_stores_nothing(monkeypatch):
+    be = QuiverBackend(preset("a2"), 2)
+    s1 = be.classify(be.simple_rep(0))
+    s2 = be.classify(be.simple_rep(1))
+    hd = Algebra("hd", be)
+    word = FreeElt.word(2, (MuPlus(s1), MuPlus(s2)))
+    # merging needs the cold (1,1) class table: 2 candidates over a cap of 1
+    monkeypatch.setenv("HALLFORGE_MAX_ENUM", "1")
+    with pytest.raises(CapExceeded) as exc:
+        normal_form(hd, word, budget=Budget("normal_form", 100))
+    assert exc.value.op != "normal_form"
+    assert hd._pair_rules == {}
+    monkeypatch.delenv("HALLFORGE_MAX_ENUM")
+    got = normal_form(hd, word)
+    assert list(hd._pair_rules) == [(MuPlus(s1), MuPlus(s2))]
+    assert got == normal_form(Algebra("hd", be), word)
+
+
+def test_pair_table_holds_each_pair_once():
+    alg = Algebra("hd", BE)
+    x = w((MuPlus(S1), MuMinus(S1), MuPlus(S1), MuMinus(S1)))
+    first = normal_form(alg, x)
+    size = len(alg._pair_rules)
+    assert size > 0
+    assert all(res is None or isinstance(res, tuple)
+               for res in alg._pair_rules.values())
+    assert normal_form(alg, x) == first
+    assert len(alg._pair_rules) == size
+
+
+def test_pmult_three_residues_not_canonical():
+    a = normal_form(DH4, w((E(S1, 0), E(S1, 1))))
+    assert a.canonical
+    for b in (w((E(S1, 2),)), normal_form(DH4, w((E(S1, 2),)))):
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            prod = pmult(DH4, a, b)
+        assert not prod.canonical
+        assert any("two-residue" in str(g.message) for g in got)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert prod == normal_form(DH4, embed(a, 2) * embed(b, 2))
+
+
+def test_pmult_rejects_the_double():
+    x = w((OmPlus(S1),))
+    with pytest.raises(ValueError):
+        pmult(DD, x, x)
