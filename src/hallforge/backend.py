@@ -2,11 +2,14 @@
 
 Everything the algebra layers consume lives here: isoclass registries,
 Hall numbers g^L_{MN}, automorphism counts a_M, Euler forms, and
-filtration counts.  All counting is exact brute force over the finite
-field, guarded by the enumeration budget.  Suites run their instances
-sequentially on the calling thread (`--threads` is accepted but ignored),
-so nothing in the package calls a backend from more than one thread and
-the memo tables are plain dicts with no lock.
+filtration counts.  All counting is exact, by enumeration over the finite
+field guarded by the enumeration budget.  Isomorphism is decided by the
+rank invariant on quivers that are disjoint unions of linearly oriented
+paths (see `path_chains`) and by the injection-count sieve on every other
+quiver; automorphism counts always come from the sieve.  Suites run their
+instances sequentially on the calling thread (`--threads` is accepted but
+ignored), so nothing in the package calls a backend from more than one
+thread and the memo tables are plain dicts with no lock.
 """
 
 import itertools
@@ -73,6 +76,35 @@ def _zero_maps(quiver, p, dims):
     return tuple(FpMatrix.zero(p, dims[t], dims[s]) for s, t in quiver.arrows)
 
 
+def path_chains(quiver):
+    """The arrows of each maximal path, in path order, when every vertex has
+    at most one incoming and at most one outgoing arrow; otherwise None.
+
+    Such a quiver (quivers are acyclic) is a disjoint union of linearly
+    oriented type-A paths, and a representation's isoclass is fixed by its
+    dimension vector and the ranks of the composites f_j ... f_i of
+    consecutive arrows: these determine the multiplicity of every interval
+    module (Gabriel 1972; Abeasis & Del Fra 1980), the "rank invariant" of
+    persistence (Carlsson & Zomorodian 2009)."""
+    n = quiver.n
+    indeg, out = [0] * n, [None] * n
+    for idx, (s, t) in enumerate(quiver.arrows):
+        if out[s] is not None or indeg[t]:
+            return None
+        out[s] = idx
+        indeg[t] = 1
+    chains = []
+    for v in range(n):
+        if indeg[v] or out[v] is None:
+            continue
+        chain = []
+        while out[v] is not None:
+            chain.append(out[v])
+            v = quiver.arrows[out[v]][1]
+        chains.append(tuple(chain))
+    return tuple(chains)
+
+
 class EnumerationError(ArithmeticError):
     """An isoclass table failed the orbit-counting identity."""
 
@@ -104,6 +136,7 @@ class QuiverBackend:
         self._hall = {}
         self._filt = {}
         self._subs = {}
+        self._chains = path_chains(quiver)
         self._register(self.zero_rep())
 
     # -- construction -------------------------------------------------
@@ -167,7 +200,9 @@ class QuiverBackend:
 
         Scans the p^N arrow assignments (N arrow-matrix entries) in
         `itertools.product` order and keeps each one not isomorphic to a
-        class already found.  By orbit counting, the classes M at d satisfy
+        class already found (`is_iso`: rank invariants on a path quiver, so
+        a rejected candidate leaves no memo entry; the injection-count
+        sieve elsewhere).  By orbit counting, the classes M at d satisfy
         sum_M |GL_d| / a_M = p^N with |GL_d| = prod_i |GL_{d_i}(F_p)|, so
         the scan stops as soon as the orbits found cover the space: the
         classes and their order are those of a full scan.  An orbit count
@@ -454,12 +489,29 @@ class QuiverBackend:
         m = self._coerce_rep(m)
         return self.inj_count(m, m)
 
+    def _rank_invariant(self, rep):
+        """Ranks of the composites of consecutive arrows along each path of
+        a path quiver (see `path_chains`), in a fixed order."""
+        ranks = []
+        for chain in self._chains:
+            for i, first in enumerate(chain):
+                comp = rep.maps[first]
+                ranks.append(rank(comp))
+                for idx in chain[i + 1:]:
+                    comp = rep.maps[idx].mul(comp)
+                    ranks.append(rank(comp))
+        return tuple(ranks)
+
     def is_iso(self, a, b):
+        """Equal dims and, on a path quiver, equal rank invariants; on any
+        other quiver, an injective homomorphism a -> b (inj_count > 0)."""
         a, b = self._coerce_rep(a), self._coerce_rep(b)
         if a.dims != b.dims:
             return False
         if a.key == b.key:
             return True
+        if self._chains is not None:
+            return self._rank_invariant(a) == self._rank_invariant(b)
         return self.inj_count(a, b) > 0
 
     def hall_number(self, big, outer, inner):

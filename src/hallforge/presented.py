@@ -743,18 +743,22 @@ def tensor_mult(x, y):
     """Componentwise product of tensor-square elements (no sign rule).
 
     Both legs of every term are normal, so each leg of a product starts its
-    search at its seam.
+    search at its seam.  Each leg is rewritten under its own budget, capped
+    by the HALLFORGE_MAX_ENUM read once per call.
     """
     assert x.tags() == y.tags()
     a1, a2 = x.algs
     out = TensorSquareElt(x.algs)
     one = SqrtScalar.one(a2.q)
+    limit = max_enum()
     terms = {}
     for (u1, u2), c in x.terms.items():
         s1, s2 = _seam(u1), _seam(u2)
         for (w1, w2), d in y.terms.items():
-            left = _rewrite(a1, [(u1 + w1, c * d, s1)])
-            right = _rewrite(a2, [(u2 + w2, one, s2)])
+            left = _rewrite(a1, [(u1 + w1, c * d, s1)],
+                            Budget("normal_form", limit))
+            right = _rewrite(a2, [(u2 + w2, one, s2)],
+                             Budget("normal_form", limit))
             for lw, lc in left.items():
                 for rw, rc in right.items():
                     key = (lw, rw)

@@ -1,13 +1,15 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hallforge import backend
-from hallforge.backend import A1ClosedFormBackend, EnumerationError, QuiverBackend
+from hallforge.backend import (A1ClosedFormBackend, EnumerationError,
+                               QuiverBackend, Rep)
 from hallforge.caps import Budget, CapExceeded
-from hallforge.fq import gaussian_binomial, gl_order
-from hallforge.quiver import Quiver, preset
+from hallforge.fq import FpMatrix, gaussian_binomial, gl_order, rank, rref
+from hallforge.quiver import Quiver, load_quiver, preset
 
 
 @pytest.fixture(scope="module")
@@ -364,3 +366,143 @@ def test_hall_symmetry_of_counts(pair):
             if be.is_iso(sub, be.class_rep(n)) and be.is_iso(quot, be.class_rep(m)):
                 by_scan += 1
     assert direct == by_scan
+
+
+# 2 -> 1 and 3 -> 4: a disjoint union of two paths
+TWO_PATHS = Quiver(("1", "2", "3", "4"), (("2", "1"), ("3", "4")))
+THREE_ONE_TWO = Quiver(("1", "2", "3"), (("3", "1"), ("1", "2")))
+
+
+def test_path_chains_detects_unions_of_linear_paths(tmp_path):
+    assert backend.path_chains(preset("a1")) == ()
+    assert backend.path_chains(preset("a2")) == ((0,),)
+    assert backend.path_chains(preset("a3")) == ((0, 1),)
+    # 3 -> 1 -> 2 with its arrows listed out of path order, read from JSON
+    spec = tmp_path / "path.json"
+    spec.write_text(json.dumps({"vertices": ["1", "2", "3"], "arrows": [
+        {"from": "1", "to": "2"}, {"from": "3", "to": "1"}]}))
+    assert backend.path_chains(load_quiver(spec)) == ((1, 0),)
+    assert backend.path_chains(TWO_PATHS) == ((0,), (1,))
+    assert backend.path_chains(preset("kronecker")) is None
+    assert QuiverBackend(preset("kronecker"), 2)._chains is None
+    assert backend.path_chains(
+        Quiver(("1", "2", "3"), (("1", "2"), ("3", "2")))) is None
+    assert backend.path_chains(
+        Quiver(("1", "2", "3"), (("2", "1"), ("2", "3")))) is None
+
+
+# each backend with its paths, as vertex indices in path order
+RANK_KEY_CASES = {
+    "a2/2": (QuiverBackend(preset("a2"), 2), [[0, 1]]),
+    "a2/3": (QuiverBackend(preset("a2"), 3), [[0, 1]]),
+    "a3/2": (QuiverBackend(preset("a3"), 2), [[0, 1, 2]]),
+    "a3/3": (QuiverBackend(preset("a3"), 3), [[0, 1, 2]]),
+    "3>1>2/2": (QuiverBackend(THREE_ONE_TWO, 2), [[2, 0, 1]]),
+    "3>1>2/3": (QuiverBackend(THREE_ONE_TWO, 3), [[2, 0, 1]]),
+    "two-paths/2": (QuiverBackend(TWO_PATHS, 2), [[1, 0], [2, 3]]),
+}
+
+
+def _roots(n, paths):
+    """Dimension vectors of the interval modules: the positive roots."""
+    return [tuple(int(v in path[i:j]) for v in range(n))
+            for path in paths for i in range(len(path))
+            for j in range(i + 1, len(path) + 1)]
+
+
+def _root_partitions(dimvec, roots):
+    """Each way to write dimvec as a sum of roots, order ignored."""
+    if not any(dimvec):
+        yield ()
+        return
+    if not roots:
+        return
+    root, rest = roots[0], roots[1:]
+    taken = ()
+    while all(x >= 0 for x in dimvec):
+        for tail in _root_partitions(dimvec, rest):
+            yield taken + tail
+        dimvec = tuple(x - r for x, r in zip(dimvec, root))
+        taken += (root,)
+
+
+def _inverse(m):
+    n, p = m.rows, m.p
+    aug = FpMatrix(p, n, 2 * n, [row + tuple(int(i == j) for j in range(n))
+                                 for i, row in enumerate(m.entries)])
+    red, _, _ = rref(aug)
+    return FpMatrix(p, n, n, [row[n:] for row in red.entries])
+
+
+@st.composite
+def rep_pairs(draw):
+    """Two reps of one small dimvec on a path quiver.  Each is random
+    arrow matrices, a direct sum of interval modules, or (the second) the
+    first after a random change of basis."""
+    be, paths = RANK_KEY_CASES[draw(st.sampled_from(sorted(RANK_KEY_CASES)))]
+    p, arrows = be.p, be.quiver.arrows
+    bound = 9 if p == 2 else 6
+    dims = tuple(draw(st.lists(st.sampled_from((0, 1, 1, 2, 2)),
+                               min_size=be.quiver.n,
+                               max_size=be.quiver.n).filter(
+        lambda d: sum(x * x for x in d) <= bound)))
+    splits = list(_root_partitions(dims, _roots(be.quiver.n, paths)))
+
+    def matrix(rows, cols):
+        return draw(st.lists(st.lists(st.integers(0, p - 1), min_size=cols,
+                                      max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    def change_basis(rep):
+        base = []
+        for d in dims:
+            g = FpMatrix(p, d, d, matrix(d, d))
+            base.append(g if rank(g) == d else FpMatrix.identity(p, d))
+        maps = [base[t].mul(f).mul(_inverse(base[s]))
+                for (s, t), f in zip(arrows, rep.maps)]
+        return Rep(be.quiver, p, dims, maps)
+
+    def draw_rep():
+        if draw(st.booleans()):
+            return be.rep(dims, [matrix(dims[t], dims[s]) for s, t in arrows])
+        rep = be.zero_rep()
+        for root in draw(st.sampled_from(splits)):
+            rep = be.direct_sum(rep, be.rep(root, [
+                [[int(root[s] and root[t])] * root[s]] * root[t]
+                for s, t in arrows]))
+        return change_basis(rep)
+
+    a = draw_rep()
+    b = change_basis(a) if draw(st.booleans()) else draw_rep()
+    return be, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(rep_pairs())
+def test_rank_key_is_iso_matches_sieve_and_enumeration(pair):
+    be, a, b = pair
+    assert be._chains is not None
+    got = be.is_iso(a, b)
+    assert got == (be.inj_count(a, b) > 0) == be.is_iso_enum(a, b)
+    assert be.is_iso(b, a) == got
+
+
+@pytest.mark.parametrize("tag,dimvec,count", [
+    ("a2", (3, 3), 4), ("a2", (4, 3), 4), ("a3", (2, 2, 2), 10)])
+@pytest.mark.parametrize("p", [2, 3])
+def test_class_count_is_the_kostant_partition_count(tag, dimvec, count, p):
+    # Gabriel: on a Dynkin quiver the isoclasses at d are the ways to split
+    # d into dimension vectors of indecomposables, the positive roots, so
+    # their number does not depend on the field
+    roots = _roots(len(dimvec), [list(range(len(dimvec)))])
+    assert len(list(_root_partitions(dimvec, roots))) == count
+    assert len(QuiverBackend(preset(tag), p).iso_classes(dimvec)) == count
+
+
+def test_rejected_candidates_leave_no_memo_entries():
+    be = QuiverBackend(preset("a2"), 2)
+    assert len(be.iso_classes((3, 3))) == 4
+    reps = {rep.key for rep in be._classes}
+    assert set(be._subs) <= reps
+    assert all(a in reps and b in reps for a, b in be._inj)
+    assert all(a in reps and b in reps for a, b in be._hom)

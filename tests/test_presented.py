@@ -516,6 +516,24 @@ def test_tensor_mult_matches_legwise_normal_form(data):
     assert got == want
 
 
+def test_tensor_mult_caps_each_leg_by_the_env_cap(monkeypatch):
+    # one term pair, so one rewrite per leg; each leg has its own budget
+    # under the HALLFORGE_MAX_ENUM in force when tensor_mult is called
+    x = tensor_word((HD, HD), (MuPlus(S1),), (MuPlus(P),))
+    y = tensor_word((HD, HD), (MuMinus(S1),), (MuMinus(P),))
+    _, left = _reference_normalize(HD, w((MuPlus(S1), MuMinus(S1))).terms)
+    _, right = _reference_normalize(HD, w((MuPlus(P), MuMinus(P))).terms)
+    assert min(left, right) > 1
+    want = tensor_mult(x, y)
+    monkeypatch.setenv("HALLFORGE_MAX_ENUM", str(max(left, right)))
+    assert tensor_mult(x, y) == want
+    monkeypatch.setenv("HALLFORGE_MAX_ENUM", str(max(left, right) - 1))
+    with pytest.raises(CapExceeded) as exc:
+        tensor_mult(x, y)
+    assert exc.value.op == "normal_form"
+    assert exc.value.limit == max(left, right) - 1
+
+
 def test_pmult_cap_on_normal_factors(monkeypatch):
     a = normal_form(HD, w((MuPlus(S1),)))
     b = normal_form(HD, w((MuMinus(S1),)))
