@@ -6,10 +6,14 @@ filtration counts.  All counting is exact, by enumeration over the finite
 field guarded by the enumeration budget.  Isomorphism is decided by the
 rank invariant on quivers that are disjoint unions of linearly oriented
 paths (see `path_chains`) and by the injection-count sieve on every other
-quiver; automorphism counts always come from the sieve.  Suites run their
-instances sequentially on the calling thread (`--threads` is accepted but
-ignored), so nothing in the package calls a backend from more than one
-thread and the memo tables are plain dicts with no lock.
+quiver; automorphism counts always come from the sieve.  Once classified,
+an object is a class id, and a_M, the subobject table {(M, N): g^L_{MN}}
+of each class L, the product terms (L, g^L_{MN}) of each pair (M, N) and
+the Euler form of each dimvec pair are computed once and read by id from
+then on.  Suites run their instances sequentially on the calling thread
+(`--threads` is accepted but ignored), so nothing in the package calls a
+backend from more than one thread and the memo tables are plain dicts
+with no lock.
 """
 
 import itertools
@@ -133,10 +137,19 @@ class QuiverBackend:
         self._dimvec_classes = {}
         self._hom = {}
         self._inj = {}
-        self._hall = {}
         self._filt = {}
         self._subs = {}
         self._chains = path_chains(quiver)
+        # class-id tables: (dims, rank invariant) -> id on a path quiver,
+        # id -> a_M, L id -> {(M id, N id): g^L_{MN}}, (M id, N id) ->
+        # ((L id, g^L_{MN}), ...), and (x, y) -> <x, y> by dimvec pair
+        self._rank_to_id = {}
+        self._aut = {}
+        self._sub_tables = {}
+        self._products = {}
+        self._euler = {}
+        # presented algebras over this backend by tag, see presented.algebra
+        self.algebras = {}
         self._register(self.zero_rep())
 
     # -- construction -------------------------------------------------
@@ -193,19 +206,31 @@ class QuiverBackend:
         cid = len(self._classes)
         self._classes.append(rep)
         self._key_to_id[rep.key] = cid
+        if self._chains is not None:
+            self._rank_to_id[(rep.dims, self._rank_invariant(rep))] = cid
         return cid
+
+    def _forget(self, rep, cids):
+        """Drop the memo entries keyed by an unregistered rep's own key that
+        testing it against the classes cids left behind."""
+        self._subs.pop(rep.key, None)
+        for cid in cids:
+            pair = (rep.key, self._classes[cid].key)
+            self._inj.pop(pair, None)
+            self._hom.pop(pair, None)
 
     def iso_classes(self, dimvec):
         """All isoclass ids of the given dimension vector, fixed order.
 
         Scans the p^N arrow assignments (N arrow-matrix entries) in
         `itertools.product` order and keeps each one not isomorphic to a
-        class already found (`is_iso`: rank invariants on a path quiver, so
-        a rejected candidate leaves no memo entry; the injection-count
-        sieve elsewhere).  By orbit counting, the classes M at d satisfy
-        sum_M |GL_d| / a_M = p^N with |GL_d| = prod_i |GL_{d_i}(F_p)|, so
-        the scan stops as soon as the orbits found cover the space: the
-        classes and their order are those of a full scan.  An orbit count
+        class already found (`is_iso`: rank invariants on a path quiver;
+        the injection-count sieve elsewhere, whose memo entries for a
+        rejected candidate are dropped).  By orbit counting, the classes M
+        at d satisfy sum_M |GL_d| / a_M = p^N with |GL_d| = prod_i
+        |GL_{d_i}(F_p)|, so the scan stops as soon as the orbits found
+        cover the space: the classes and their order are those of a full
+        scan.  An orbit count
         that does not divide |GL_d|, or orbits that overshoot p^N or fall
         short of it after a full scan, raise EnumerationError.
 
@@ -241,6 +266,7 @@ class QuiverBackend:
                 maps.append(FpMatrix(p, dimvec[t], dimvec[s], rows))
             cand = Rep(quiver, p, dimvec, tuple(maps))
             if any(self.is_iso(cand, self._classes[cid]) for cid in found):
+                self._forget(cand, found)
                 continue
             cid = self._key_to_id.get(cand.key)
             if cid is None:
@@ -266,16 +292,36 @@ class QuiverBackend:
         return list(found)
 
     def classify(self, rep):
-        """IsoClassId of rep; same input class always gets the same id."""
+        """IsoClassId of rep; same input class always gets the same id.
+
+        The classes of rep's dimvec are enumerated first if needed.  On a
+        path quiver the id is then a lookup of rep's rank invariant in a
+        (dims, ranks) -> id table with one entry per registered class, so
+        nothing is stored for rep.  On any other quiver the classes are
+        tested in turn with the injection-count sieve, and the answer is
+        remembered under rep's key (the sieve's own entries for rep are
+        dropped)."""
         if isinstance(rep, int):
             return rep
         cid = self._key_to_id.get(rep.key)
         if cid is not None:
             return cid
-        for candidate in self.iso_classes(rep.dims):
-            if self.is_iso(rep, self._classes[candidate]):
-                self._key_to_id[rep.key] = candidate
-                return candidate
+        if self._chains is not None:
+            rank_key = (rep.dims, self._rank_invariant(rep))
+            cid = self._rank_to_id.get(rank_key)
+            if cid is None:
+                self.iso_classes(rep.dims)
+                cid = self._rank_to_id.get(rank_key)
+            if cid is not None:
+                return cid
+        else:
+            tested = []
+            for candidate in self.iso_classes(rep.dims):
+                tested.append(candidate)
+                if self.is_iso(rep, self._classes[candidate]):
+                    self._key_to_id[rep.key] = candidate
+                    self._forget(rep, tested)
+                    return candidate
         raise AssertionError("enumeration missed a class")  # unreachable
 
     def class_rep(self, cid):
@@ -326,10 +372,14 @@ class QuiverBackend:
         return self.class_rep(x) if isinstance(x, int) else x
 
     def euler_form(self, x, y):
-        return self.quiver.euler_form(x, y)
+        """<x, y> for dimvec tuples x, y, memoized by the pair."""
+        got = self._euler.get((x, y))
+        if got is None:
+            got = self._euler[(x, y)] = self.quiver.euler_form(x, y)
+        return got
 
     def sym_euler(self, x, y):
-        return self.quiver.sym_euler(x, y)
+        return self.euler_form(x, y) + self.euler_form(y, x)
 
     def _hom_system(self, a, b):
         """Constraint matrix for intertwiners phi: a -> b (phi_t f_a = f_b phi_s)."""
@@ -486,8 +536,14 @@ class QuiverBackend:
         return total
 
     def aut_count(self, m):
-        m = self._coerce_rep(m)
-        return self.inj_count(m, m)
+        """a_M = #Inj(M, M) by the quotient sieve, memoized by class id."""
+        if not isinstance(m, int):
+            return self.inj_count(m, m)
+        got = self._aut.get(m)
+        if got is None:
+            rep = self._classes[m]
+            got = self._aut[m] = self.inj_count(rep, rep)
+        return got
 
     def _rank_invariant(self, rep):
         """Ranks of the composites of consecutive arrows along each path of
@@ -514,33 +570,43 @@ class QuiverBackend:
             return self._rank_invariant(a) == self._rank_invariant(b)
         return self.inj_count(a, b) > 0
 
-    def hall_number(self, big, outer, inner):
-        """g^L_{MN}: subobjects X of L with X iso to N and L/X iso to M."""
+    def subobject_table(self, big):
+        """{(M id, N id): g^L_{MN}} for the class L of big, one entry per
+        pair with g > 0: a single pass over the subobjects X of L's
+        representative classifies N = X and M = L/X, in subobject order.
+        Built once per class; do not mutate the returned dict."""
         lid = self.classify(big)
-        mid = self.classify(outer)
-        nid = self.classify(inner)
-        got = self._hall.get((lid, mid, nid))
-        if got is not None:
-            return got
-        lrep = self._classes[lid]
-        mrep, nrep = self._classes[mid], self._classes[nid]
-        if add_class(mrep.dims, nrep.dims) != lrep.dims:
-            count = 0
-        else:
-            count = 0
-            for sub, quot in self.subobject_pairs(lrep):
-                if sub.dims == nrep.dims and quot.dims == mrep.dims \
-                        and self.is_iso(sub, nrep) and self.is_iso(quot, mrep):
-                    count += 1
-        self._hall[(lid, mid, nid)] = count
-        return count
+        table = self._sub_tables.get(lid)
+        if table is None:
+            table = {}
+            for sub, quot in self.subobject_pairs(lid):
+                key = (self.classify(quot), self.classify(sub))
+                table[key] = table.get(key, 0) + 1
+            self._sub_tables[lid] = table
+        return table
+
+    def hall_number(self, big, outer, inner):
+        """g^L_{MN}: subobjects X of L with X iso to N and L/X iso to M,
+        read from L's subobject table."""
+        return self.subobject_table(big).get(
+            (self.classify(outer), self.classify(inner)), 0)
+
+    def product_terms(self, outer, inner):
+        """((L id, g^L_{MN}), ...) over the classes L of dim M + dim N with
+        g^L_{MN} > 0, in `iso_classes` order: the support of [M][N] with
+        its Hall numbers.  Memoized by (M id, N id)."""
+        mid, nid = self.classify(outer), self.classify(inner)
+        got = self._products.get((mid, nid))
+        if got is None:
+            total = add_class(self.class_dim(mid), self.class_dim(nid))
+            got = tuple((lid, g) for lid in self.iso_classes(total)
+                        if (g := self.hall_number(lid, mid, nid)))
+            self._products[(mid, nid)] = got
+        return got
 
     def middle_terms(self, outer, inner):
-        mid = self.classify(outer)
-        nid = self.classify(inner)
-        total = add_class(self.class_dim(mid), self.class_dim(nid))
-        return [lid for lid in self.iso_classes(total)
-                if self.hall_number(lid, mid, nid) > 0]
+        """The classes L with g^L_{MN} > 0, in `product_terms` order."""
+        return [lid for lid, _ in self.product_terms(outer, inner)]
 
     def filtration_count(self, big, parts):
         """g^M_{N1..Nt}: filtrations with successive quotients N1, N2, ..."""

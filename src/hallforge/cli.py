@@ -11,7 +11,7 @@ import sys
 from .backend import make_backend
 from .caps import CapExceeded
 from .exprs import ExprError, parse_expr, render_elt
-from .presented import Algebra, d_quasi, normal_form
+from .presented import algebra, d_quasi, normal_form
 from .quiver import quiver_from_arg
 from .suites import DEFAULT_SEED, SUITES, RunConfig, exit_code, run_suite
 
@@ -49,7 +49,7 @@ def _cmd_verify(args):
 
 def _cmd_mult(args):
     be = _backend(args)
-    alg = Algebra(args.algebra, be)
+    alg = algebra(args.algebra, be)
     elt = parse_expr(args.expr, alg)
     if alg.family == "d":
         # no oriented rule table; the deterministic quasi-reduction

@@ -13,7 +13,7 @@ Rationals render as p/r, v-powers as v^k; no decimals anywhere.
 
 from fractions import Fraction
 
-from .presented import Algebra, FreeElt, NormalElt, embed, is_torus
+from .presented import FreeElt, NormalElt, algebra, embed, is_torus
 from .scalars import SqrtScalar, render_scalar, vpow
 
 
@@ -256,7 +256,7 @@ class _Parser:
 def parse_expr(text, alg, be=None):
     """Parse text to a FreeElt over the given algebra (tag or Algebra)."""
     if isinstance(alg, str):
-        alg = Algebra(alg, be)
+        alg = algebra(alg, be)
     return _Parser(text, alg).parse()
 
 

@@ -125,8 +125,7 @@ def hmult(x, y):
             base = cx * cy * _vp(be, be.sym_euler(alpha, nhat)
                                  + be.euler_form(mhat, nhat))
             gamma_cls = add_class(alpha, beta)
-            for lid in be.middle_terms(mid, nid):
-                g = be.hall_number(lid, mid, nid)
+            for lid, g in be.product_terms(mid, nid):
                 key = (lid, gamma_cls)
                 add = base * g
                 s = out.get(key)
@@ -136,17 +135,15 @@ def hmult(x, y):
 
 def comult(x):
     """Delta([L]K_a) = sum v^{<M,N>} (a_M a_N / a_L) g^L_{MN}
-    [M]K_{N+a} (x) [N]K_a, via one subobject scan per class."""
+    [M]K_{N+a} (x) [N]K_a, one term per (M, N) in L's subobject table."""
     be = x.be
     out = {}
     for (lid, alpha), c in x.terms.items():
         c_over_a_l = c / be.aut_count(lid)
-        for sub, quot in be.subobject_pairs(lid):
-            mid = be.classify(quot)
-            nid = be.classify(sub)
+        for (mid, nid), g in be.subobject_table(lid).items():
             mhat, nhat = be.class_dim(mid), be.class_dim(nid)
             coeff = c_over_a_l * _vp(be, be.euler_form(mhat, nhat)) \
-                * (be.aut_count(mid) * be.aut_count(nid))
+                * (g * be.aut_count(mid) * be.aut_count(nid))
             key = ((mid, add_class(nhat, alpha)), (nid, alpha))
             s = out.get(key)
             out[key] = coeff if s is None else s + coeff
@@ -175,9 +172,8 @@ def gamma(be, m, n, x, y):
     if any(d < 0 for d in diff):
         return SqrtScalar.zero(be.q)
     acc = 0
-    for lid in be.iso_classes(diff):
-        g1 = be.hall_number(m, lid, x)
-        if not g1:
+    for (lid, sub), g1 in be.subobject_table(m).items():
+        if sub != x:
             continue
         g2 = be.hall_number(n, y, lid)
         if g2:
@@ -185,18 +181,6 @@ def gamma(be, m, n, x, y):
     return SqrtScalar.of(
         Fraction(acc * be.aut_count(x) * be.aut_count(y),
                  be.aut_count(m) * be.aut_count(n)), be.q)
-
-
-def _decomp_ids(be, total):
-    """All (outer, inner) class pairs with dims summing to total."""
-    import itertools
-    pairs = []
-    for sub_dim in itertools.product(*[range(d + 1) for d in total]):
-        rest = sub_class(total, sub_dim)
-        for nid in be.iso_classes(sub_dim):
-            for mid in be.iso_classes(rest):
-                pairs.append((mid, nid))
-    return pairs
 
 
 def green_formula_check(be, m, n, mp, np_):
@@ -211,10 +195,7 @@ def green_formula_check(be, m, n, mp, np_):
     if total == add_class(be.class_dim(mp), be.class_dim(np_)):
         # sum of g1 g2 / a_L as one int fraction num / den
         num, den = 0, 1
-        for lid in be.iso_classes(total):
-            g1 = be.hall_number(lid, m, n)
-            if not g1:
-                continue
+        for lid, g1 in be.product_terms(m, n):
             g2 = be.hall_number(lid, mp, np_)
             if g2:
                 a_l = be.aut_count(lid)
@@ -223,14 +204,9 @@ def green_formula_check(be, m, n, mp, np_):
             * be.aut_count(mp) * be.aut_count(np_)
         lhs = SqrtScalar.of(Fraction(num, den), q)
     rhs = SqrtScalar.zero(q)
-    for a_cls, ap_cls in _decomp_ids(be, be.class_dim(m)):
-        g_m = be.hall_number(m, a_cls, ap_cls)
-        if not g_m:
-            continue
-        for b_cls, bp_cls in _decomp_ids(be, be.class_dim(n)):
-            g_n = be.hall_number(n, b_cls, bp_cls)
-            if not g_n:
-                continue
+    table_n = be.subobject_table(n)
+    for (a_cls, ap_cls), g_m in be.subobject_table(m).items():
+        for (b_cls, bp_cls), g_n in table_n.items():
             g_mp = be.hall_number(mp, a_cls, b_cls)
             if not g_mp:
                 continue

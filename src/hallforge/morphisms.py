@@ -146,16 +146,6 @@ def tensor_apply(h_left, h_right, x):
 # ---------------------------------------------------------------------------
 # image builders
 
-def _class_splits(be, M):
-    """All ordered class pairs (M1, M2) with dims summing to dim M."""
-    dM = be.class_dim(M)
-    for m1 in be.classes_within(dM):
-        d1 = be.class_dim(m1)
-        d2 = sub_class(dM, d1)
-        for m2 in be.iso_classes(d2):
-            yield m1, m2, d1, d2
-
-
 def _signed(dims, sign):
     return tuple(dims) if sign > 0 else neg_class(dims)
 
@@ -171,7 +161,8 @@ def _nf_word(alg, letters, coeff=None):
 
 def _embedding_terms(be, letter, plus_exp, minus_exp):
     """Shared sum scaffold for the maps out of the double: yields
-    (coeff, M1, M2, d1, d2) over the splits carrying a nonzero Hall number.
+    (coeff, M1, M2, d1, d2) over the splits carrying a nonzero Hall number,
+    in the order of M's subobject table.
 
     plus side uses g^M_{M1 M2}, minus side g^M_{M2 M1}; the v-exponent
     callbacks receive (dM, d1, d2)."""
@@ -179,11 +170,9 @@ def _embedding_terms(be, letter, plus_exp, minus_exp):
     aM = be.aut_count(M)
     dM = be.class_dim(M)
     q = be.p
-    for m1, m2, d1, d2 in _class_splits(be, M):
-        g = (be.hall_number(M, m1, m2) if sign > 0
-             else be.hall_number(M, m2, m1))
-        if not g:
-            continue
+    for (quot, sub), g in be.subobject_table(M).items():
+        m1, m2 = (quot, sub) if sign > 0 else (sub, quot)
+        d1, d2 = be.class_dim(m1), be.class_dim(m2)
         rat = Fraction(g * be.aut_count(m1) * be.aut_count(m2), aM)
         exp = plus_exp(dM, d1, d2) if sign > 0 else minus_exp(dM, d1, d2)
         coeff = vpow(exp, q) * SqrtScalar.of(rat, q)

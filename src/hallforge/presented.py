@@ -189,7 +189,13 @@ class Algebra:
 
 
 def algebra(tag, be):
-    return Algebra(tag, be)
+    """The Algebra with this tag over `be`, one per (tag, backend): built
+    on first use and held in `be.algebras`, so its pair-rule table fills
+    once for every caller."""
+    alg = be.algebras.get(tag)
+    if alg is None:
+        alg = be.algebras[tag] = Algebra(tag, be)
+    return alg
 
 
 class FreeElt:
@@ -353,10 +359,7 @@ def _hall_merge(alg, a, b, rebuild, twisted=True, untwisted_q=False):
     mh, nh = be.class_dim(M), be.class_dim(N)
     ex = be.euler_form(mh, nh)
     out = []
-    for lid in be.middle_terms(M, N):
-        g = be.hall_number(lid, M, N)
-        if g == 0:
-            continue
+    for lid, g in be.product_terms(M, N):
         c = SqrtScalar.of(g, alg.q)
         if twisted:
             c = c * alg.v(ex)
@@ -794,7 +797,7 @@ def hd_cross(be, side, M, N):
 
     side HD:  mu+_M mu-_N ;  side HHD:  nu-_N nu+_M.
     """
-    alg = Algebra("hd" if side.upper() == "HD" else "hhd", be)
+    alg = algebra("hd" if side.upper() == "HD" else "hhd", be)
     if side.upper() == "HD":
         terms = _hd_cross_terms(alg, M, N)
     elif side.upper() == "HHD":
@@ -826,7 +829,7 @@ def hd_cross_oracle(be, side, M, N):
         raise ValueError("side must be HD or HHD, got %r" % (side,))
     da = comult(HallElt.basis(be, a_obj))
     db = comult(HallElt.basis(be, b_obj))
-    alg = Algebra("hd" if side == "HD" else "hhd", be)
+    alg = algebra("hd" if side == "HD" else "hhd", be)
     free = FreeElt(be.p)
     for ((a1m, a1k), (a2m, a2k)), ca in da.terms.items():
         for ((b1m, b1k), (b2m, b2k)), cb in db.terms.items():
@@ -910,8 +913,8 @@ def twist_consistency_check(be, letters):
     T counts the Euler pairing over letter pairs with sign (-1)^index.
     """
     letters = tuple(letters)
-    tw = normal_form(Algebra("dhtw", be), FreeElt.word(be.p, letters))
-    un = normal_form(Algebra("dh", be), FreeElt.word(be.p, letters))
+    tw = normal_form(algebra("dhtw", be), FreeElt.word(be.p, letters))
+    un = normal_form(algebra("dh", be), FreeElt.word(be.p, letters))
     pre = vpow(_twist_exponent(be, letters), be.p)
     expect = {}
     for w, c in un.terms.items():
@@ -977,10 +980,7 @@ def _merge_free(alg, kind_builder, M, N, twisted=True):
     be = alg.be
     ex = be.euler_form(be.class_dim(M), be.class_dim(N))
     out = FreeElt(alg.q)
-    for lid in be.middle_terms(M, N):
-        g = be.hall_number(lid, M, N)
-        if g == 0:
-            continue
+    for lid, g in be.product_terms(M, N):
         c = SqrtScalar.of(g, alg.q)
         if twisted:
             c = c * alg.v(ex)
@@ -1162,7 +1162,7 @@ def relation_instance(alg, rel_id, params):
         return lhs, word(Zg(M, i - 1), Kz(alpha, i)).scale(alg.v(n))
     if rel_id == "4.14":
         lhs = word(Kz(alpha, i), Zg(M, j))
-        n = _kz_scalar(alg if alg.family == "dhce" else Algebra("dhce", be),
+        n = _kz_scalar(alg if alg.family == "dhce" else algebra("dhce", be),
                        alpha, i, M, j) if abs(i - j) > 1 else 0
         return lhs, word(Zg(M, j), Kz(alpha, i)).scale(alg.v(n))
     if rel_id == "4.15":

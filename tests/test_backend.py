@@ -506,3 +506,129 @@ def test_rejected_candidates_leave_no_memo_entries():
     assert set(be._subs) <= reps
     assert all(a in reps and b in reps for a, b in be._inj)
     assert all(a in reps and b in reps for a, b in be._hom)
+
+
+def test_rejected_candidates_leave_no_memo_entries_on_the_sieve():
+    # kronecker is not a path quiver: its scan and classify test candidates
+    # with inj_count, whose entries for a rejected rep are dropped
+    be = QuiverBackend(preset("kronecker"), 2)
+    assert be._chains is None
+    assert len(be.iso_classes((2, 2))) == 16
+    assert len(be._classes) == 35
+    reps = {rep.key for rep in be._classes}
+    assert set(be._subs) <= reps
+    assert {a for a, _ in be._inj} <= reps
+    assert {a for a, _ in be._hom} <= reps
+    for cid in be.classes_within((1, 1)):
+        be.subobject_table(cid)  # classifies every sub and quotient
+    reps = {rep.key for rep in be._classes}
+    assert set(be._subs) <= reps
+    assert {a for a, _ in be._inj} <= reps
+    assert {a for a, _ in be._hom} <= reps
+
+
+# -- class-id tables against the per-triple algorithms they replace -------
+
+CLASS_TABLE_CASES = {
+    "a2/2": ("a2", 2, 3), "a2/3": ("a2", 3, 3), "a3/2": ("a3", 2, 3),
+    "kronecker/2": ("kronecker", 2, 2), "1>2<3/2": ("1>2<3", 2, 3),
+}
+
+
+def table_case(name):
+    """A fresh backend and its classes up to the case's total dim."""
+    tag, p, top = CLASS_TABLE_CASES[name]
+    if tag == "1>2<3":
+        quiver = Quiver(("1", "2", "3"), (("1", "2"), ("3", "2")))
+    else:
+        quiver = preset(tag)
+    be = QuiverBackend(quiver, p)
+    dimvecs = [d for d in itertools.product(range(top + 1), repeat=quiver.n)
+               if sum(d) <= top]
+    return be, [c for d in dimvecs for c in be.iso_classes(d)]
+
+
+def scan_hall_number(be, lid, mid, nid):
+    """g^L_{MN} by one scan of L's subobjects per triple."""
+    lrep, mrep, nrep = (be.class_rep(c) for c in (lid, mid, nid))
+    if tuple(m + n for m, n in zip(mrep.dims, nrep.dims)) != lrep.dims:
+        return 0
+    return sum(1 for sub, quot in be.subobject_pairs(lrep)
+               if sub.dims == nrep.dims and quot.dims == mrep.dims
+               and be.is_iso(sub, nrep) and be.is_iso(quot, mrep))
+
+
+@pytest.mark.parametrize("case", sorted(CLASS_TABLE_CASES))
+def test_hall_number_matches_the_subobject_scan(case):
+    be, classes = table_case(case)
+    for lid in classes:
+        top = be.class_dim(lid)
+        table = {}
+        for mid in classes:
+            for nid in classes:
+                want = scan_hall_number(be, lid, mid, nid)
+                assert be.hall_number(lid, mid, nid) == want
+                if want:
+                    table[(mid, nid)] = want
+                    assert all(m + n == t for m, n, t in zip(
+                        be.class_dim(mid), be.class_dim(nid), top))
+        assert be.subobject_table(lid) == table
+        assert sum(table.values()) == len(be.subobject_pairs(lid))
+
+
+@pytest.mark.parametrize("case", sorted(CLASS_TABLE_CASES))
+def test_product_terms_match_the_hall_number_scan(case):
+    be, classes = table_case(case)
+    top = CLASS_TABLE_CASES[case][2]
+    for mid in classes:
+        for nid in classes:
+            total = tuple(m + n for m, n in zip(be.class_dim(mid),
+                                                be.class_dim(nid)))
+            if sum(total) > top:
+                continue
+            want = [(lid, g) for lid in be.iso_classes(total)
+                    if (g := scan_hall_number(be, lid, mid, nid))]
+            assert list(be.product_terms(mid, nid)) == want
+            assert be.middle_terms(mid, nid) == [lid for lid, _ in want]
+
+
+def sieve_classify(be, rep):
+    """The class of rep by the injection-count sieve."""
+    return next(cid for cid in be.iso_classes(rep.dims)
+                if be.inj_count(rep, be.class_rep(cid)) > 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rep_pairs())
+def test_rank_key_classify_matches_the_sieve(pair):
+    be, a, b = pair
+    for rep in (a, b):
+        assert be.classify(rep) == sieve_classify(be, rep)
+    # a path quiver classifies without storing the classified rep's key
+    assert set(be._key_to_id) == {rep.key for rep in be._classes}
+    assert len(be._rank_to_id) == len(be._classes)
+
+
+def test_bialgebra_run_keys_registered_reps_only(monkeypatch):
+    from hallforge import suites
+    made = []
+
+    def make(quiver, p):
+        made.append(QuiverBackend(quiver, p))
+        return made[-1]
+
+    monkeypatch.setattr(suites, "make_backend", make)
+    report = suites.run_suite(suites.RunConfig(suite="bialgebra"))
+    assert report["instances"] == report["passes"] == 1260
+    (be,) = made
+    assert be._chains is not None
+    assert set(be._key_to_id) == {rep.key for rep in be._classes}
+
+
+def test_aut_count_and_euler_form_memos(a2):
+    ss = a2.classify(a2.direct_sum(s1(a2), s1(a2)))
+    assert a2.aut_count(ss) == a2.aut_count(a2.class_rep(ss)) == 6
+    assert a2._aut[ss] == 6
+    assert a2.euler_form((1, 1), (1, 1)) == a2._euler[((1, 1), (1, 1))] == 1
+    with pytest.raises(ValueError):
+        a2.euler_form((1,), (1, 0))

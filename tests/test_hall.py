@@ -9,7 +9,7 @@ from hallforge.hall import (HallElt, bialgebra_check, coassoc_check, comult,
                             gamma, green_formula_check, green_pairing, hmult,
                             pairing_coproduct_check, pairing_product_check,
                             render_hall, tensor_hmult)
-from hallforge.quiver import preset
+from hallforge.quiver import Quiver, preset
 from hallforge.scalars import SqrtScalar, vpow
 
 
@@ -191,3 +191,45 @@ def test_hmult_assoc_with_torus(data):
     ]
     x, y, z = picks
     assert hmult(hmult(x, y), z) == hmult(x, hmult(y, z))
+
+
+# -- comult by subobject table against the per-subobject loop -------------
+
+def _comult_per_subobject(x):
+    """Delta x with one term per subobject of each input class."""
+    be = x.be
+    out = {}
+    for (lid, alpha), c in x.terms.items():
+        c_over_a_l = c / be.aut_count(lid)
+        for sub, quot in be.subobject_pairs(lid):
+            mid = be.classify(quot)
+            nid = be.classify(sub)
+            mhat, nhat = be.class_dim(mid), be.class_dim(nid)
+            coeff = c_over_a_l * vpow(be.euler_form(mhat, nhat), be.q) \
+                * (be.aut_count(mid) * be.aut_count(nid))
+            key = ((mid, tuple(a + b for a, b in zip(nhat, alpha))),
+                   (nid, alpha))
+            s = out.get(key)
+            out[key] = coeff if s is None else s + coeff
+    return out
+
+
+@pytest.mark.parametrize("tag,p,top", [
+    ("a2", 2, 3), ("a2", 3, 3), ("a3", 2, 3), ("kronecker", 2, 2),
+    ("1>2<3", 2, 3)])
+def test_comult_matches_the_per_subobject_loop(tag, p, top):
+    if tag == "1>2<3":
+        quiver = Quiver(("1", "2", "3"), (("1", "2"), ("3", "2")))
+    else:
+        quiver = preset(tag)
+    be = QuiverBackend(quiver, p)
+    classes = [c for d in itertools.product(range(top + 1), repeat=quiver.n)
+               if sum(d) <= top for c in be.iso_classes(d)]
+    simple = quiver.simple_class(0)
+    elts = [HallElt.basis(be, c, a) for c in classes
+            for a in (None, simple)]
+    elts.append(elts[-1] + elts[-2].scale(vpow(1, p)) + elts[1])
+    for x in elts:
+        got, want = comult(x).terms, _comult_per_subobject(x)
+        assert got == want
+        assert list(got) == list(want)

@@ -595,3 +595,16 @@ def test_pmult_rejects_the_double():
     x = w((OmPlus(S1),))
     with pytest.raises(ValueError):
         pmult(DD, x, x)
+
+
+def test_algebra_is_one_instance_per_tag_and_backend():
+    be = QuiverBackend(preset("a2"), 2)
+    hd = presented.algebra("hd", be)
+    assert presented.algebra("hd", be) is hd
+    assert presented.algebra("dhm:4", be) is presented.algebra("dhm:4", be)
+    assert presented.algebra("dhm:4", be) is not presented.algebra("dhm:0", be)
+    assert presented.algebra("hd", QuiverBackend(preset("a2"), 2)) is not hd
+    from hallforge.morphisms import build_hom
+    kappas = [build_hom(be, "kappa", i=i, m=4) for i in range(4)]
+    assert all(h.target is presented.algebra("dhm:4", be) for h in kappas)
+    assert all(h.source is hd for h in kappas)
