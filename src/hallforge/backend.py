@@ -1,16 +1,20 @@
 """Counting backend for categories of quiver representations over F_p.
 
 Everything the algebra layers consume lives here: isoclass registries,
-Hall numbers g^L_{MN}, automorphism counts a_M, Euler forms, and
-filtration counts.  All counting is exact, by enumeration over the finite
-field guarded by the enumeration budget.  Isomorphism is decided by the
-rank invariant on quivers that are disjoint unions of linearly oriented
-paths (see `path_chains`) and by the injection-count sieve on every other
-quiver; automorphism counts always come from the sieve.  Once classified,
-an object is a class id, and a_M, the subobject table {(M, N): g^L_{MN}}
-of each class L, the product terms (L, g^L_{MN}) of each pair (M, N) and
-the Euler form of each dimvec pair are computed once and read by id from
-then on.  Suites run their instances sequentially on the calling thread
+Hall numbers g^L_{MN}, automorphism counts a_M and Euler forms.  All
+counting is exact, by enumeration over the finite field guarded by the
+enumeration budget.  Isomorphism is decided by the rank invariant on
+quivers that are disjoint unions of linearly oriented paths (see
+`path_chains`) and by the injection-count sieve on every other quiver;
+automorphism counts always come from the sieve.  The subobjects of a
+class representative are enumerated as combos of per-vertex subspaces.
+On a path quiver the classes of each subobject and its quotient are read
+off the combo as rank keys, with no Rep built for either; on any other
+quiver both are built as Reps (`subobject_pairs`) and classified.  Once
+classified, an object is a class id, and a_M, the subobject table
+{(M, N): g^L_{MN}} of each class L, the product terms (L, g^L_{MN}) of
+each pair (M, N) and the Euler form of each dimvec pair are computed once
+and read by id from then on.  Suites run their instances sequentially on the calling thread
 (`--threads` is accepted but ignored), so nothing in the package calls a
 backend from more than one thread and the memo tables are plain dicts
 with no lock.
@@ -21,8 +25,7 @@ import json
 
 from .caps import Budget
 from .fq import (FpMatrix, enumerate_subspaces, gaussian_binomial, gl_order,
-                 in_rowspace, rank, reduce_against, rowspace_coords,
-                 solve_nullspace)
+                 in_rowspace, rank, reduce_against, row_rank, rowspace_coords)
 from .quiver import add_class, preset
 from .scalars import is_prime
 
@@ -137,7 +140,6 @@ class QuiverBackend:
         self._dimvec_classes = {}
         self._hom = {}
         self._inj = {}
-        self._filt = {}
         self._subs = {}
         self._chains = path_chains(quiver)
         # class-id tables: (dims, rank invariant) -> id on a path quiver,
@@ -207,7 +209,7 @@ class QuiverBackend:
         self._classes.append(rep)
         self._key_to_id[rep.key] = cid
         if self._chains is not None:
-            self._rank_to_id[(rep.dims, self._rank_invariant(rep))] = cid
+            self._rank_to_id[self._rank_key(rep.key)] = cid
         return cid
 
     def _forget(self, rep, cids):
@@ -224,20 +226,22 @@ class QuiverBackend:
 
         Scans the p^N arrow assignments (N arrow-matrix entries) in
         `itertools.product` order and keeps each one not isomorphic to a
-        class already found (`is_iso`: rank invariants on a path quiver;
-        the injection-count sieve elsewhere, whose memo entries for a
-        rejected candidate are dropped).  By orbit counting, the classes M
-        at d satisfy sum_M |GL_d| / a_M = p^N with |GL_d| = prod_i
-        |GL_{d_i}(F_p)|, so the scan stops as soon as the orbits found
-        cover the space: the classes and their order are those of a full
-        scan.  An orbit count
-        that does not divide |GL_d|, or orbits that overshoot p^N or fall
-        short of it after a full scan, raise EnumerationError.
+        class already found.  On a path quiver a candidate is one rank
+        key, looked up in the (dims, ranks) -> id table, and no Rep is
+        built for a rejected one; on any other quiver it is tested against
+        each class found with `is_iso`, the injection-count sieve, whose
+        memo entries for a rejected candidate are dropped.  By orbit
+        counting, the classes M at d satisfy sum_M |GL_d| / a_M = p^N with
+        |GL_d| = prod_i |GL_{d_i}(F_p)|, so the scan stops as soon as the
+        orbits found cover the space: the classes and their order are
+        those of a full scan.  An orbit count that does not divide |GL_d|,
+        or orbits that overshoot p^N or fall short of it after a full
+        scan, raise EnumerationError.
 
-        Calling aut_count during the scan classifies the quotients of each
-        new class, which can enumerate smaller dimvecs earlier than a scan
-        without it would; that changes the global ids, never the order
-        within a dimvec.
+        Calling aut_count during the scan classifies the quotients (and,
+        on a path quiver, the subobjects) of each new class, which can
+        enumerate smaller dimvecs earlier than a scan without it would;
+        that changes the global ids, never the order within a dimvec.
         """
         dimvec = tuple(int(d) for d in dimvec)
         got = self._dimvec_classes.get(dimvec)
@@ -261,16 +265,20 @@ class QuiverBackend:
             for (s, t), n_ent in zip(quiver.arrows, slots):
                 chunk = assign[pos:pos + n_ent]
                 pos += n_ent
-                rows = [chunk[r * dimvec[s]:(r + 1) * dimvec[s]]
-                        for r in range(dimvec[t])]
-                maps.append(FpMatrix(p, dimvec[t], dimvec[s], rows))
-            cand = Rep(quiver, p, dimvec, tuple(maps))
-            if any(self.is_iso(cand, self._classes[cid]) for cid in found):
-                self._forget(cand, found)
-                continue
-            cid = self._key_to_id.get(cand.key)
+                maps.append(tuple(chunk[r * dimvec[s]:(r + 1) * dimvec[s]]
+                                  for r in range(dimvec[t])))
+            key = (dimvec, tuple(maps))
+            if self._chains is not None:
+                if self._rank_to_id.get(self._rank_key(key)) in found:
+                    continue
+            else:
+                cand = self.rep(dimvec, maps)
+                if any(self.is_iso(cand, self._classes[cid]) for cid in found):
+                    self._forget(cand, found)
+                    continue
+            cid = self._key_to_id.get(key)
             if cid is None:
-                cid = self._register(cand)
+                cid = self._register(self.rep(dimvec, maps))
             found.append(cid)
             if space == 1:
                 # one assignment, one class: its orbit is the whole space
@@ -307,22 +315,26 @@ class QuiverBackend:
         if cid is not None:
             return cid
         if self._chains is not None:
-            rank_key = (rep.dims, self._rank_invariant(rep))
+            return self._rank_class(self._rank_key(rep.key))
+        tested = []
+        for candidate in self.iso_classes(rep.dims):
+            tested.append(candidate)
+            if self.is_iso(rep, self._classes[candidate]):
+                self._key_to_id[rep.key] = candidate
+                self._forget(rep, tested)
+                return candidate
+        raise AssertionError("enumeration missed a class")  # unreachable
+
+    def _rank_class(self, rank_key):
+        """The class id of a (dims, ranks) key on a path quiver, the classes
+        of dims enumerated first if needed."""
+        cid = self._rank_to_id.get(rank_key)
+        if cid is None:
+            self.iso_classes(rank_key[0])
             cid = self._rank_to_id.get(rank_key)
             if cid is None:
-                self.iso_classes(rep.dims)
-                cid = self._rank_to_id.get(rank_key)
-            if cid is not None:
-                return cid
-        else:
-            tested = []
-            for candidate in self.iso_classes(rep.dims):
-                tested.append(candidate)
-                if self.is_iso(rep, self._classes[candidate]):
-                    self._key_to_id[rep.key] = candidate
-                    self._forget(rep, tested)
-                    return candidate
-        raise AssertionError("enumeration missed a class")  # unreachable
+                raise AssertionError("enumeration missed a class")  # unreachable
+        return cid
 
     def class_rep(self, cid):
         return self._classes[cid]
@@ -425,60 +437,50 @@ class QuiverBackend:
         a, b = self._coerce_rep(a), self._coerce_rep(b)
         return self.hom_dim(a, b) - self.euler_form(a.dims, b.dims)
 
-    def hom_basis(self, a, b):
-        """Basis of the intertwiner space as tuples of per-vertex matrices."""
-        a, b = self._coerce_rep(a), self._coerce_rep(b)
-        total, rows = self._hom_system(a, b)
-        if total == 0:
-            return []
-        if rows:
-            kernel = solve_nullspace(FpMatrix.from_rows(self.p, rows, cols=total))
-            vecs = list(kernel.entries)
-        else:
-            vecs = list(FpMatrix.identity(self.p, total).entries)
-        out = []
-        m, n = a.dims, b.dims
-        for v in vecs:
-            mats = []
-            pos = 0
-            for i in range(self.quiver.n):
-                ent = [v[pos + r * m[i]:pos + (r + 1) * m[i]] for r in range(n[i])]
-                pos += n[i] * m[i]
-                mats.append(FpMatrix(self.p, n[i], m[i], ent))
-            out.append(tuple(mats))
-        return out
-
     # -- subobjects ---------------------------------------------------
 
-    def subobject_pairs(self, rep):
-        """All (sub, quotient) pairs of subrepresentations, canonical bases."""
-        rep = self._coerce_rep(rep)
-        got = self._subs.get(rep.key)
-        if got is not None:
-            return got
-        quiver = self.quiver
-        p = self.p
+    def _subobject_combos(self, rep):
+        """Each vertex's subspaces of rep (canonical RREF bases, by
+        dimension then `enumerate_subspaces` order) and an iterator over
+        the index tuples of the combos (U_v) closed under every arrow, in
+        `itertools.product` order: rep's subobjects."""
+        arrows = self.quiver.arrows
         budget = Budget("subobjects")
         per_vertex = []
         for d in rep.dims:
             bases = []
             for k in range(d + 1):
-                bases.extend(enumerate_subspaces(d, k, p, budget))
+                bases.extend(enumerate_subspaces(d, k, self.p, budget))
             per_vertex.append(bases)
-        pairs = []
-        for combo in itertools.product(*per_vertex):
-            budget.spend()
-            ok = True
-            for idx, (s, t) in enumerate(quiver.arrows):
-                f = rep.maps[idx]
-                for row in combo[s].entries:
-                    if not in_rowspace(f.apply(row), combo[t]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                pairs.append(self._make_sub_quot(rep, combo))
+        # images[a][i]: arrow a applied to the basis of subspace i at its source
+        images = [[[f.apply(row) for row in b.entries] for b in per_vertex[s]]
+                  for f, (s, t) in zip(rep.maps, arrows)]
+
+        def closed():
+            for combo in itertools.product(*(range(len(b)) for b in per_vertex)):
+                budget.spend()
+                if all(in_rowspace(v, per_vertex[t][combo[t]])
+                       for a, (s, t) in enumerate(arrows)
+                       for v in images[a][combo[s]]):
+                    yield combo
+
+        return per_vertex, closed()
+
+    def subobject_pairs(self, rep):
+        """All (sub, quotient) pairs of subrepresentations, canonical bases,
+        as Reps, memoized by rep's key.  Used by the quotient sieve and the
+        subobject tables on quivers that are not path quivers; a path
+        quiver reads its subobjects' classes off rank keys instead (see
+        `_rank_key_table`) and calls this only when asked directly or for
+        `inj_count` of an unregistered rep."""
+        rep = self._coerce_rep(rep)
+        got = self._subs.get(rep.key)
+        if got is not None:
+            return got
+        per_vertex, combos = self._subobject_combos(rep)
+        pairs = [self._make_sub_quot(rep, [per_vertex[v][i]
+                                           for v, i in enumerate(combo)])
+                 for combo in combos]
         self._subs[rep.key] = pairs
         return pairs
 
@@ -514,7 +516,10 @@ class QuiverBackend:
     def inj_count(self, a, b):
         """Number of injective homomorphisms a -> b, by the quotient sieve:
         #Inj(a,b) = p^hom(a,b) - sum over nonzero subobjects K of a
-        of #Inj(a/K, b)."""
+        of #Inj(a/K, b).  On a path quiver, when a is a registered
+        representative, the subobjects are read from its subobject table,
+        sum over (Q, N) with N nonzero of g^a_{QN} #Inj(rep Q, b), so no
+        Rep is built per subobject; otherwise they are `subobject_pairs`."""
         a, b = self._coerce_rep(a), self._coerce_rep(b)
         memo_key = (a.key, b.key)
         got = self._inj.get(memo_key)
@@ -524,14 +529,20 @@ class QuiverBackend:
             self._inj[memo_key] = 0
             return 0
         total = self.p ** self.hom_dim(a, b)
-        for sub, quot in self.subobject_pairs(a):
-            if sub.is_zero():
-                continue
-            # quot has strictly smaller total dim than a, so classifying
-            # here cannot re-enter an in-progress iso_classes(a.dims);
-            # recursing on the registered representative collapses the
-            # memo key space to one key per isoclass.
-            total -= self.inj_count(self.class_rep(self.classify(quot)), b)
+        aid = self._key_to_id.get(a.key) if self._chains is not None else None
+        if aid is not None:
+            for (qid, nid), g in self.subobject_table(aid).items():
+                if not self._classes[nid].is_zero():
+                    total -= g * self.inj_count(self._classes[qid], b)
+        else:
+            for sub, quot in self.subobject_pairs(a):
+                if sub.is_zero():
+                    continue
+                # quot has strictly smaller total dim than a, so classifying
+                # here cannot re-enter an in-progress iso_classes(a.dims);
+                # recursing on the registered representative collapses the
+                # memo key space to one key per isoclass.
+                total -= self.inj_count(self.class_rep(self.classify(quot)), b)
         self._inj[memo_key] = total
         return total
 
@@ -545,18 +556,33 @@ class QuiverBackend:
             got = self._aut[m] = self.inj_count(rep, rep)
         return got
 
-    def _rank_invariant(self, rep):
-        """Ranks of the composites of consecutive arrows along each path of
-        a path quiver (see `path_chains`), in a fixed order."""
-        ranks = []
+    def _composites(self, maps):
+        """(s, t, rows) for each composite f_j ... f_i of consecutive arrows
+        along each path of a path quiver (see `path_chains`), from the
+        source s of f_i to the target t of f_j, in a fixed order.  maps
+        holds one matrix per arrow as a tuple of rows (a Rep key's second
+        part), and so does rows."""
+        p, arrows = self.p, self.quiver.arrows
+        out = []
         for chain in self._chains:
             for i, first in enumerate(chain):
-                comp = rep.maps[first]
-                ranks.append(rank(comp))
+                s = arrows[first][0]
+                comp = maps[first]
+                out.append((s, arrows[first][1], comp))
                 for idx in chain[i + 1:]:
-                    comp = rep.maps[idx].mul(comp)
-                    ranks.append(rank(comp))
-        return tuple(ranks)
+                    cols = tuple(zip(*comp))
+                    comp = tuple(tuple(sum(x * y for x, y in zip(r, c)) % p
+                                       for c in cols) for r in maps[idx])
+                    out.append((s, arrows[idx][1], comp))
+        return out
+
+    def _rank_invariant(self, maps):
+        """Ranks of the `_composites` of maps, in their order."""
+        return tuple(row_rank(rows, self.p) for _, _, rows in self._composites(maps))
+
+    def _rank_key(self, key):
+        """(dims, rank invariant) of a Rep key on a path quiver."""
+        return key[0], self._rank_invariant(key[1])
 
     def is_iso(self, a, b):
         """Equal dims and, on a path quiver, equal rank invariants; on any
@@ -567,22 +593,59 @@ class QuiverBackend:
         if a.key == b.key:
             return True
         if self._chains is not None:
-            return self._rank_invariant(a) == self._rank_invariant(b)
+            return self._rank_key(a.key) == self._rank_key(b.key)
         return self.inj_count(a, b) > 0
 
     def subobject_table(self, big):
         """{(M id, N id): g^L_{MN}} for the class L of big, one entry per
-        pair with g > 0: a single pass over the subobjects X of L's
-        representative classifies N = X and M = L/X, in subobject order.
-        Built once per class; do not mutate the returned dict."""
+        pair with g > 0, from a single pass over the subobjects X of L's
+        representative, in subobject order, that classifies M = L/X and
+        then N = X.  On a path quiver both are rank keys read off X's
+        subspace combo (`_rank_key_table`); on any other quiver X and L/X
+        are built as Reps by `subobject_pairs` and classified with the
+        sieve.  Built once per class; do not mutate the returned dict."""
         lid = self.classify(big)
         table = self._sub_tables.get(lid)
         if table is None:
-            table = {}
-            for sub, quot in self.subobject_pairs(lid):
-                key = (self.classify(quot), self.classify(sub))
-                table[key] = table.get(key, 0) + 1
+            if self._chains is not None:
+                table = self._rank_key_table(self._classes[lid])
+            else:
+                table = {}
+                for sub, quot in self.subobject_pairs(lid):
+                    key = (self.classify(quot), self.classify(sub))
+                    table[key] = table.get(key, 0) + 1
             self._sub_tables[lid] = table
+        return table
+
+    def _rank_key_table(self, rep):
+        """rep's subobject table on a path quiver, with no Rep or FpMatrix
+        built per subobject.  For a composite F: s -> t of rep (see
+        `_composites`) and a subobject with subspaces (U_v), the sub's rank
+        along F is dim F(U_s) and the quotient's is dim(U_t + im F) -
+        dim U_t; each is computed once per subspace of its vertex."""
+        p = self.p
+        per_vertex, combos = self._subobject_combos(rep)
+        # per composite: its vertex and the rank at each subspace there
+        subs, quots = [], []
+        for s, t, rows in self._composites(rep.key[1]):
+            cols = tuple(zip(*rows))
+            subs.append((s, [row_rank([tuple(sum(x * y for x, y in zip(r, u)) % p
+                                             for r in rows) for u in b.entries], p)
+                             for b in per_vertex[s]]))
+            quots.append((t, [row_rank(b.entries + cols, p) - b.rows
+                              for b in per_vertex[t]]))
+        sizes = [[b.rows for b in bases] for bases in per_vertex]
+        table = {}
+        # the only sub or quotient with rep's dims is rep itself, already
+        # registered, so no lookup re-enters an in-progress iso_classes
+        for combo in combos:
+            sub_dims = tuple(sz[i] for sz, i in zip(sizes, combo))
+            quot_dims = tuple(d - k for d, k in zip(rep.dims, sub_dims))
+            key = (self._rank_class(
+                       (quot_dims, tuple(r[combo[t]] for t, r in quots))),
+                   self._rank_class(
+                       (sub_dims, tuple(r[combo[s]] for s, r in subs))))
+            table[key] = table.get(key, 0) + 1
         return table
 
     def hall_number(self, big, outer, inner):
@@ -607,62 +670,6 @@ class QuiverBackend:
     def middle_terms(self, outer, inner):
         """The classes L with g^L_{MN} > 0, in `product_terms` order."""
         return [lid for lid, _ in self.product_terms(outer, inner)]
-
-    def filtration_count(self, big, parts):
-        """g^M_{N1..Nt}: filtrations with successive quotients N1, N2, ..."""
-        big = self._coerce_rep(big)
-        part_ids = tuple(self.classify(x) for x in parts)
-        memo_key = (big.key, part_ids)
-        got = self._filt.get(memo_key)
-        if got is not None:
-            return got
-        if not part_ids:
-            count = 1 if big.is_zero() else 0
-        else:
-            head = self._classes[part_ids[0]]
-            count = 0
-            for sub, quot in self.subobject_pairs(big):
-                if quot.dims == head.dims and self.is_iso(quot, head):
-                    count += self.filtration_count(sub, part_ids[1:])
-        self._filt[memo_key] = count
-        return count
-
-    # -- enumeration oracles (slow, used by tests at tiny sizes) -------
-
-    def _all_homs(self, a, b, budget=None):
-        basis = self.hom_basis(a, b)
-        if budget is not None:
-            budget.check_upfront(self.p ** len(basis))
-        for coeffs in itertools.product(range(self.p), repeat=len(basis)):
-            mats = []
-            for i in range(self.quiver.n):
-                acc = [[0] * a.dims[i] for _ in range(b.dims[i])]
-                for c, elt in zip(coeffs, basis):
-                    if c:
-                        for r, row in enumerate(elt[i].entries):
-                            for j, x in enumerate(row):
-                                acc[r][j] = (acc[r][j] + c * x) % self.p
-                mats.append(FpMatrix(self.p, b.dims[i], a.dims[i], acc))
-            yield tuple(mats)
-
-    def aut_count_enum(self, m):
-        m = self._coerce_rep(m)
-        budget = Budget("aut_count_enum")
-        count = 0
-        for mats in self._all_homs(m, m, budget):
-            if all(rank(mat) == mat.rows for mat in mats):
-                count += 1
-        return count
-
-    def is_iso_enum(self, a, b):
-        a, b = self._coerce_rep(a), self._coerce_rep(b)
-        if a.dims != b.dims:
-            return False
-        budget = Budget("is_iso_enum")
-        for mats in self._all_homs(a, b, budget):
-            if all(rank(mat) == mat.rows for mat in mats):
-                return True
-        return False
 
 
 class A1ClosedFormBackend:

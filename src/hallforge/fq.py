@@ -99,8 +99,28 @@ def rref(m):
     return FpMatrix(p, nr, nc, rows), r, pivots
 
 
+def row_rank(rows, p):
+    """Rank over F_p of the span of rows, an iterable of tuples of
+    residues: forward elimination only, building no FpMatrix.  Each kept
+    row is scaled to a leading 1 and is zero at the pivots of the rows
+    kept before it, so reducing a new row against them in order clears
+    every pivot column."""
+    kept = []
+    for row in rows:
+        for c, b in kept:
+            f = row[c]
+            if f:
+                row = [(x - f * y) % p for x, y in zip(row, b)]
+        for c, x in enumerate(row):
+            if x:
+                inv = pow(x, p - 2, p)
+                kept.append((c, [(y * inv) % p for y in row]))
+                break
+    return len(kept)
+
+
 def rank(m):
-    return rref(m)[1]
+    return row_rank(m.entries, m.p)
 
 
 def solve_nullspace(m):

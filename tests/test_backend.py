@@ -11,6 +11,8 @@ from hallforge.caps import Budget, CapExceeded
 from hallforge.fq import FpMatrix, gaussian_binomial, gl_order, rank, rref
 from hallforge.quiver import Quiver, load_quiver, preset
 
+from enum_oracles import aut_count_enum, filtration_count, is_iso_enum
+
 
 @pytest.fixture(scope="module")
 def a2():
@@ -88,9 +90,9 @@ def test_aut_count_frozen(a2):
 def test_aut_count_matches_enumeration(a2, a1_3):
     # quotient sieve vs direct End(M) enumeration at small sizes
     for cid in a2.classes_within((2, 2)):
-        assert a2.aut_count(cid) == a2.aut_count_enum(cid)
+        assert a2.aut_count(cid) == aut_count_enum(a2, cid)
     for cid in a1_3.classes_within((2,)):
-        assert a1_3.aut_count(cid) == a1_3.aut_count_enum(cid)
+        assert a1_3.aut_count(cid) == aut_count_enum(a1_3, cid)
 
 
 def test_is_iso(a2):
@@ -101,7 +103,7 @@ def test_is_iso(a2):
     r1 = three.rep((1, 1), [[[1]]])
     r2 = three.rep((1, 1), [[[2]]])
     assert three.is_iso(r1, r2)
-    assert three.is_iso_enum(r1, r2)
+    assert is_iso_enum(three, r1, r2)
     assert not three.is_iso(r1, three.rep((1, 1), [[[0]]]))
 
 
@@ -109,7 +111,7 @@ def test_is_iso_matches_enumeration(a2):
     reps = [a2.class_rep(c) for c in a2.classes_within((2, 2))]
     for x in reps:
         for y in reps:
-            assert a2.is_iso(x, y) == a2.is_iso_enum(x, y)
+            assert a2.is_iso(x, y) == is_iso_enum(a2, x, y)
 
 
 def test_is_iso_equivalence(a2):
@@ -182,14 +184,14 @@ def test_middle_terms(a2):
 
 def test_filtration_count(a2):
     p, x, y = proj(a2), s1(a2), s2(a2)
-    assert a2.filtration_count(p, [x, y]) == 1
-    assert a2.filtration_count(p, [y, x]) == 0
-    assert a2.filtration_count(p, [p]) == 1
-    assert a2.filtration_count(a2.zero_rep(), []) == 1
+    assert filtration_count(a2, p, [x, y]) == 1
+    assert filtration_count(a2, p, [y, x]) == 0
+    assert filtration_count(a2, p, [p]) == 1
+    assert filtration_count(a2, a2.zero_rep(), []) == 1
     be1 = QuiverBackend(preset("a1"), 2)
     two = be1.iso_classes((2,))[0]
     one = be1.iso_classes((1,))[0]
-    assert be1.filtration_count(two, [one, one]) == 3
+    assert filtration_count(be1, two, [one, one]) == 3
 
 
 def test_contraction_identity(a2):
@@ -201,12 +203,12 @@ def test_contraction_identity(a2):
             a2.class_dim(n1), a2.class_dim(n2), a2.class_dim(n3)))
         for m in a2.iso_classes(total):
             via_x = sum(
-                a2.hall_number(m, n1, x) * a2.filtration_count(x, [n2, n3])
+                a2.hall_number(m, n1, x) * filtration_count(a2, x, [n2, n3])
                 for x in a2.classes_within(total))
             via_y = sum(
-                a2.filtration_count(a2.class_rep(y), [n1, n2]) * a2.hall_number(m, y, n3)
+                filtration_count(a2, a2.class_rep(y), [n1, n2]) * a2.hall_number(m, y, n3)
                 for y in a2.classes_within(total))
-            assert via_x == via_y == a2.filtration_count(a2.class_rep(m), [n1, n2, n3])
+            assert via_x == via_y == filtration_count(a2, a2.class_rep(m), [n1, n2, n3])
 
 
 def test_closed_form_oracle_a1():
@@ -326,9 +328,21 @@ def test_iso_classes_stop_once_orbits_cover_the_space(monkeypatch):
 
 
 def test_iso_classes_raise_when_classes_merge(monkeypatch):
-    monkeypatch.setattr(QuiverBackend, "is_iso", lambda self, a, b: True)
+    # a path quiver's scan looks each candidate up by its rank key, so a
+    # constant rank invariant merges the two classes at (1, 1)
+    monkeypatch.setattr(QuiverBackend, "_rank_invariant", lambda self, maps: (0,))
     be = QuiverBackend(preset("a2"), 2)
     with pytest.raises(EnumerationError, match="cover 1 of 2"):
+        be.iso_classes((1, 1))
+    assert (1, 1) not in be._dimvec_classes
+
+
+def test_iso_classes_raise_when_classes_merge_on_the_sieve(monkeypatch):
+    # kronecker's scan tests candidates with is_iso: the zero pair at (1, 1)
+    # (orbit 1) swallows the other 3 assignments
+    monkeypatch.setattr(QuiverBackend, "is_iso", lambda self, a, b: True)
+    be = QuiverBackend(preset("kronecker"), 2)
+    with pytest.raises(EnumerationError, match="cover 1 of 4"):
         be.iso_classes((1, 1))
     assert (1, 1) not in be._dimvec_classes
 
@@ -483,7 +497,7 @@ def test_rank_key_is_iso_matches_sieve_and_enumeration(pair):
     be, a, b = pair
     assert be._chains is not None
     got = be.is_iso(a, b)
-    assert got == (be.inj_count(a, b) > 0) == be.is_iso_enum(a, b)
+    assert got == (be.inj_count(a, b) > 0) == is_iso_enum(be, a, b)
     assert be.is_iso(b, a) == got
 
 
@@ -632,3 +646,63 @@ def test_aut_count_and_euler_form_memos(a2):
     assert a2.euler_form((1, 1), (1, 1)) == a2._euler[((1, 1), (1, 1))] == 1
     with pytest.raises(ValueError):
         a2.euler_form((1,), (1, 0))
+
+
+# -- rank-key subobject tables on path quivers ------------------------------
+
+def reps_table(be, lid):
+    """L's subobject table from its (sub, quotient) Reps, each leg
+    classified on its own, in subobject order."""
+    table = {}
+    for sub, quot in be.subobject_pairs(be.class_rep(lid)):
+        key = (be.classify(quot), be.classify(sub))
+        table[key] = table.get(key, 0) + 1
+    return table
+
+
+def two_path_quiver(tmp_path):
+    # 2 -> 1 and 3 -> 4 -> 5, read from JSON
+    spec = tmp_path / "two-paths.json"
+    spec.write_text(json.dumps({"vertices": ["1", "2", "3", "4", "5"], "arrows": [
+        {"from": "2", "to": "1"}, {"from": "3", "to": "4"},
+        {"from": "4", "to": "5"}]}))
+    return load_quiver(spec)
+
+
+@pytest.mark.parametrize("case,p,box", [
+    ("a2", 2, (3, 3)), ("a2", 3, (2, 2)), ("a3", 2, (2, 2, 2)),
+    ("two-paths", 2, (1, 2, 1, 1, 1))])
+def test_rank_key_table_matches_the_subobject_reps(case, p, box, tmp_path):
+    quiver = two_path_quiver(tmp_path) if case == "two-paths" else preset(case)
+    be = QuiverBackend(quiver, p)
+    assert be._chains is not None
+    checked = 0
+    for lid in be.classes_within(box):
+        table = be.subobject_table(lid)
+        assert list(table.items()) == list(reps_table(be, lid).items())
+        if p ** be.hom_dim(lid, lid) <= 2 ** 10:
+            assert be.aut_count(lid) == aut_count_enum(be, lid)
+            checked += 1
+    assert checked >= len(be.classes_within(box)) // 2
+
+
+@pytest.mark.parametrize("tag,p,dimvec", [
+    ("a2", 2, (4, 3)), ("a2", 3, (3, 3)), ("a3", 2, (2, 2, 2))])
+def test_path_quiver_tables_build_no_subobject_reps(tag, p, dimvec):
+    be = QuiverBackend(preset(tag), p)
+    for lid in be.iso_classes(dimvec):
+        be.aut_count(lid)
+    for lid in be.classes_within(dimvec):
+        be.subobject_table(lid)
+    assert be._subs == {}
+    reps = {rep.key for rep in be._classes}
+    assert {a for a, _ in be._inj} <= reps
+    assert {a for a, _ in be._hom} <= reps
+
+
+def test_sieve_quiver_tables_still_build_subobject_reps():
+    be = QuiverBackend(preset("kronecker"), 2)
+    for lid in be.iso_classes((2, 2)):
+        be.aut_count(lid)
+    reps = {rep.key for rep in be._classes}
+    assert be._subs and set(be._subs) <= reps

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hallforge.caps import Budget, CapExceeded
 from hallforge.fq import (
     FpMatrix, enumerate_subspaces, gaussian_binomial, gl_order, in_rowspace,
-    rank, reduce_against, rref, solve_nullspace,
+    rank, reduce_against, row_rank, rref, solve_nullspace,
 )
 
 
@@ -46,6 +46,23 @@ def test_rref_idempotent_and_rank(m):
     assert rref(red) == (red, rk, piv)
     assert rank(m) == rank(m.transpose())
     assert rk == len(piv) <= min(m.rows, m.cols)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([2, 3, 5]).flatmap(
+    lambda p: st.tuples(st.integers(0, 7), st.integers(0, 7)).flatmap(
+        lambda shape: st.lists(
+            st.lists(st.integers(0, p - 1), min_size=shape[1],
+                     max_size=shape[1]),
+            min_size=shape[0], max_size=shape[0],
+        ).map(lambda rows: FpMatrix(p, shape[0], shape[1], rows)))))
+def test_row_rank_matches_rref(m):
+    # forward elimination over row tuples against Gauss-Jordan
+    assert row_rank(m.entries, m.p) == rref(m)[1] == rank(m)
+    # rows already in the span add nothing, in any order
+    doubled = list(m.entries) + [tuple(2 * x % m.p for x in r)
+                                 for r in reversed(m.entries)]
+    assert row_rank(doubled, m.p) == rref(m)[1]
 
 
 def test_nullspace_frozen():
