@@ -19,6 +19,17 @@ def test_mult_frozen_cross(capsys):
     assert out.strip() == "mu-[S1] mu+[S1] + K-[(1,0)]"
 
 
+def test_mult_double_quasi_reduces(capsys):
+    # tag d has no oriented rule table: KD letters bubble left of om
+    # letters and merge, om letters keep their order
+    rc, out, _ = run(capsys, "mult", "--algebra", "d", "--expr",
+                     "om+[S1] om-[S2] KD-[(1,0)] KD+[(0,1)]"
+                     " + om-[S1] KD-[(1,1)]")
+    assert rc == 0
+    assert out.strip() == ("v^6 KD-[(1,0)] KD+[(0,1)] om+[S1] om-[S2]"
+                           " + v^-1 KD-[(1,1)] om-[S1]")
+
+
 def test_mult_output_reparses_to_fixed_point(capsys):
     rc, out, _ = run(capsys, "mult", "--algebra", "dhce",
                      "--expr", "Z[S1;1] * Z[S2;0] + v^-1 KZ[(1,0);0]")
