@@ -13,7 +13,7 @@ Rationals render as p/r, v-powers as v^k; no decimals anywhere.
 
 from fractions import Fraction
 
-from .presented import FreeElt, NormalElt, algebra, embed, is_torus
+from .presented import FreeElt, algebra, is_torus
 from .scalars import SqrtScalar, render_scalar, vpow
 
 
@@ -254,7 +254,8 @@ class _Parser:
 
 
 def parse_expr(text, alg, be=None):
-    """Parse text to a FreeElt over the given algebra (tag or Algebra)."""
+    """Parse text to a free element (a `Lin` labelled None) over the given
+    algebra (tag or Algebra)."""
     if isinstance(alg, str):
         alg = algebra(alg, be)
     return _Parser(text, alg).parse()
@@ -310,15 +311,14 @@ def _word_order(be, word):
 
 
 def render_elt(be, x):
-    """Deterministic text form of a FreeElt or NormalElt."""
-    if isinstance(x, NormalElt):
-        x = embed(x, be.p)
+    """Deterministic text form of a free element or a normal form."""
     words = sorted(x.terms, key=lambda w: _word_order(be, w))
     return _join_terms([_term_piece(be, w, x.terms[w]) for w in words])
 
 
 def render_tensor(be, x):
-    """Text form of a TensorSquareElt; for reports only (not parseable)."""
+    """Text form of a tensor-square element; for reports only (not
+    parseable)."""
     if x.is_zero():
         return "0"
 
@@ -341,7 +341,6 @@ def render_tensor(be, x):
 
 
 def render_any(be, x):
-    from .presented import TensorSquareElt
-    if isinstance(x, TensorSquareElt):
+    if isinstance(x.label, tuple):
         return render_tensor(be, x)
     return render_elt(be, x)

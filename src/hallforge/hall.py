@@ -1,10 +1,14 @@
 """Extended Ringel-Hall bialgebra: twisted product, torus elements K_a,
-comultiplication, Green's pairing, gamma coefficients, Green's formula."""
+comultiplication, Green's pairing, gamma coefficients, Green's formula.
+
+An element is a `Lin` of basis symbols (mid, alpha) for [M]K_alpha,
+labelled by its backend; its coproduct is a `Lin` of symbol pairs labelled
+(backend, backend)."""
 
 from fractions import Fraction
 
 from .quiver import add_class, sub_class
-from .scalars import SqrtScalar, render_scalar, vpow
+from .scalars import Lin, SqrtScalar, accumulate, render_scalar, vpow
 
 
 def _vp(be, n):
@@ -15,108 +19,31 @@ def aut_scalar(be, cid):
     return SqrtScalar.of(be.aut_count(cid), be.q)
 
 
-class HallElt:
-    """Finite linear combination of basis symbols [M]K_alpha."""
-
-    __slots__ = ("be", "terms")
-
-    def __init__(self, be, terms=None):
-        self.be = be
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if not c.is_zero():
-                    self.terms[key] = c
-
-    @staticmethod
-    def unit(be):
-        return HallElt.basis(be, 0, None)
-
-    @staticmethod
-    def basis(be, mid, alpha=None, coeff=None):
-        alpha = be.quiver.zero_class() if alpha is None else tuple(alpha)
-        coeff = SqrtScalar.one(be.q) if coeff is None else coeff
-        return HallElt(be, {(mid, alpha): coeff})
-
-    @staticmethod
-    def torus(be, alpha):
-        return HallElt.basis(be, 0, alpha)
-
-    def _spawn(self, terms):
-        return HallElt(self.be, terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key)
-            out[key] = c if s is None else s + c
-        return self._spawn(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, SqrtScalar.zero(self.be.q))
-            out[key] = s - c
-        return self._spawn(out)
-
-    def scale(self, c):
-        return self._spawn({k: v * c for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, HallElt):
-            return hmult(self, other)
-        return self.scale(other if isinstance(other, SqrtScalar)
-                          else SqrtScalar.of(other, self.be.q))
-
-    def __rmul__(self, other):
-        return self.scale(SqrtScalar.of(other, self.be.q))
-
-    def __eq__(self, other):
-        return isinstance(other, HallElt) and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def sorted_terms(self):
-        be = self.be
-        return sorted(self.terms.items(),
-                      key=lambda kv: (be.class_sort_key(kv[0][0]), kv[0][1]))
-
-    def __repr__(self):
-        return f"HallElt({render_hall(self)})"
+def _elt(be, terms):
+    """A Hall element: a Lin of (mid, alpha) symbols labelled by `be`."""
+    return Lin(be.q, terms, be)
 
 
-class HallTensorElt:
-    """Finite sum of pure tensors of basis symbols, two legs."""
+def basis(be, mid, alpha=None, coeff=None):
+    """coeff * [M]K_alpha, K_0 when alpha is None, coefficient 1 by default."""
+    alpha = be.quiver.zero_class() if alpha is None else tuple(alpha)
+    coeff = SqrtScalar.one(be.q) if coeff is None else coeff
+    return _elt(be, {(mid, alpha): coeff})
 
-    __slots__ = ("be", "terms")
 
-    def __init__(self, be, terms=None):
-        self.be = be
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if not c.is_zero():
-                    self.terms[key] = c
+def torus(be, alpha):
+    return basis(be, 0, alpha)
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key)
-            out[key] = c if s is None else s + c
-        return HallTensorElt(self.be, out)
 
-    def __eq__(self, other):
-        return isinstance(other, HallTensorElt) and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
+def unit(be):
+    return basis(be, 0)
 
 
 def hmult(x, y):
     """[M]K_a [N]K_b = v^{(a,N)} v^{<M,N>} sum_L g^L_{MN} [L] K_{a+b}."""
-    be = x.be
-    assert be is y.be, "elements use different backends"
+    be = x.label
+    if y.label is not be:
+        raise ValueError("elements use different backends")
     out = {}
     for (mid, alpha), cx in x.terms.items():
         mhat = be.class_dim(mid)
@@ -126,17 +53,14 @@ def hmult(x, y):
                                  + be.euler_form(mhat, nhat))
             gamma_cls = add_class(alpha, beta)
             for lid, g in be.product_terms(mid, nid):
-                key = (lid, gamma_cls)
-                add = base * g
-                s = out.get(key)
-                out[key] = add if s is None else s + add
-    return HallElt(be, out)
+                accumulate(out, (lid, gamma_cls), base * g)
+    return _elt(be, out)
 
 
 def comult(x):
     """Delta([L]K_a) = sum v^{<M,N>} (a_M a_N / a_L) g^L_{MN}
     [M]K_{N+a} (x) [N]K_a, one term per (M, N) in L's subobject table."""
-    be = x.be
+    be = x.label
     out = {}
     for (lid, alpha), c in x.terms.items():
         c_over_a_l = c / be.aut_count(lid)
@@ -144,15 +68,14 @@ def comult(x):
             mhat, nhat = be.class_dim(mid), be.class_dim(nid)
             coeff = c_over_a_l * _vp(be, be.euler_form(mhat, nhat)) \
                 * (g * be.aut_count(mid) * be.aut_count(nid))
-            key = ((mid, add_class(nhat, alpha)), (nid, alpha))
-            s = out.get(key)
-            out[key] = coeff if s is None else s + coeff
-    return HallTensorElt(be, out)
+            accumulate(out, ((mid, add_class(nhat, alpha)), (nid, alpha)),
+                       coeff)
+    return Lin(be.q, out, (be, be))
 
 
 def green_pairing(x, y):
     """phi_0([M]K_a, [N]K_b) = delta_{MN} v^{(a,b)} / a_M, bilinear."""
-    be = x.be
+    be = x.label
     total = SqrtScalar.zero(be.q)
     for (mid, alpha), cx in x.terms.items():
         for (nid, beta), cy in y.terms.items():
@@ -226,38 +149,28 @@ def green_formula_check(be, m, n, mp, np_):
 
 def tensor_hmult(xt, yt):
     """Componentwise product on the tensor square."""
-    be = xt.be
-    out = HallTensorElt(be)
+    be = xt.label[0]
+    out = {}
     for (l1, l2), cx in xt.terms.items():
         for (r1, r2), cy in yt.terms.items():
-            left = hmult(HallElt(be, {l1: cx}), HallElt(be, {r1: cy}))
-            right = hmult(HallElt.basis(be, *l2), HallElt.basis(be, *r2))
+            left = hmult(_elt(be, {l1: cx}), _elt(be, {r1: cy}))
+            right = hmult(basis(be, *l2), basis(be, *r2))
             for k1, c1 in left.terms.items():
                 for k2, c2 in right.terms.items():
-                    key = (k1, k2)
-                    c = c1 * c2
-                    s = out.terms.get(key)
-                    out.terms[key] = c if s is None else s + c
-    out.terms = {k: v for k, v in out.terms.items() if not v.is_zero()}
-    return out
+                    accumulate(out, (k1, k2), c1 * c2)
+    return Lin(be.q, out, xt.label)
 
 
 def coassoc_check(x):
     """(Delta x id) Delta = (id x Delta) Delta, expanded to triples."""
-    be = x.be
+    be = x.label
     left, right = {}, {}
     for (k1, k2), c in comult(x).terms.items():
-        for (j1, j2), d in comult(HallElt(be, {k1: c})).terms.items():
-            key = (j1, j2, k2)
-            s = left.get(key)
-            left[key] = d if s is None else s + d
-        for (j1, j2), d in comult(HallElt(be, {k2: c})).terms.items():
-            key = (k1, j1, j2)
-            s = right.get(key)
-            right[key] = d if s is None else s + d
-    left = {k: v for k, v in left.items() if not v.is_zero()}
-    right = {k: v for k, v in right.items() if not v.is_zero()}
-    return left == right
+        for (j1, j2), d in comult(_elt(be, {k1: c})).terms.items():
+            accumulate(left, (j1, j2, k2), d)
+        for (j1, j2), d in comult(_elt(be, {k2: c})).terms.items():
+            accumulate(right, (k1, j1, j2), d)
+    return Lin(be.q, left) == Lin(be.q, right)
 
 
 def bialgebra_check(x, y):
@@ -267,23 +180,23 @@ def bialgebra_check(x, y):
 
 def pairing_product_check(x, y, z):
     """phi_0(xy, z) = sum phi_0(x, z_(1)) phi_0(y, z_(2))."""
-    be = x.be
+    be = x.label
     lhs = green_pairing(hmult(x, y), z)
     rhs = SqrtScalar.zero(be.q)
     for (k1, k2), c in comult(z).terms.items():
-        rhs = rhs + c * green_pairing(x, HallElt.basis(be, *k1)) \
-            * green_pairing(y, HallElt.basis(be, *k2))
+        rhs = rhs + c * green_pairing(x, basis(be, *k1)) \
+            * green_pairing(y, basis(be, *k2))
     return lhs == rhs
 
 
 def pairing_coproduct_check(x, y, z):
     """phi_0(x, yz) = sum phi_0(x_(1), y) phi_0(x_(2), z)."""
-    be = x.be
+    be = x.label
     lhs = green_pairing(x, hmult(y, z))
     rhs = SqrtScalar.zero(be.q)
     for (k1, k2), c in comult(x).terms.items():
-        rhs = rhs + c * green_pairing(HallElt.basis(be, *k1), y) \
-            * green_pairing(HallElt.basis(be, *k2), z)
+        rhs = rhs + c * green_pairing(basis(be, *k1), y) \
+            * green_pairing(basis(be, *k2), z)
     return lhs == rhs
 
 
@@ -301,9 +214,12 @@ def _render_basis(be, mid, alpha):
 def render_hall(x):
     if not x.terms:
         return "0"
+    be = x.label
     chunks = []
-    for (mid, alpha), c in x.sorted_terms():
-        sym = _render_basis(x.be, mid, alpha)
+    for (mid, alpha), c in sorted(
+            x.terms.items(),
+            key=lambda kv: (be.class_sort_key(kv[0][0]), kv[0][1])):
+        sym = _render_basis(be, mid, alpha)
         cs = render_scalar(c)
         if sym == "1":
             chunks.append(cs)

@@ -4,7 +4,9 @@ Every map is a GenMap: a source algebra, a target (an algebra or a tensor
 square of one), and an image per generator letter.  apply_hom extends the
 images multiplicatively and normalizes in the target, so verifying that a
 map is a homomorphism reduces to checking each defining relation of the
-source presentation with check_relation.
+source presentation with check_relation.  Images and results are `Lin`s
+labelled by the target: an Algebra, or the pair of Algebras of a tensor
+square.
 """
 
 import itertools
@@ -13,12 +15,12 @@ from fractions import Fraction
 from .caps import CapExceeded
 from .exprs import render_any
 from .presented import (E, FreeElt, Kc, KMinus, KPlus, KcMinus, KcPlus,
-                        KdMinus, KdPlus, Kz, MuMinus, MuPlus, NormalElt,
-                        NuMinus, NuPlus, OmMinus, OmPlus, TensorSquareElt,
-                        Zg, algebra, embed, normal_form, pmult,
-                        relation_instance, tensor_mult, tensor_word)
+                        KdMinus, KdPlus, Kz, MuMinus, MuPlus, NuMinus, NuPlus,
+                        OmMinus, OmPlus, Zg, algebra, normal_form, pmult,
+                        relation_instance, tensor_mult, tensor_unit,
+                        tensor_word)
 from .quiver import neg_class, sub_class
-from .scalars import SqrtScalar, vpow
+from .scalars import Lin, SqrtScalar, vpow
 
 # defining relations of each presentation, keyed by algebra family
 SOURCE_RELATIONS = {
@@ -49,13 +51,12 @@ class GenMap:
 
     def target_unit(self):
         if self.is_tensor():
-            return TensorSquareElt.unit(self.target)
-        return NormalElt(self.target.tag, {(): SqrtScalar.one(self.target.q)})
+            return tensor_unit(self.target)
+        return Lin(self.source.q, {(): SqrtScalar.one(self.source.q)},
+                   self.target)
 
     def target_zero(self):
-        if self.is_tensor():
-            return TensorSquareElt(self.target)
-        return NormalElt(self.target.tag, {})
+        return Lin(self.source.q, None, self.target)
 
     def image(self, letter):
         letter = self.source.canon_letter(letter)
@@ -112,8 +113,6 @@ def apply_hom(h, x):
     normal, so the unit times an image is that image.  The cached images
     are shared; scale and + build new elements.
     """
-    if isinstance(x, NormalElt):
-        x = embed(x, h.source.q)
     out = h.target_zero()
     for word, c in x.terms.items():
         acc = h.image(word[0]) if word else h.target_unit()
@@ -130,8 +129,8 @@ def apply_hom(h, x):
 def tensor_apply(h_left, h_right, x):
     """Map a tensor-square element leg by leg through two GenMaps."""
     algs = (h_left.target, h_right.target)
-    out = TensorSquareElt(algs)
     q = algs[0].q
+    out = Lin(q, None, algs)
     for (lw, rw), c in x.terms.items():
         left = apply_hom(h_left, FreeElt.word(q, lw))
         right = apply_hom(h_right, FreeElt.word(q, rw))
@@ -139,7 +138,7 @@ def tensor_apply(h_left, h_right, x):
         for ul, cl in left.terms.items():
             for ur, cr in right.terms.items():
                 terms[(ul, ur)] = cl * cr
-        out = out + TensorSquareElt(algs, terms).scale(c)
+        out = out + Lin(q, terms, algs).scale(c)
     return out
 
 
@@ -191,7 +190,7 @@ def _build_I(be):
             if sign > 0:
                 return tensor_word(algs, (KPlus(alpha),), (KcPlus(alpha),))
             return tensor_word(algs, (KMinus(alpha),), (KcMinus(alpha),))
-        out = TensorSquareElt(algs)
+        out = Lin(be.p, None, algs)
         for coeff, m1, m2, d1, d2 in _embedding_terms(
                 be, letter,
                 lambda dM, d1, d2: be.euler_form(d1, d2),
@@ -247,7 +246,7 @@ def _build_psi(be, m, i):
             else:
                 lw, rw = (Kc(alpha, i),), (Kc(alpha, i + 1),)
             return tensor_word(algs, lw, rw)
-        out = TensorSquareElt(algs)
+        out = Lin(be.p, None, algs)
         for coeff, m1, m2, d1, d2 in _embedding_terms(
                 be, letter,
                 lambda dM, d1, d2: be.euler_form(d1, d2),
@@ -342,7 +341,7 @@ def _build_varphi(be, i):
             return (be.euler_form(d2, sub_class(d1, d2))
                     - i * (be.euler_form(d1, d1) + be.euler_form(d2, d2)))
 
-        out = TensorSquareElt(algs)
+        out = Lin(be.p, None, algs)
         for coeff, m1, m2, d1, d2 in _embedding_terms(
                 be, letter, exp_plus, exp_minus):
             if sign > 0:
@@ -468,14 +467,7 @@ def rank_independence(elts):
     support = sorted({key for e in elts for key in e.terms}, key=repr)
     if not support:
         return 0
-    q = None
-    for e in elts:
-        for c in e.terms.values():
-            q = c.q
-            break
-        if q is not None:
-            break
-    zero = SqrtScalar.zero(q)
+    zero = SqrtScalar.zero(elts[0].q)
     rows = [[e.terms.get(key, zero) for key in support] for e in elts]
     rank = 0
     for col in range(len(support)):

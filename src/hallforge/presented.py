@@ -10,7 +10,7 @@ each word for its leftmost redex from `start` on:
 
 - Resume.  A rewrite at pair i leaves the pairs left of i - 1 as they were,
   and they held no redex, so the words it produces start at i - 1.
-- Seam.  A word of a NormalElt holds no redex, so in pmult with a normal
+- Seam.  A word of a normal form holds no redex, so in pmult with a normal
   left factor, and in both legs of tensor_mult, a product word starts at
   the pair that joins its two factors' words.
 
@@ -27,9 +27,13 @@ Letters are plain tuples:
     ("nu", s, mid)    ("Kc", s, alpha)                        tag hhd
     ("e", mid, i)     ("k", alpha, i)      i residue          tag dhm:<m>
     ("Z", mid, i)     ("KZ", alpha, i)     i integer          tags dh, dhtw, dhce
-    ("om", s, mid)    ("KD", s, alpha)                        tag d (no rewrite)
+    ("om", s, mid)    ("KD", s, alpha)                        tag d (quasi only)
 
-mid is a registered IsoClassId, alpha an integer class tuple.
+mid is a registered IsoClassId, alpha an integer class tuple.  Elements are
+`Lin`s of words: labelled None when free, by their Algebra when normal, and
+by a pair of Algebras in a tensor square.  Tag d has a pair table too, but
+it never reorders om letters, so only `d_quasi` runs it: `normal_form` and
+`pmult` refuse tag d.
 """
 
 from __future__ import annotations
@@ -37,9 +41,9 @@ from __future__ import annotations
 import warnings
 
 from .caps import Budget, max_enum
-from .hall import HallElt, comult, gamma, green_pairing
+from .hall import basis, comult, gamma, green_pairing
 from .quiver import add_class, neg_class, sub_class
-from .scalars import SqrtScalar, vpow
+from .scalars import Lin, SqrtScalar, accumulate, vpow
 
 # letter constructors, one per generator shape
 
@@ -184,6 +188,15 @@ class Algebra:
             return ("k", letter[1], letter[2] % self.m)
         return letter
 
+    def __eq__(self, other):
+        # one algebra per (tag, backend), however many objects name it
+        return self is other or (isinstance(other, Algebra)
+                                 and self.tag == other.tag
+                                 and self.be is other.be)
+
+    def __hash__(self):
+        return hash(self.tag)
+
     def __repr__(self):
         return "Algebra(%s)" % self.tag
 
@@ -199,154 +212,24 @@ def algebra(tag, be):
 
 
 class FreeElt:
-    """Finite SqrtScalar combination of free words (tuples of letters)."""
+    """Constructors of free combinations: `Lin`s of words labelled None."""
 
-    __slots__ = ("q", "terms")
+    __slots__ = ()
 
-    def __init__(self, q, terms=None):
-        self.q = q
-        self.terms = {}
-        for w, c in (terms or {}).items():
-            if not c.is_zero():
-                self.terms[w] = c
+    @staticmethod
+    def unit(q):
+        return Lin(q, {(): SqrtScalar.one(q)})
 
-    @classmethod
-    def unit(cls, q):
-        return cls(q, {(): SqrtScalar.one(q)})
-
-    @classmethod
-    def word(cls, q, letters, coeff=None):
-        w = tuple(l for l in letters if not _is_unit(l))
-        return cls(q, {w: coeff if coeff is not None else SqrtScalar.one(q)})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            out[w] = c if s is None else s + c
-        return FreeElt(self.q, out)
-
-    def __sub__(self, other):
-        return self + other.scale(SqrtScalar.of(-1, self.q))
-
-    def scale(self, c):
-        if not isinstance(c, SqrtScalar):
-            c = SqrtScalar.of(c, self.q)
-        return FreeElt(self.q, {w: s * c for w, s in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                s = out.get(w)
-                out[w] = c if s is None else s + c
-        return FreeElt(self.q, out)
-
-    def __eq__(self, other):
-        return (isinstance(other, FreeElt) and self.q == other.q
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        raise TypeError("FreeElt is unhashable")
-
-    def is_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        return "FreeElt(%r)" % (sorted(self.terms),)
+    @staticmethod
+    def word(q, letters, coeff=None):
+        """coeff (default 1) times the word, its unit letters dropped."""
+        return Lin(q, {_strip(letters):
+                       coeff if coeff is not None else SqrtScalar.one(q)})
 
 
-class NormalElt:
-    """Normal-form result: algebra tag, word -> SqrtScalar, canonical flag."""
-
-    __slots__ = ("tag", "terms", "canonical")
-
-    def __init__(self, tag, terms, canonical=True):
-        self.tag = tag
-        self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
-        self.canonical = canonical
-
-    def __add__(self, other):
-        assert self.tag == other.tag
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            out[w] = c if s is None else s + c
-        return NormalElt(self.tag, out, self.canonical and other.canonical)
-
-    def scale(self, c):
-        return NormalElt(self.tag, {w: s * c for w, s in self.terms.items()},
-                         self.canonical)
-
-    def __eq__(self, other):
-        return (isinstance(other, NormalElt) and self.tag == other.tag
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        raise TypeError("NormalElt is unhashable")
-
-    def is_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        return "NormalElt(%s, %r)" % (self.tag, sorted(self.terms))
-
-
-def embed(x, q):
-    """Forget normality: NormalElt -> FreeElt over the same words.
-
-    A NormalElt carries no field of its own, so the caller passes the q of
-    its algebra or backend; reading it off a coefficient fails for zero."""
-    return FreeElt(q, dict(x.terms))
-
-
-class TensorSquareElt:
-    """Pairs of normal words with SqrtScalar coefficients, legs normalized."""
-
-    __slots__ = ("algs", "terms")
-
-    def __init__(self, algs, terms=None):
-        self.algs = algs
-        self.terms = {}
-        for pair, c in (terms or {}).items():
-            if not c.is_zero():
-                self.terms[pair] = c
-
-    @classmethod
-    def unit(cls, algs):
-        return cls(algs, {((), ()): SqrtScalar.one(algs[0].q)})
-
-    def __add__(self, other):
-        assert self.tags() == other.tags()
-        out = dict(self.terms)
-        for pair, c in other.terms.items():
-            s = out.get(pair)
-            out[pair] = c if s is None else s + c
-        return TensorSquareElt(self.algs, out)
-
-    def scale(self, c):
-        if not isinstance(c, SqrtScalar):
-            c = SqrtScalar.of(c, self.algs[0].q)
-        return TensorSquareElt(self.algs,
-                               {p: s * c for p, s in self.terms.items()})
-
-    def tags(self):
-        return (self.algs[0].tag, self.algs[1].tag)
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorSquareElt)
-                and self.tags() == other.tags() and self.terms == other.terms)
-
-    def __hash__(self):
-        raise TypeError("TensorSquareElt is unhashable")
-
-    def is_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        return "TensorSquareElt(%s, %r)" % (self.tags(), sorted(self.terms))
+def tensor_unit(algs):
+    """1 (x) 1 in the tensor square of the pair of Algebras `algs`."""
+    return Lin(algs[0].q, {((), ()): SqrtScalar.one(algs[0].q)}, tuple(algs))
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +487,21 @@ def _reduce_dhce(alg, a, b):
     return None
 
 
+def _reduce_d(alg, a, b):
+    # KD letters bubble left of om letters and merge; om letters and
+    # KD- KD+ stay as they are
+    if b[0] != "KD":
+        return None
+    if a[0] == "KD":
+        if a[1] == b[1]:
+            return [(alg.one(), _strip((("KD", a[1], add_class(a[2], b[2])),)))]
+        if a[1] == 1:
+            return [(alg.one(), (b, a))]
+        return None
+    sym = alg.be.sym_euler(b[2], alg.be.class_dim(a[2]))
+    return [(alg.v(-sym if a[1] == b[1] else sym), (b, a))]
+
+
 _REDUCERS = {
     "hd": _reduce_hd,
     "hhd": _reduce_hhd,
@@ -611,6 +509,7 @@ _REDUCERS = {
     "dh": _reduce_dh,
     "dhtw": _reduce_z_twisted,
     "dhce": _reduce_dhce,
+    "d": _reduce_d,
 }
 
 
@@ -636,6 +535,8 @@ def _rewrite(alg, stack, budget=None):
     left of `start`.  Each step rewrites the leftmost redex, at pair i; the
     words it produces keep the pairs left of i - 1, so they resume there.
     Pair-rule answers come from the algebra's table, filled on first use.
+    Returns {word: coefficient}, where words whose terms cancelled keep a
+    zero coefficient until a `Lin` drops them.
     """
     reduce_pair = _REDUCERS[alg.family]
     rules = alg._pair_rules
@@ -658,14 +559,13 @@ def _rewrite(alg, stack, budget=None):
                 break
             i += 1
         else:
-            s = out.get(w)
-            out[w] = c if s is None else s + c
+            accumulate(out, w, c)
             continue
         head, tail = w[:i], w[i + 2:]
         resume = max(i - 1, 0)
         for scal, letters in res:
             stack.append((head + letters + tail, c * scal, resume))
-    return {w: c for w, c in out.items() if not c.is_zero()}
+    return out
 
 
 def _normalize_terms(alg, terms, budget=None):
@@ -687,12 +587,13 @@ def _word_canonical(alg, w):
 
 
 def _normal_elt(alg, terms):
-    canonical = all(_word_canonical(alg, w) for w in terms)
-    if not canonical:
+    x = Lin(alg.q, terms, alg)
+    if not all(_word_canonical(alg, w) for w in x.terms):
+        x.canonical = False
         warnings.warn("normal_form(%s): word outside the two-residue contract;"
                       " result is a deterministic reduct, not a canonical form"
                       % alg.tag)
-    return NormalElt(alg.tag, terms, canonical)
+    return x
 
 
 def _check_oriented(alg):
@@ -701,16 +602,14 @@ def _check_oriented(alg):
 
 
 def normal_form(alg, x, budget=None):
-    """Rewrite a FreeElt to its normal form in alg.  Raises for tag 'd'."""
+    """Rewrite x's words to their normal form in alg.  Raises for tag 'd'."""
     _check_oriented(alg)
-    if isinstance(x, NormalElt):
-        x = embed(x, alg.q)
     return _normal_elt(alg, _normalize_terms(alg, x.terms, budget))
 
 
 def _canon_words(alg, x):
     """{word: the same word in canonical non-unit letters} over x's words."""
-    if isinstance(x, NormalElt) and x.tag == alg.tag:
+    if x.label == alg:
         return {w: w for w in x.terms}
     return {w: _canon_word(alg, w) for w in x.terms}
 
@@ -718,12 +617,12 @@ def _canon_words(alg, x):
 def pmult(alg, a, b):
     """Product of two (normal or free) elements, renormalized.
 
-    Equal to normal_form of the free product.  A word of a NormalElt of alg
-    holds no redex, so when `a` is one the search in each product word
+    Equal to normal_form of the free product.  A word of a normal form of
+    alg holds no redex, so when `a` is one the search in each product word
     starts at the seam, the pair that joins a's word to b's.
     """
     _check_oriented(alg)
-    seam_start = isinstance(a, NormalElt) and a.tag == alg.tag
+    seam_start = a.label == alg
     canon_a, canon_b = _canon_words(alg, a), _canon_words(alg, b)
     # keyed by the raw product word, as the free product accumulates
     prod = {}
@@ -749,9 +648,9 @@ def tensor_mult(x, y):
     search at its seam.  Each leg is rewritten under its own budget, capped
     by the HALLFORGE_MAX_ENUM read once per call.
     """
-    assert x.tags() == y.tags()
-    a1, a2 = x.algs
-    out = TensorSquareElt(x.algs)
+    if y.label != x.label:
+        raise ValueError("tensor_mult of %r and %r" % (x.label, y.label))
+    a1, a2 = x.label
     one = SqrtScalar.one(a2.q)
     limit = max_enum()
     terms = {}
@@ -764,16 +663,13 @@ def tensor_mult(x, y):
                              Budget("normal_form", limit))
             for lw, lc in left.items():
                 for rw, rc in right.items():
-                    key = (lw, rw)
-                    s = terms.get(key)
-                    val = lc * rc
-                    terms[key] = val if s is None else s + val
-    out.terms = {k: c for k, c in terms.items() if not c.is_zero()}
-    return out
+                    accumulate(terms, (lw, rw), lc * rc)
+    return Lin(x.q, terms, x.label)
 
 
 def tensor_word(algs, left_letters, right_letters, coeff=None):
-    """Build a TensorSquareElt from one pair of free words, legs normalized."""
+    """The tensor of one pair of free words, each leg normalized in its
+    algebra of `algs`."""
     a1, a2 = algs
     c = coeff if coeff is not None else SqrtScalar.one(a1.q)
     left = _normalize_terms(a1, {_strip(tuple(left_letters)): c})
@@ -782,11 +678,8 @@ def tensor_word(algs, left_letters, right_letters, coeff=None):
     terms = {}
     for lw, lc in left.items():
         for rw, rc in right.items():
-            key = (lw, rw)
-            s = terms.get(key)
-            val = lc * rc
-            terms[key] = val if s is None else s + val
-    return TensorSquareElt(algs, terms)
+            accumulate(terms, (lw, rw), lc * rc)
+    return Lin(a1.q, terms, tuple(algs))
 
 
 # ---------------------------------------------------------------------------
@@ -806,9 +699,8 @@ def hd_cross(be, side, M, N):
         raise ValueError("side must be HD or HHD, got %r" % (side,))
     out = {}
     for c, w in terms:
-        s = out.get(w)
-        out[w] = c if s is None else s + c
-    return NormalElt(alg.tag, out)
+        accumulate(out, w, c)
+    return Lin(alg.q, out, alg)
 
 
 def hd_cross_oracle(be, side, M, N):
@@ -820,21 +712,19 @@ def hd_cross_oracle(be, side, M, N):
     resulting words, so this route is independent of the crossing tables.
     """
     side = side.upper()
-    one = SqrtScalar.one(be.p)
     if side == "HD":
         a_obj, b_obj = N, M
     elif side == "HHD":
         a_obj, b_obj = M, N
     else:
         raise ValueError("side must be HD or HHD, got %r" % (side,))
-    da = comult(HallElt.basis(be, a_obj))
-    db = comult(HallElt.basis(be, b_obj))
+    da = comult(basis(be, a_obj))
+    db = comult(basis(be, b_obj))
     alg = algebra("hd" if side == "HD" else "hhd", be)
-    free = FreeElt(be.p)
+    free = Lin(be.p)
     for ((a1m, a1k), (a2m, a2k)), ca in da.terms.items():
         for ((b1m, b1k), (b2m, b2k)), cb in db.terms.items():
-            pair = green_pairing(HallElt(be, {(a2m, a2k): one}),
-                                 HallElt(be, {(b1m, b1k): one}))
+            pair = green_pairing(basis(be, a2m, a2k), basis(be, b1m, b1k))
             if pair.is_zero():
                 continue
             if side == "HD":
@@ -930,39 +820,11 @@ def d_quasi(be, x):
 
     om-om pairs are never reordered: the double's crossing relation is not
     oriented.  Deterministic; used to align relation instances for
-    comparison, not to define a basis.
+    comparison, not to define a basis, so the result is a free element.
     """
-    out = {}
-    stack = list(x.terms.items())
-    budget = Budget("d_quasi", max_enum())
-    while stack:
-        w, c = stack.pop()
-        budget.spend(1)
-        hit = False
-        for i in range(len(w) - 1):
-            a, b = w[i], w[i + 1]
-            if a[0] == "KD" and b[0] == "KD":
-                if a[1] == b[1]:
-                    rep = _strip((("KD", a[1], add_class(a[2], b[2])),))
-                    stack.append((w[:i] + rep + w[i + 2:], c))
-                    hit = True
-                    break
-                if a[1] == 1:
-                    stack.append((w[:i] + (b, a) + w[i + 2:], c))
-                    hit = True
-                    break
-                continue
-            if a[0] == "om" and b[0] == "KD":
-                sym = be.sym_euler(b[2], be.class_dim(a[2]))
-                n = -sym if a[1] == b[1] else sym
-                stack.append((w[:i] + (b, a) + w[i + 2:],
-                              c * vpow(n, be.p)))
-                hit = True
-                break
-        if not hit:
-            s = out.get(w)
-            out[w] = c if s is None else s + c
-    return FreeElt(be.p, out)
+    alg = algebra("d", be)
+    return Lin(alg.q, _normalize_terms(alg, x.terms,
+                                       Budget("d_quasi", max_enum())))
 
 
 # ---------------------------------------------------------------------------
@@ -979,7 +841,7 @@ def _pm(sign):
 def _merge_free(alg, kind_builder, M, N, twisted=True):
     be = alg.be
     ex = be.euler_form(be.class_dim(M), be.class_dim(N))
-    out = FreeElt(alg.q)
+    out = Lin(alg.q)
     for lid, g in be.product_terms(M, N):
         c = SqrtScalar.of(g, alg.q)
         if twisted:
@@ -989,7 +851,7 @@ def _merge_free(alg, kind_builder, M, N, twisted=True):
 
 
 def _free_sum(alg, summands):
-    out = FreeElt(alg.q)
+    out = Lin(alg.q)
     for c, letters in summands:
         out = out + FreeElt.word(alg.q, letters, c)
     return out
@@ -1189,22 +1051,19 @@ def _drinfeld_instance(be, M, N):
     a = [N] in the minus copy and b = [M] in the plus copy.
     """
     q = be.p
-    one = SqrtScalar.one(q)
-    da = comult(HallElt.basis(be, N))
-    db = comult(HallElt.basis(be, M))
-    lhs = FreeElt(q)
-    rhs = FreeElt(q)
+    da = comult(basis(be, N))
+    db = comult(basis(be, M))
+    lhs = Lin(q)
+    rhs = Lin(q)
     for ((a1m, a1k), (a2m, a2k)), ca in da.terms.items():
         for ((b1m, b1k), (b2m, b2k)), cb in db.terms.items():
             c = ca * cb
-            p1 = green_pairing(HallElt(be, {(a1m, a1k): one}),
-                               HallElt(be, {(b2m, b2k): one}))
+            p1 = green_pairing(basis(be, a1m, a1k), basis(be, b2m, b2k))
             if not p1.is_zero():
                 lhs = lhs + FreeElt.word(
                     q, (OmPlus(b1m), KdPlus(b1k), OmMinus(a2m), KdMinus(a2k)),
                     c * p1)
-            p2 = green_pairing(HallElt(be, {(a2m, a2k): one}),
-                               HallElt(be, {(b1m, b1k): one}))
+            p2 = green_pairing(basis(be, a2m, a2k), basis(be, b1m, b1k))
             if not p2.is_zero():
                 rhs = rhs + FreeElt.word(
                     q, (OmMinus(a1m), KdMinus(a1k), OmPlus(b2m), KdPlus(b2k)),
@@ -1215,8 +1074,8 @@ def _drinfeld_instance(be, M, N):
 def _double_cross_instance(alg, M, N):
     be = alg.be
     mh, nh = be.class_dim(M), be.class_dim(N)
-    lhs = FreeElt(alg.q)
-    rhs = FreeElt(alg.q)
+    lhs = Lin(alg.q)
+    rhs = Lin(alg.q)
     for X, Y, xh, yh, lh in _cross_support(be, M, N):
         gam = gamma(be, M, N, X, Y)
         if not gam.is_zero():
@@ -1238,8 +1097,8 @@ def _double_cross_expanded(alg, M, N):
     be = alg.be
     q = alg.q
     mh, nh = be.class_dim(M), be.class_dim(N)
-    lhs = FreeElt(q)
-    rhs = FreeElt(q)
+    lhs = Lin(q)
+    rhs = Lin(q)
     for X, Y, xh, yh, lh in _cross_support(be, M, N):
         for L in be.iso_classes(lh):
             aaa = SqrtScalar.of(be.aut_count(X) * be.aut_count(Y)

@@ -1,4 +1,5 @@
-"""Exact arithmetic in Q(sqrt q): numbers a + b*v with v*v = q, q prime."""
+"""Exact arithmetic in Q(sqrt q): numbers a + b*v with v*v = q, q prime,
+and `Lin`, the finite Q(sqrt q)-linear combinations every element is."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -228,6 +229,88 @@ def _num_den(r):
     if not isinstance(r, Fraction):
         r = Fraction(r)
     return r.numerator, r.denominator
+
+
+def accumulate(out, key, c):
+    """out[key] += c, where a key out lacks starts at c."""
+    s = out.get(key)
+    out[key] = c if s is None else s + c
+
+
+class Lin:
+    """A finite combination sum c_k * k of keys with SqrtScalar coefficients.
+
+    `terms` maps each key to its coefficient; zero coefficients are dropped.
+    `label` names the algebra the keys belong to, and only elements with the
+    same label and q add or compare equal:
+
+        None                  free words, tuples of letters
+        an Algebra            normal words of that presented algebra
+        (Algebra, Algebra)    pairs of normal words: its tensor square
+        a backend             Hall symbols (mid, alpha) of its Hall algebra
+        (backend, backend)    pairs of Hall symbols: the tensor square
+
+    `canonical` is False on a normal form that holds a word outside the
+    cyclic two-residue contract; a sum is canonical if both summands are.
+    The constructors that know each key format live with it (`hall.basis`,
+    `presented.FreeElt.word`, `presented.tensor_unit`, ...).
+    """
+
+    __slots__ = ("q", "terms", "label", "canonical")
+
+    def __init__(self, q, terms=None, label=None, canonical=True):
+        self.q = q
+        self.terms = ({k: c for k, c in terms.items() if not c.is_zero()}
+                      if terms else {})
+        self.label = label
+        self.canonical = canonical
+
+    def _check(self, other):
+        if (other.label is not self.label and other.label != self.label) \
+                or other.q != self.q:
+            raise ValueError("cannot combine an element of %r over q=%d"
+                             " with one of %r over q=%d"
+                             % (self.label, self.q, other.label, other.q))
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            accumulate(out, key, c)
+        return Lin(self.q, out, self.label,
+                   self.canonical and other.canonical)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        if not isinstance(c, SqrtScalar):
+            c = SqrtScalar.of(c, self.q)
+        return Lin(self.q, {k: s * c for k, s in self.terms.items()},
+                   self.label, self.canonical)
+
+    def __mul__(self, other):
+        """Concatenation of free words; elements of an algebra multiply
+        through that algebra (`hall.hmult`, `presented.pmult`, ...)."""
+        if self.label is not None or not isinstance(other, Lin) \
+                or other.label is not None:
+            raise TypeError("'*' concatenates free words only")
+        out = {}
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                accumulate(out, w1 + w2, c1 * c2)
+        return Lin(self.q, out)
+
+    def __eq__(self, other):
+        return (isinstance(other, Lin) and self.terms == other.terms
+                and self.q == other.q and (self.label is other.label
+                                           or self.label == other.label))
+
+    def is_zero(self):
+        return not self.terms
+
+    def __repr__(self):
+        return "Lin(q=%d, %r, %r)" % (self.q, self.label, self.terms)
 
 
 def scalar_arith(op, x, y):

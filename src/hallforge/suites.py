@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from .backend import A1ClosedFormBackend, make_backend
 from .caps import CapExceeded
 from .exprs import render_elt
-from .hall import (HallElt, bialgebra_check, coassoc_check,
+from .hall import (basis, bialgebra_check, coassoc_check,
                    green_formula_check, pairing_coproduct_check,
                    pairing_product_check)
 from .morphisms import (CheckReport, apply_hom, build_hom, check_relation,
@@ -219,23 +219,22 @@ def _build_green(be, cfg):
 def _build_bialgebra(be, cfg):
     objs = _objs(be, cfg.max_dim)
     alphas = _alphas(be, cfg)
-    basis = [(m, a) for m in objs for a in alphas]
+    symbols = [(m, a) for m in objs for a in alphas]
     insts = []
-    for m, a in basis:
+    for m, a in symbols:
         named = {"M": be.class_name(m), "alpha": list(a)}
 
         def fn(m=m, a=a, named=named):
-            ok = coassoc_check(HallElt.basis(be, m, a))
+            ok = coassoc_check(basis(be, m, a))
             return _plain("bialgebra", "coassoc", named, ok)
 
         insts.append(_Inst("coassoc", named, fn))
-    for (m, a), (n, b) in itertools.product(basis, repeat=2):
+    for (m, a), (n, b) in itertools.product(symbols, repeat=2):
         named = {"M": be.class_name(m), "alpha": list(a),
                  "N": be.class_name(n), "beta": list(b)}
 
         def fn(m=m, a=a, n=n, b=b, named=named):
-            ok = bialgebra_check(HallElt.basis(be, m, a),
-                                 HallElt.basis(be, n, b))
+            ok = bialgebra_check(basis(be, m, a), basis(be, n, b))
             return _plain("bialgebra", "comult-mult", named, ok)
 
         insts.append(_Inst("comult-mult", named, fn))
@@ -252,8 +251,7 @@ def _build_pairing(be, cfg):
                      "Z": be.class_name(z)}
 
             def fn(x=x, y=y, z=z, rel=rel, check=check, named=named):
-                ok = check(HallElt.basis(be, x), HallElt.basis(be, y),
-                           HallElt.basis(be, z))
+                ok = check(basis(be, x), basis(be, y), basis(be, z))
                 return _plain("pairing", rel, named, ok)
 
             insts.append(_Inst(rel, named, fn))

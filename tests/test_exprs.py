@@ -7,10 +7,10 @@ from hallforge.backend import QuiverBackend
 from hallforge.exprs import (ExprError, parse_expr, render_elt, render_tensor,
                              render_word)
 from hallforge.presented import (E, Kc, KPlus, KMinus, Kz, MuMinus, MuPlus,
-                                 NuPlus, OmPlus, Zg, algebra, embed,
+                                 NuPlus, OmPlus, Zg, algebra,
                                  normal_form, pmult, tensor_word, FreeElt)
 from hallforge.quiver import preset
-from hallforge.scalars import SqrtScalar, vpow
+from hallforge.scalars import Lin, SqrtScalar, vpow
 
 BE = QuiverBackend(preset("a2"), 2)
 HD = algebra("hd", BE)
@@ -44,7 +44,7 @@ def test_parse_scalars():
     assert parse_expr("3/2", HD) == w((), SqrtScalar.of(Fraction(3, 2), 2))
     assert parse_expr("v^2", HD) == w((), vpow(2, 2))
     assert parse_expr("-v", HD) == w((), -vpow(1, 2))
-    assert parse_expr("0", HD) == FreeElt(2, {})
+    assert parse_expr("0", HD) == Lin(2, {})
     assert parse_expr("2 - 1", HD) == w(())
 
 
@@ -85,7 +85,7 @@ def test_render_frozen():
     y = pmult(HD, w((MuPlus(S1),)), w((MuPlus(S2),)))
     assert render_elt(BE, y) == \
         "v^-1 mu+[X{1,1}#0] + v^-1 mu+[X{1,1}#1]"
-    assert render_elt(BE, FreeElt(2, {})) == "0"
+    assert render_elt(BE, Lin(2, {})) == "0"
     assert render_elt(BE, w(())) == "1"
     assert render_word(BE, (OmPlus(P),)) == "om+[X{1,1}#1]"
 
@@ -111,6 +111,6 @@ def test_parse_render_round_trip(data):
     coeff = SqrtScalar.of(Fraction(num, den), 2) * vpow(vexp, 2)
     if coeff.is_zero():
         coeff = SqrtScalar.one(2)
-    x = embed(normal_form(HD, w(word, coeff)), HD.q)
+    x = Lin(HD.q, normal_form(HD, w(word, coeff)).terms)
     text = render_elt(BE, x)
     assert parse_expr(text, HD) == x

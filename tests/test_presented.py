@@ -10,14 +10,15 @@ from hallforge.caps import Budget, CapExceeded
 from hallforge.presented import (Algebra, E, FreeElt, Kc, KcMinus, KcPlus,
                                  KMinus, KPlus, Kz, MuMinus,
                                  MuPlus, NuMinus, NuPlus,
-                                 OmPlus, TensorSquareElt, Zg, algebra, d_quasi,
-                                 embed, grading_check, hd_cross,
+                                 OmPlus, Zg, algebra, d_quasi,
+                                 grading_check, hd_cross,
                                  hd_cross_oracle, homogeneous_degree,
                                  is_torus, letter_mid, normal_form, pmult,
-                                 relation_instance, tensor_mult, tensor_word,
+                                 relation_instance, tensor_mult, tensor_unit,
+                                 tensor_word,
                                  twist_consistency_check, word_degree)
 from hallforge.quiver import preset
-from hallforge.scalars import SqrtScalar, vpow
+from hallforge.scalars import Lin, SqrtScalar, vpow
 
 BE = QuiverBackend(preset("a2"), 2)
 S1 = BE.classify(BE.simple_rep(0))
@@ -115,7 +116,7 @@ def test_idempotence():
             MuMinus(P), KPlus((0, 1))]
     for trip in itertools.product(gens, repeat=3):
         nf = normal_form(HD, w(trip))
-        again = normal_form(HD, embed(nf, HD.q))
+        again = normal_form(HD, Lin(HD.q, nf.terms))
         assert again == nf
         assert again.canonical
 
@@ -150,8 +151,8 @@ def test_associativity_sampled_other_tags():
                 warnings.simplefilter("ignore")
                 ab = normal_form(alg, a * b)
                 bc = normal_form(alg, b * c)
-                assert normal_form(alg, embed(ab, alg.q) * c) == \
-                    normal_form(alg, a * embed(bc, alg.q))
+                assert normal_form(alg, Lin(alg.q, ab.terms) * c) == \
+                    normal_form(alg, a * Lin(alg.q, bc.terms))
 
 
 def test_relation_instances_hold_in_engine():
@@ -319,7 +320,7 @@ def test_tensor_ops():
     zz = tensor_mult(z, tensor_word(algs, (KPlus((1, 0)),), ()))
     words = list(zz.terms)
     assert words[0][0][0][0] == "K"
-    assert tensor_mult(TensorSquareElt.unit(algs), x) == x
+    assert tensor_mult(tensor_unit(algs), x) == x
 
 
 def test_budget_guard():
@@ -336,17 +337,6 @@ def test_pmult_units():
     assert pmult(HD, one, x) == x
 
 
-def test_embed_zero_keeps_the_field():
-    # a zero NormalElt has no coefficient to read q from
-    be3 = QuiverBackend(preset("a2"), 3)
-    hd3 = Algebra("hd", be3)
-    zero = normal_form(hd3, FreeElt(3))
-    assert zero.is_zero()
-    one = FreeElt.word(3, ())
-    assert embed(zero, hd3.q) == FreeElt(3)
-    assert embed(zero, hd3.q) - one == one.scale(-1)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_random_words_idempotent(data):
@@ -357,7 +347,7 @@ def test_random_words_idempotent(data):
     n = data.draw(st.integers(min_value=0, max_value=3))
     word = tuple(data.draw(st.sampled_from(letters)) for _ in range(n))
     nf = normal_form(HD, w(word))
-    assert normal_form(HD, embed(nf, HD.q)) == nf
+    assert normal_form(HD, Lin(HD.q, nf.terms)) == nf
     deg = word_degree(HD, word)
     for word2 in nf.terms:
         assert word_degree(HD, word2) == deg
@@ -401,7 +391,7 @@ def _draw_elt(data, alg, max_len):
     words = data.draw(st.lists(
         st.lists(st.sampled_from(LETTERS[alg]), max_size=max_len)
         .map(tuple), min_size=1, max_size=2))
-    out = FreeElt(2)
+    out = Lin(2)
     for word in words:
         out = out + w(word, vpow(data.draw(st.integers(-2, 2)), 2))
     return words, out
@@ -466,7 +456,8 @@ def test_pmult_matches_normal_form_of_free_product(data):
         na, nb = normal_form(alg, a), normal_form(alg, b)
         for left, right in ((na, nb), (na, b), (a, nb), (a, b)):
             got = pmult(alg, left, right)
-            want = normal_form(alg, embed(left, alg.q) * embed(right, alg.q))
+            want = normal_form(alg, Lin(alg.q, left.terms)
+                               * Lin(alg.q, right.terms))
             assert got == want
             assert got.canonical == want.canonical
 
@@ -476,7 +467,8 @@ def test_pmult_of_normal_factors_spends_the_same_visits(monkeypatch):
     # reference's visit count is exactly the cap pmult needs
     a = normal_form(HD, w((MuMinus(S1), MuPlus(S2))))
     b = normal_form(HD, w((MuMinus(S2), MuPlus(S1))))
-    want, visits = _reference_normalize(HD, (embed(a, 2) * embed(b, 2)).terms)
+    want, visits = _reference_normalize(
+        HD, (Lin(2, a.terms) * Lin(2, b.terms)).terms)
     assert visits > 1
     assert pmult(HD, a, b).terms == want
     monkeypatch.setenv("HALLFORGE_MAX_ENUM", str(visits))
@@ -500,19 +492,19 @@ def test_tensor_mult_matches_legwise_normal_form(data):
     assume(max(_dims([u for _, u in x_legs] + [y_legs[1]])) <= 3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        x = TensorSquareElt(algs)
+        x = Lin(2, {}, algs)
         for u1, u2 in x_legs:
             x = x + tensor_word(algs, u1, u2)
         y = tensor_word(algs, *y_legs)
         got = tensor_mult(x, y)
-        want = TensorSquareElt(algs)
+        want = Lin(2, {}, algs)
         for (u1, u2), c in x.terms.items():
             for (w1, w2), d in y.terms.items():
                 left = normal_form(alg, w(u1 + w1, c * d))
                 right = normal_form(alg, w(u2 + w2))
-                want = want + TensorSquareElt(algs, {
+                want = want + Lin(2, {
                     (lw, rw): lc * rc for lw, lc in left.terms.items()
-                    for rw, rc in right.terms.items()})
+                    for rw, rc in right.terms.items()}, algs)
     assert got == want
 
 
@@ -588,7 +580,7 @@ def test_pmult_three_residues_not_canonical():
         assert any("two-residue" in str(g.message) for g in got)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert prod == normal_form(DH4, embed(a, 2) * embed(b, 2))
+            assert prod == normal_form(DH4, Lin(2, a.terms) * Lin(2, b.terms))
 
 
 def test_pmult_rejects_the_double():

@@ -4,7 +4,14 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from hallforge.scalars import SqrtScalar, is_prime, render_scalar, scalar_arith, vpow
+from hallforge import hall
+from hallforge.backend import QuiverBackend
+from hallforge.presented import (FreeElt, MuMinus, MuPlus, NuPlus, algebra,
+                                 normal_form, tensor_mult, tensor_unit,
+                                 tensor_word)
+from hallforge.quiver import preset
+from hallforge.scalars import (Lin, SqrtScalar, is_prime, render_scalar,
+                               scalar_arith, vpow)
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 operands = st.one_of(st.integers(-6, 6), rationals)
@@ -211,3 +218,100 @@ def test_rational_hash_agrees_with_int_and_fraction():
     assert {Fraction(2, 2): "one"}[one] == "one"
     assert {Fraction(1, 2): "half"}[half] == "half"
     assert SqrtScalar(1, 1, 2) not in {1: None, Fraction(1, 2): None}
+
+
+# -- Lin: one combination type for every kind of element ---------------
+
+BE3 = QuiverBackend(preset("a2"), 3)
+S1 = BE3.class_by_name("S1")
+S2 = BE3.class_by_name("S2")
+HD3 = algebra("hd", BE3)
+HD3_HHD3 = (HD3, algebra("hhd", BE3))
+ZERO3 = SqrtScalar.zero(3)
+
+
+def _free():
+    return (FreeElt.word(3, (MuPlus(S1), MuMinus(S2)))
+            + FreeElt.word(3, (MuMinus(S1),)))
+
+
+# kind -> (an element x of two or more terms, the kind's one, a zero built
+# by the kind's own constructor)
+KINDS = {
+    "free": lambda: (_free(), FreeElt.unit(3), FreeElt.word(3, (), ZERO3)),
+    "normal": lambda: (normal_form(HD3, FreeElt.word(3, (MuPlus(S1),
+                                                          MuMinus(S1)))),
+                       normal_form(HD3, FreeElt.unit(3)),
+                       normal_form(HD3, Lin(3))),
+    "tensor": lambda: (tensor_word(HD3_HHD3, (MuPlus(S1),), (NuPlus(S2),))
+                       + tensor_unit(HD3_HHD3),
+                       tensor_unit(HD3_HHD3),
+                       tensor_word(HD3_HHD3, (), (), ZERO3)),
+    "hall": lambda: (hall.basis(BE3, S1) + hall.torus(BE3, (1, 0)),
+                     hall.unit(BE3),
+                     hall.basis(BE3, 0, coeff=ZERO3)),
+    "hall-tensor": lambda: (hall.comult(hall.basis(BE3, S1, (0, 1))),
+                            hall.comult(hall.unit(BE3)),
+                            hall.comult(hall.basis(BE3, 0, coeff=ZERO3))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_lin_contract(kind):
+    x, one, zero = KINDS[kind]()
+    label = x.label
+    assert isinstance(x, Lin) and len(x.terms) >= 2
+    assert one.label == label and zero.label == label
+    # zero coefficients drop on construction and after + and -
+    key = next(iter(x.terms))
+    assert Lin(3, {key: ZERO3}, label).terms == {}
+    assert zero.is_zero() and zero.terms == {}
+    assert (x - x).is_zero() and (x - x).terms == {}
+    part = Lin(3, {key: x.terms[key]}, label)
+    assert key not in (x - part).terms
+    assert (x - part) + part == x
+    assert (x + x.scale(-1)).terms == {}
+    assert x.scale(0).is_zero()
+    # a zero still knows its field, q=3 here
+    assert zero.q == 3
+    assert zero - one == one.scale(-1)
+    assert zero + one == one
+    # the same terms under another label are another element
+    free = Lin(3, x.terms)
+    assert (free == x) == (label is None)
+    if label is None:
+        assert x * one == x
+    else:
+        with pytest.raises(ValueError):
+            x + free
+        with pytest.raises(ValueError):
+            free - x
+        with pytest.raises(TypeError):
+            x * x
+        with pytest.raises(TypeError):
+            one * x
+    with pytest.raises(ValueError):
+        x + Lin(2, {}, label)
+    with pytest.raises(TypeError):
+        hash(x)
+
+
+def test_lin_free_and_normal_words_differ():
+    nf = normal_form(HD3, FreeElt.word(3, (MuPlus(S1),)))
+    free = FreeElt.word(3, (MuPlus(S1),))
+    assert nf.terms == free.terms
+    assert nf != free and free != nf
+
+
+def test_tensor_mult_rejects_different_pairs():
+    x = tensor_word(HD3_HHD3, (MuPlus(S1),), ())
+    y = tensor_word((HD3, HD3), (MuPlus(S2),), ())
+    with pytest.raises(ValueError):
+        tensor_mult(x, y)
+    assert tensor_mult(x, tensor_unit(HD3_HHD3)) == x
+
+
+def test_hmult_rejects_different_backends():
+    other = QuiverBackend(preset("a2"), 3)
+    with pytest.raises(ValueError):
+        hall.hmult(hall.unit(BE3), hall.unit(other))
