@@ -4,8 +4,8 @@ from .backend import A1ClosedFormBackend, QuiverBackend, make_backend
 from .caps import Budget, CapExceeded
 from .exprs import ExprError, parse_expr, render_elt
 from .hall import comult, green_pairing, hmult
-from .morphisms import (CheckReport, GenMap, apply_hom, build_hom,
-                        check_relation, double_monomials, rank_independence)
+from .morphisms import (GenMap, apply_hom, build_hom, check_relation,
+                        double_monomials, rank_independence)
 from .presented import (Algebra, algebra, normal_form, pmult,
                         relation_instance, tensor_mult)
 from .quiver import PRESETS, Quiver, load_quiver, preset
@@ -14,7 +14,7 @@ from .suites import DEFAULT_SEED, SUITES, RunConfig, exit_code, run_suite
 
 __all__ = [
     "A1ClosedFormBackend", "Algebra", "Budget", "CapExceeded",
-    "CheckReport", "DEFAULT_SEED", "ExprError", "GenMap", "Lin", "PRESETS",
+    "DEFAULT_SEED", "ExprError", "GenMap", "Lin", "PRESETS",
     "Quiver", "QuiverBackend", "RunConfig", "SUITES", "SqrtScalar", "algebra",
     "apply_hom", "build_hom", "check_relation", "comult",
     "double_monomials", "exit_code", "green_pairing", "hmult",

@@ -26,7 +26,7 @@ def _cmd_verify(args):
     cfg = RunConfig(suite=args.suite, quiver=args.quiver, q=args.q,
                     m=args.m, i=args.i, max_dim=args.max_dim,
                     idx_window=args.idx_window, threads=args.threads,
-                    seed=args.seed, out=args.out)
+                    seed=args.seed)
     report = run_suite(cfg)
     if args.out:
         with open(args.out, "w") as fh:
@@ -38,9 +38,10 @@ def _cmd_verify(args):
     for fail in report["failures"][:_MAX_FAILURE_LINES]:
         print("FAIL %s %s" % (fail["relation"],
                               json.dumps(fail["params"], sort_keys=True)))
-        if fail.get("lhs") is not None:
-            print("  lhs: %s" % fail["lhs"])
-            print("  rhs: %s" % fail["rhs"])
+        print("  lhs: %s" % fail["lhs"])
+        print("  rhs: %s" % fail["rhs"])
+        if fail["note"]:
+            print("  note: %s" % fail["note"])
     extra = len(report["failures"]) - _MAX_FAILURE_LINES
     if extra > 0:
         print("... and %d more failures" % extra)

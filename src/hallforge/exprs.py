@@ -191,9 +191,7 @@ class _Parser:
                             (name, "requires" if indexed else "does not take"),
                             pos)
         self.sc.take("]")
-        if kind in ("e", "Z"):
-            letter = (kind, arg, idx)
-        elif kind in ("k", "KZ"):
+        if indexed:
             letter = (kind, arg, idx)
         else:
             letter = (kind, sign, arg)
@@ -341,6 +339,14 @@ def render_tensor(be, x):
 
 
 def render_any(be, x):
+    """Text of a compared value: an element (tensor squares included), a
+    scalar, an int, or "" for None."""
+    if x is None:
+        return ""
+    if isinstance(x, SqrtScalar):
+        return render_scalar(x)
+    if isinstance(x, int):
+        return str(x)
     if isinstance(x.label, tuple):
         return render_tensor(be, x)
     return render_elt(be, x)

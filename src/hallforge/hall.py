@@ -15,10 +15,6 @@ def _vp(be, n):
     return vpow(n, be.q)
 
 
-def aut_scalar(be, cid):
-    return SqrtScalar.of(be.aut_count(cid), be.q)
-
-
 def _elt(be, terms):
     """A Hall element: a Lin of (mid, alpha) symbols labelled by `be`."""
     return Lin(be.q, terms, be)

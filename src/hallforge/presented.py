@@ -235,10 +235,10 @@ def tensor_unit(algs):
 # ---------------------------------------------------------------------------
 # pair rules
 
-def _hall_merge(alg, a, b, rebuild, twisted=True, untwisted_q=False):
-    """Merge two same-kind module letters through the Hall product."""
+def _hall_merge(alg, M, N, rebuild, twisted=True):
+    """Merge two same-kind module letters of objects M, N through the Hall
+    product: (coeff, letters) summands, the unit letter dropped."""
     be = alg.be
-    M, N = letter_mid(a), letter_mid(b)
     mh, nh = be.class_dim(M), be.class_dim(N)
     ex = be.euler_form(mh, nh)
     out = []
@@ -346,7 +346,8 @@ def _reduce_hd(alg, a, b):
         return [(alg.v(n), (b, a))]
     if ka == "mu" and kb == "mu":
         if a[1] == b[1]:
-            return _hall_merge(alg, a, b, lambda L: ("mu", a[1], L))
+            return _hall_merge(alg, letter_mid(a), letter_mid(b),
+                               lambda L: ("mu", a[1], L))
         if a[1] == 1:
             return _hd_cross_terms(alg, a[2], b[2])
         return None
@@ -373,7 +374,8 @@ def _reduce_hhd(alg, a, b):
         return [(alg.v(n), (b, a))]
     if ka == "nu" and kb == "nu":
         if a[1] == b[1]:
-            return _hall_merge(alg, a, b, lambda L: ("nu", a[1], L))
+            return _hall_merge(alg, letter_mid(a), letter_mid(b),
+                               lambda L: ("nu", a[1], L))
         if a[1] == -1:
             return _hhd_cross_terms(alg, a[2], b[2])
         return None
@@ -414,7 +416,8 @@ def _reduce_dhm(alg, a, b):
         return [(alg.v(n), (b, a))]
     if ka == "e" and kb == "e":
         if a[2] == b[2]:
-            return _hall_merge(alg, a, b, lambda L: E(L, a[2]))
+            return _hall_merge(alg, letter_mid(a), letter_mid(b),
+                               lambda L: E(L, a[2]))
         if _cyc_succ(alg, a[2], b[2]):
             return _e_cross_terms(alg, a[1], b[1], b[2])
         if _cyc_succ(alg, b[2], a[2]):
@@ -428,7 +431,8 @@ def _reduce_dhm(alg, a, b):
 def _reduce_dh(alg, a, b):
     be = alg.be
     if a[2] == b[2]:
-        return _hall_merge(alg, a, b, lambda L: Zg(L, a[2]), twisted=False)
+        return _hall_merge(alg, letter_mid(a), letter_mid(b),
+                           lambda L: Zg(L, a[2]), twisted=False)
     d = a[2] - b[2]
     if d == 1:
         return _z_cross_terms(alg, a[1], b[1], b[2], twisted=False)
@@ -442,7 +446,8 @@ def _reduce_dh(alg, a, b):
 def _reduce_z_twisted(alg, a, b):
     be = alg.be
     if a[2] == b[2]:
-        return _hall_merge(alg, a, b, lambda L: Zg(L, a[2]))
+        return _hall_merge(alg, letter_mid(a), letter_mid(b),
+                           lambda L: Zg(L, a[2]))
     d = a[2] - b[2]
     if d == 1:
         return _z_cross_terms(alg, a[1], b[1], b[2], twisted=True)
@@ -838,18 +843,6 @@ def _pm(sign):
     raise ValueError("bad sign %r" % (sign,))
 
 
-def _merge_free(alg, kind_builder, M, N, twisted=True):
-    be = alg.be
-    ex = be.euler_form(be.class_dim(M), be.class_dim(N))
-    out = Lin(alg.q)
-    for lid, g in be.product_terms(M, N):
-        c = SqrtScalar.of(g, alg.q)
-        if twisted:
-            c = c * alg.v(ex)
-        out = out + FreeElt.word(alg.q, (kind_builder(lid),), c)
-    return out
-
-
 def _free_sum(alg, summands):
     out = Lin(alg.q)
     for c, letters in summands:
@@ -877,7 +870,8 @@ def relation_instance(alg, rel_id, params):
 
     if rel_id == "2.3":
         lhs = word(("mu", sign, M), ("mu", sign, N))
-        return lhs, _merge_free(alg, lambda L: ("mu", sign, L), M, N)
+        return lhs, _free_sum(alg, _hall_merge(
+            alg, M, N, lambda L: ("mu", sign, L)))
     if rel_id == "2.4":
         c = alg.v(be.sym_euler(alpha, be.class_dim(M)))
         lhs = word(("K", sign, alpha), ("mu", sign, M))
@@ -901,7 +895,8 @@ def relation_instance(alg, rel_id, params):
         return lhs, _free_sum(alg, _hd_cross_terms(alg, M, N))
     if rel_id == "2.8":
         lhs = word(("nu", sign, M), ("nu", sign, N))
-        return lhs, _merge_free(alg, lambda L: ("nu", sign, L), M, N)
+        return lhs, _free_sum(alg, _hall_merge(
+            alg, M, N, lambda L: ("nu", sign, L)))
     if rel_id == "2.9":
         c = alg.v(be.sym_euler(alpha, be.class_dim(M)))
         lhs = word(("Kc", sign, alpha), ("nu", sign, M))
@@ -927,7 +922,8 @@ def relation_instance(alg, rel_id, params):
         return _drinfeld_instance(be, M, N)
     if rel_id == "2.14":
         lhs = word(("om", sign, M), ("om", sign, N))
-        return lhs, _merge_free(alg, lambda L: ("om", sign, L), M, N)
+        return lhs, _free_sum(alg, _hall_merge(
+            alg, M, N, lambda L: ("om", sign, L)))
     if rel_id == "2.15":
         c = alg.v(be.sym_euler(alpha, be.class_dim(M)))
         lhs = word(("KD", sign, alpha), ("om", sign, M))
@@ -977,8 +973,8 @@ def relation_instance(alg, rel_id, params):
     if rel_id == "4.3":
         a, b = alg.canon_letter(E(M, i)), alg.canon_letter(E(N, i))
         lhs = word(a, b)
-        rhs = _merge_free(alg, lambda L: E(L, a[2]), M, N)
-        return lhs, rhs
+        return lhs, _free_sum(alg, _hall_merge(
+            alg, M, N, lambda L: E(L, a[2])))
     if rel_id == "4.4":
         lo = alg.canon_letter(E(N, i))[2]
         hi = (lo + 1) % alg.m if alg.m else lo + 1
@@ -990,7 +986,8 @@ def relation_instance(alg, rel_id, params):
         return lhs, word(b, a)
     if rel_id == "4.6":
         lhs = word(Zg(M, i), Zg(N, i))
-        return lhs, _merge_free(alg, lambda L: Zg(L, i), M, N, twisted=False)
+        return lhs, _free_sum(alg, _hall_merge(
+            alg, M, N, lambda L: Zg(L, i), twisted=False))
     if rel_id == "4.7":
         lhs = word(Zg(M, i + 1), Zg(N, i))
         return lhs, _free_sum(alg, _z_cross_terms(alg, M, N, i, twisted=False))
@@ -1029,7 +1026,8 @@ def relation_instance(alg, rel_id, params):
         return lhs, word(Zg(M, j), Kz(alpha, i)).scale(alg.v(n))
     if rel_id == "4.15":
         lhs = word(Zg(M, i), Zg(N, i))
-        return lhs, _merge_free(alg, lambda L: Zg(L, i), M, N)
+        return lhs, _free_sum(alg, _hall_merge(
+            alg, M, N, lambda L: Zg(L, i)))
     if rel_id == "4.16":
         lhs = word(Zg(M, i + 1), Zg(N, i))
         return lhs, _free_sum(alg, _z_cross_terms(alg, M, N, i, twisted=True))

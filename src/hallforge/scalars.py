@@ -101,9 +101,6 @@ class SqrtScalar:
     def is_zero(self):
         return self._an == 0 and self._bn == 0
 
-    def is_rational(self):
-        return self._bn == 0
-
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -311,21 +308,6 @@ class Lin:
 
     def __repr__(self):
         return "Lin(q=%d, %r, %r)" % (self.q, self.label, self.terms)
-
-
-def scalar_arith(op, x, y):
-    """add|sub|mul|div|neg on SqrtScalars sharing one q."""
-    if op == "neg":
-        return -x
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError("unknown op %r" % (op,))
 
 
 def vpow(n, q):

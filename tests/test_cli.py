@@ -80,6 +80,24 @@ def test_cap_exceeded_exit(monkeypatch, capsys):
     assert rc == 3 and "cap" in err.lower()
 
 
+def test_verify_cap_hits_print_their_note(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("HALLFORGE_MAX_ENUM", "8")
+    out = tmp_path / "report.json"
+    rc, text, _ = run(capsys, "verify", "--suite", "kappa", "--max-dim", "1",
+                      "--out", str(out))
+    assert rc == 3
+    note = "enumeration cap exceeded in subobjects (spent 9, limit 8)"
+    assert "948/972 passed, 24 cap hits" in text
+    assert ('FAIL 2.3 {"M": "S2", "N": "S2", "map": "kappa(0,-1)", '
+            '"sign": 1}\n  lhs: \n  rhs: \n  note: %s\n' % note) in text
+    report = json.loads(out.read_text())
+    assert report["cap_hits"] == len(report["failures"]) == 24
+    assert report["failures"][0] == {
+        "relation": "2.3",
+        "params": {"sign": 1, "M": "S2", "N": "S2", "map": "kappa(0,-1)"},
+        "lhs": "", "rhs": "", "note": note}
+
+
 def test_verify_writes_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc, text, _ = run(capsys, "verify", "--suite", "backend-oracle",

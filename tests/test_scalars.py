@@ -10,8 +10,7 @@ from hallforge.presented import (FreeElt, MuMinus, MuPlus, NuPlus, algebra,
                                  normal_form, tensor_mult, tensor_unit,
                                  tensor_word)
 from hallforge.quiver import preset
-from hallforge.scalars import (Lin, SqrtScalar, is_prime, render_scalar,
-                               scalar_arith, vpow)
+from hallforge.scalars import Lin, SqrtScalar, is_prime, render_scalar, vpow
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 operands = st.one_of(st.integers(-6, 6), rationals)
@@ -23,10 +22,10 @@ def sq(a, b, q=2):
 
 def test_frozen_products():
     # (1 + v)(1 - v) = 1 - q
-    assert scalar_arith("mul", sq(1, 1), sq(1, -1)) == sq(-1, 0)
+    assert sq(1, 1) * sq(1, -1) == sq(-1, 0)
     # v * v = q
-    assert scalar_arith("mul", sq(0, 1), sq(0, 1)) == sq(2, 0)
-    assert scalar_arith("add", sq(3, -2), SqrtScalar.zero(2)) == sq(3, -2)
+    assert sq(0, 1) * sq(0, 1) == sq(2, 0)
+    assert sq(3, -2) + SqrtScalar.zero(2) == sq(3, -2)
 
 
 def test_vpow_frozen():

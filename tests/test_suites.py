@@ -3,7 +3,8 @@ import threading
 import pytest
 
 from hallforge.backend import make_backend
-from hallforge.suites import (RunConfig, _BUILDERS, _index_window, _plain,
+from hallforge.caps import CapExceeded
+from hallforge.suites import (RunConfig, _BUILDERS, _index_window, _run_one,
                               run_suite)
 
 BE = make_backend("a2", 2)
@@ -31,8 +32,8 @@ def test_alphas_window_is_configurable():
 
 def test_instance_order_is_stable():
     cfg = RunConfig(suite="heis-oracle", max_dim=2)
-    a = [(i.rel, i.params) for i in _BUILDERS["heis-oracle"](BE, cfg)]
-    b = [(i.rel, i.params) for i in _BUILDERS["heis-oracle"](BE, cfg)]
+    a = [(rel, prm) for rel, prm, _ in _BUILDERS["heis-oracle"](BE, cfg)]
+    b = [(rel, prm) for rel, prm, _ in _BUILDERS["heis-oracle"](BE, cfg)]
     assert a == b
 
 
@@ -58,11 +59,25 @@ def test_run_suite_starts_no_thread(monkeypatch):
     assert rep["instances"] == rep["passes"] == 155
 
 
-def test_plain_renders_sides_only_on_failure():
-    def render():
+class _Unrenderable:
+    @property
+    def label(self):
         raise AssertionError("a passing check was rendered")
 
-    assert _plain("m", "r", {}, True, render).lhs is None
-    failed = _plain("m", "r", {}, False, lambda: ("L", "R"), note="n")
-    assert (failed.lhs, failed.rhs, failed.note) == ("L", "R", "n")
-    assert _plain("m", "r", {}, False).lhs is None
+
+def test_run_one_renders_sides_only_on_failure():
+    side = _Unrenderable()
+    assert _run_one(BE, ("r", {}, lambda: (True, side, side))) is None
+    failed = _run_one(BE, ("r", {"M": "S1"}, lambda: (False, 3, 4)))
+    assert failed == {"relation": "r", "params": {"M": "S1"},
+                      "lhs": "3", "rhs": "4", "note": ""}
+    assert _run_one(BE, ("r", {}, lambda: (False, None, None)))["lhs"] == ""
+
+
+def test_run_one_turns_a_cap_hit_into_a_noted_failure():
+    def capped():
+        raise CapExceeded("subobjects", 8, 9)
+
+    assert _run_one(BE, ("r", {}, capped)) == {
+        "relation": "r", "params": {}, "lhs": "", "rhs": "",
+        "note": "enumeration cap exceeded in subobjects (spent 9, limit 8)"}
