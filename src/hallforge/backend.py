@@ -667,10 +667,6 @@ class QuiverBackend:
             self._products[(mid, nid)] = got
         return got
 
-    def middle_terms(self, outer, inner):
-        """The classes L with g^L_{MN} > 0, in `product_terms` order."""
-        return [lid for lid, _ in self.product_terms(outer, inner)]
-
 
 class A1ClosedFormBackend:
     """Closed-form oracle for the one-vertex quiver: subspace counts are

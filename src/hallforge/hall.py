@@ -8,7 +8,7 @@ labelled by its backend; its coproduct is a `Lin` of symbol pairs labelled
 from fractions import Fraction
 
 from .quiver import add_class, sub_class
-from .scalars import Lin, SqrtScalar, accumulate, render_scalar, vpow
+from .scalars import Lin, SqrtScalar, accumulate, vpow
 
 
 def _vp(be, n):
@@ -195,32 +195,3 @@ def pairing_coproduct_check(x, y, z):
             * green_pairing(basis(be, *k2), z)
     return lhs == rhs
 
-
-# -- rendering -------------------------------------------------------
-
-def _render_basis(be, mid, alpha):
-    parts = []
-    if mid != 0:
-        parts.append(f"[{be.class_name(mid)}]")
-    if any(alpha):
-        parts.append("K{(" + ",".join(str(a) for a in alpha) + ")}")
-    return "".join(parts) or "1"
-
-
-def render_hall(x):
-    if not x.terms:
-        return "0"
-    be = x.label
-    chunks = []
-    for (mid, alpha), c in sorted(
-            x.terms.items(),
-            key=lambda kv: (be.class_sort_key(kv[0][0]), kv[0][1])):
-        sym = _render_basis(be, mid, alpha)
-        cs = render_scalar(c)
-        if sym == "1":
-            chunks.append(cs)
-        elif cs == "1":
-            chunks.append(sym)
-        else:
-            chunks.append(f"{cs} * {sym}")
-    return " + ".join(chunks)

@@ -1,13 +1,15 @@
 """Verification suites: ordered check fans folded into one JSON report.
 
-Every suite expands a RunConfig into a list of instances whose order is
-fixed by construction: plain `(relation, params, check)` triples, where
-`params` is the JSON-ready dict the report shows and `check()` returns
-`(ok, lhs, rhs)` with the compared values unrendered (an element, a
-scalar, an int, or None for checks without sides).  `_run_one` runs one
-instance: it is the one place that catches a cap hit and renders the
-sides, only for a failure.  `run_suite` runs the instances in order on
-the calling thread and counts passes, failures and cap hits.
+Every suite's builder is a generator that expands a RunConfig into its
+instances, in an order fixed by construction: plain `(relation, params,
+check)` triples, where `params` is the JSON-ready dict the report shows
+and `check()` returns `(ok, lhs, rhs)` with the compared values
+unrendered (an element, a scalar, an int, or None for checks without
+sides).  `_run_one` runs one instance: it is the one place that catches
+a cap hit and renders the sides, only for a failure.  `run_suite` pulls
+the instances one at a time on the calling thread, runs each as it is
+built and counts instances, passes, failures and cap hits; no list of
+instances is ever held.
 `RunConfig.threads` (the CLI's `--threads`) is accepted but ignored: the
 checks are pure Python under one interpreter lock, and a thread pool over
 them measured slower than one thread.  Two runs of one configuration
@@ -28,13 +30,15 @@ from .exprs import render_any
 from .hall import (basis, bialgebra_check, coassoc_check,
                    green_formula_check, pairing_coproduct_check,
                    pairing_product_check)
-from .morphisms import (apply_hom, build_hom, check_relation,
-                        double_monomials, rank_independence, tensor_apply)
+from .morphisms import (SOURCE_RELATIONS, apply_hom, build_hom,
+                        check_relation, double_monomials, rank_independence,
+                        tensor_apply)
 from .presented import (E, FreeElt, Kc, KPlus, KMinus, KcPlus, KcMinus,
                         Kz, MuPlus, MuMinus, NuPlus, NuMinus, Zg, algebra,
                         d_quasi, grading_check, hd_cross, hd_cross_oracle,
-                        normal_form, pmult, relation_instance)
-from .quiver import neg_class, quiver_from_arg
+                        is_torus, letter_mid, normal_form, pmult,
+                        relation_instance)
+from .quiver import add_class, neg_class, quiver_from_arg
 
 DEFAULT_SEED = 1729
 
@@ -91,37 +95,35 @@ def _named(be, prm):
     return out
 
 
-# relation/variant tables per two-sided source presentation
-_FAMILY_RELS = {
-    "hd": ("2.3", "2.4", "2.5", "2.6", "2.7", ("K-mu+", "K+mu-")),
-    "hhd": ("2.8", "2.9", "2.10", "2.11", "2.12", ("Kc+nu-", "Kc-nu+")),
-    "d": ("2.14", "2.15", "2.16", "2.17", "2.18", ("K-om+", "K+om-")),
+# torus-module cross variants per two-sided source presentation
+_CROSS_VARIANTS = {
+    "hd": ("K-mu+", "K+mu-"),
+    "hhd": ("Kc+nu-", "Kc-nu+"),
+    "d": ("K-om+", "K+om-"),
 }
 
 
 def _family_relation_params(objs, alphas, family):
-    merge, kmod, ktor, kcross, cross, variants = _FAMILY_RELS[family]
-    out = []
+    merge, kmod, ktor, kcross, cross = SOURCE_RELATIONS[family]
     for sign in (1, -1):
         for m, n in itertools.product(objs, repeat=2):
-            out.append((merge, {"sign": sign, "M": m, "N": n}))
+            yield merge, {"sign": sign, "M": m, "N": n}
     for sign in (1, -1):
         for a in alphas:
             for m in objs:
-                out.append((kmod, {"sign": sign, "alpha": a, "M": m}))
+                yield kmod, {"sign": sign, "alpha": a, "M": m}
     for sign in (1, -1):
         for a, b in itertools.product(alphas, repeat=2):
-            out.append((ktor, {"variant": "merge", "sign": sign,
-                               "alpha": a, "beta": b}))
+            yield ktor, {"variant": "merge", "sign": sign,
+                         "alpha": a, "beta": b}
     for a, b in itertools.product(alphas, repeat=2):
-        out.append((ktor, {"variant": "cross", "alpha": a, "beta": b}))
-    for var in variants:
+        yield ktor, {"variant": "cross", "alpha": a, "beta": b}
+    for var in _CROSS_VARIANTS[family]:
         for a in alphas:
             for m in objs:
-                out.append((kcross, {"variant": var, "alpha": a, "M": m}))
+                yield kcross, {"variant": var, "alpha": a, "M": m}
     for m, n in itertools.product(objs, repeat=2):
-        out.append((cross, {"M": m, "N": n}))
-    return out
+        yield cross, {"M": m, "N": n}
 
 
 def _dhce_relation_params(objs, alphas, w):
@@ -129,50 +131,45 @@ def _dhce_relation_params(objs, alphas, w):
     # it (adjacent K pairs belong to 4.11, same-level to 4.10), so the
     # windows below enumerate only the legal combinations
     idxs = list(range(-w, w + 1))
-    out = []
     for i in idxs:
         for a, b in itertools.product(alphas, repeat=2):
-            out.append(("4.10", {"variant": "KK", "alpha": a,
-                                 "beta": b, "i": i}))
+            yield "4.10", {"variant": "KK", "alpha": a, "beta": b, "i": i}
         for a in alphas:
             for m in objs:
-                out.append(("4.10", {"variant": "KZ", "alpha": a,
-                                     "M": m, "i": i}))
+                yield "4.10", {"variant": "KZ", "alpha": a, "M": m, "i": i}
     for i, j in itertools.product(idxs, repeat=2):
         if i == j + 1 or abs(i - j) > 1:
             for a, b in itertools.product(alphas, repeat=2):
-                out.append(("4.11", {"alpha": a, "beta": b, "i": i, "j": j}))
+                yield "4.11", {"alpha": a, "beta": b, "i": i, "j": j}
     for i in range(-w, w):
         for a in alphas:
             for m in objs:
-                out.append(("4.12", {"alpha": a, "M": m, "i": i}))
+                yield "4.12", {"alpha": a, "M": m, "i": i}
     for i in range(-w + 1, w + 1):
         for a in alphas:
             for m in objs:
-                out.append(("4.13", {"alpha": a, "M": m, "i": i}))
+                yield "4.13", {"alpha": a, "M": m, "i": i}
     for i, j in itertools.product(idxs, repeat=2):
         if abs(i - j) > 1:
             for a in alphas:
                 for m in objs:
-                    out.append(("4.14", {"alpha": a, "M": m,
-                                         "i": i, "j": j}))
+                    yield "4.14", {"alpha": a, "M": m, "i": i, "j": j}
     for i in idxs:
         for m, n in itertools.product(objs, repeat=2):
-            out.append(("4.15", {"M": m, "N": n, "i": i}))
+            yield "4.15", {"M": m, "N": n, "i": i}
     for i in range(-w, w):
         for m, n in itertools.product(objs, repeat=2):
-            out.append(("4.16", {"M": m, "N": n, "i": i}))
+            yield "4.16", {"M": m, "N": n, "i": i}
     for i, j in itertools.product(idxs, repeat=2):
         if abs(i - j) > 1:
             for m, n in itertools.product(objs, repeat=2):
-                out.append(("4.17", {"M": m, "N": n, "i": i, "j": j}))
-    return out
+                yield "4.17", {"M": m, "N": n, "i": i, "j": j}
 
 
 def _morph_insts(be, h, pairs, extra=None):
-    return [(rel, _named(be, dict(prm, **(extra or {}))),
+    return ((rel, _named(be, dict(prm, **(extra or {}))),
              partial(check_relation, h, rel, prm))
-            for rel, prm in pairs]
+            for rel, prm in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +177,6 @@ def _morph_insts(be, h, pairs, extra=None):
 
 def _build_green(be, cfg):
     objs = _objs(be, cfg.max_dim)
-    insts = []
     for m, n, mp, np_ in itertools.product(objs, repeat=4):
         named = _named(be, {"M": m, "N": n})
         named["M'"] = be.class_name(mp)
@@ -190,22 +186,20 @@ def _build_green(be, cfg):
             lhs, rhs, ok = green_formula_check(be, m, n, mp, np_)
             return ok, lhs, rhs
 
-        insts.append(("green", named, fn))
-    return insts
+        yield "green", named, fn
 
 
 def _build_bialgebra(be, cfg):
     objs = _objs(be, cfg.max_dim)
     alphas = _alphas(be, cfg)
     symbols = [(m, a) for m in objs for a in alphas]
-    insts = []
     for m, a in symbols:
         named = {"M": be.class_name(m), "alpha": list(a)}
 
         def fn(m=m, a=a):
             return coassoc_check(basis(be, m, a)), None, None
 
-        insts.append(("coassoc", named, fn))
+        yield "coassoc", named, fn
     for (m, a), (n, b) in itertools.product(symbols, repeat=2):
         named = {"M": be.class_name(m), "alpha": list(a),
                  "N": be.class_name(n), "beta": list(b)}
@@ -214,13 +208,11 @@ def _build_bialgebra(be, cfg):
             return (bialgebra_check(basis(be, m, a), basis(be, n, b)),
                     None, None)
 
-        insts.append(("comult-mult", named, fn))
-    return insts
+        yield "comult-mult", named, fn
 
 
 def _build_pairing(be, cfg):
     objs = _objs(be, cfg.max_dim)
-    insts = []
     for rel, check in (("pair-product", pairing_product_check),
                        ("pair-coproduct", pairing_coproduct_check)):
         for x, y, z in itertools.product(objs, repeat=3):
@@ -231,13 +223,11 @@ def _build_pairing(be, cfg):
                 return (check(basis(be, x), basis(be, y), basis(be, z)),
                         None, None)
 
-            insts.append((rel, named, fn))
-    return insts
+            yield rel, named, fn
 
 
 def _build_heis_oracle(be, cfg):
     objs = _objs(be, cfg.max_dim)
-    insts = []
     for side, rel in (("hd", "2.7-oracle"), ("hhd", "2.12-oracle")):
         for m, n in itertools.product(objs, repeat=2):
             named = _named(be, {"M": m, "N": n, "side": side})
@@ -247,7 +237,7 @@ def _build_heis_oracle(be, cfg):
                 want = hd_cross_oracle(be, side, m, n)
                 return got == want, got, want
 
-            insts.append((rel, named, fn))
+            yield rel, named, fn
     dd = algebra("d", be)
     for m, n in itertools.product(objs, repeat=2):
         named = _named(be, {"M": m, "N": n})
@@ -256,19 +246,20 @@ def _build_heis_oracle(be, cfg):
             l13, r13 = relation_instance(dd, "2.13", {"M": m, "N": n})
             l18, r18 = relation_instance(dd, "2.18", {"M": m, "N": n})
             lhs, rhs = d_quasi(be, l13), d_quasi(be, r18)
-            ok = lhs == rhs and d_quasi(be, r13) == d_quasi(be, l18)
-            return ok, lhs, rhs
+            if lhs != rhs:
+                return False, lhs, rhs
+            lhs, rhs = d_quasi(be, r13), d_quasi(be, l18)
+            return lhs == rhs, lhs, rhs
 
-        insts.append(("2.13~2.18", named, fn))
-    return insts
+        yield "2.13~2.18", named, fn
 
 
 def _build_kashaev(be, cfg):
     objs = _objs(be, cfg.max_dim)
     alphas = _alphas(be, cfg)
     hom = build_hom(be, "I")
-    insts = _morph_insts(be, hom,
-                         _family_relation_params(objs, alphas, "d"))
+    yield from _morph_insts(be, hom,
+                            _family_relation_params(objs, alphas, "d"))
     dd = algebra("d", be)
     for m, n in itertools.product(objs, repeat=2):
         named = _named(be, {"M": m, "N": n})
@@ -278,17 +269,19 @@ def _build_kashaev(be, cfg):
             le, re_ = relation_instance(dd, "2.18r", {"M": m, "N": n})
             scale = be.aut_count(m) * be.aut_count(n)
             want = lhs.scale(scale)
-            return le == want and re_ == rhs.scale(scale), le, want
+            if le != want:
+                return False, le, want
+            want = rhs.scale(scale)
+            return re_ == want, re_, want
 
-        insts.append(("2.18~2.18r", named, fn))
+        yield "2.18~2.18r", named, fn
 
     def rank_fn():
         monos = double_monomials(be, alphas, objs, 20)
         rank = rank_independence([apply_hom(hom, x) for x in monos])
         return rank == len(monos), rank, len(monos)
 
-    insts.append(("rank", {"count": 20}, rank_fn))
-    return insts
+    yield "rank", {"count": 20}, rank_fn
 
 
 def _index_window(cfg):
@@ -302,27 +295,23 @@ def _index_window(cfg):
 def _build_kappa(be, cfg):
     objs = _objs(be, cfg.max_dim)
     alphas = _alphas(be, cfg)
-    insts = []
     for i in _index_window(cfg):
         for name, family in (("kappa", "hd"), ("kappaCheck", "hhd")):
             hom = build_hom(be, name, i=i, m=cfg.m)
             pairs = _family_relation_params(objs, alphas, family)
-            insts.extend(_morph_insts(be, hom, pairs,
-                                      extra={"map": "%s(%d,%d)"
-                                             % (name, cfg.m, i)}))
-    return insts
+            yield from _morph_insts(be, hom, pairs,
+                                    extra={"map": "%s(%d,%d)"
+                                           % (name, cfg.m, i)})
 
 
 def _build_psi(be, cfg):
     objs = _objs(be, cfg.max_dim)
     alphas = _alphas(be, cfg)
-    insts = []
     for i in _index_window(cfg):
         hom = build_hom(be, "psi", i=i, m=cfg.m)
         pairs = _family_relation_params(objs, alphas, "d")
-        insts.extend(_morph_insts(be, hom, pairs,
-                                  extra={"map": "psi(%d,%d)" % (cfg.m, i)}))
-    return insts
+        yield from _morph_insts(be, hom, pairs,
+                                extra={"map": "psi(%d,%d)" % (cfg.m, i)})
 
 
 def _build_bridgeland(be, cfg):
@@ -331,7 +320,7 @@ def _build_bridgeland(be, cfg):
     w = cfg.idx_window
     hom = build_hom(be, "phi")
     inv = build_hom(be, "phiInv")
-    insts = _morph_insts(be, hom, _dhce_relation_params(objs, alphas, w))
+    yield from _morph_insts(be, hom, _dhce_relation_params(objs, alphas, w))
     dhce = algebra("dhce", be)
     dhm0 = algebra("dhm:0", be)
     objs_nz = [c for c in objs if sum(be.class_dim(c)) > 0]
@@ -346,20 +335,15 @@ def _build_bridgeland(be, cfg):
 
     for n in range(-w, w + 1):
         for m in objs_nz:
-            insts.append(("roundtrip",
-                          _named(be, {"M": m, "i": n, "gen": "Z"}),
-                          roundtrip(hom, inv, dhce, Zg(m, n))))
-            insts.append(("roundtrip",
-                          _named(be, {"M": m, "i": n, "gen": "e"}),
-                          roundtrip(inv, hom, dhm0, E(m, n))))
+            yield ("roundtrip", _named(be, {"M": m, "i": n, "gen": "Z"}),
+                   roundtrip(hom, inv, dhce, Zg(m, n)))
+            yield ("roundtrip", _named(be, {"M": m, "i": n, "gen": "e"}),
+                   roundtrip(inv, hom, dhm0, E(m, n)))
         for a in alphas:
-            insts.append(("roundtrip",
-                          _named(be, {"alpha": a, "i": n, "gen": "KZ"}),
-                          roundtrip(hom, inv, dhce, Kz(a, n))))
-            insts.append(("roundtrip",
-                          _named(be, {"alpha": a, "i": n, "gen": "k"}),
-                          roundtrip(inv, hom, dhm0, Kc(a, n))))
-    return insts
+            yield ("roundtrip", _named(be, {"alpha": a, "i": n, "gen": "KZ"}),
+                   roundtrip(hom, inv, dhce, Kz(a, n)))
+            yield ("roundtrip", _named(be, {"alpha": a, "i": n, "gen": "k"}),
+                   roundtrip(inv, hom, dhm0, Kc(a, n)))
 
 
 def _build_varphi(be, cfg):
@@ -367,12 +351,11 @@ def _build_varphi(be, cfg):
     alphas = _alphas(be, cfg)
     idxs = [cfg.i] if cfg.i is not None else [-2, -1, 0, 1]
     inv = build_hom(be, "phiInv")
-    insts = []
     for i in idxs:
         hom = build_hom(be, "varphi", i=i)
         pairs = _family_relation_params(objs, alphas, "d")
-        insts.extend(_morph_insts(be, hom, pairs,
-                                  extra={"map": "varphi(%d)" % i}))
+        yield from _morph_insts(be, hom, pairs,
+                                extra={"map": "varphi(%d)" % i})
         psi = build_hom(be, "psi", i=i, m=0)
         gens = [("om", s, m) for s in (1, -1) for m in objs] + \
                [("KD", s, a) for s in (1, -1) for a in alphas]
@@ -390,14 +373,12 @@ def _build_varphi(be, cfg):
                 want = tensor_apply(inv, inv, apply_hom(psi, x))
                 return got == want, got, want
 
-            insts.append(("triangle", named, fn))
-    return insts
+            yield "triangle", named, fn
 
 
 def _build_gradings(be, cfg):
     objs = _objs(be, cfg.max_dim)
     alphas = _alphas(be, cfg)
-    insts = []
     batches = [(fam, _family_relation_params(objs, alphas, fam))
                for fam in ("hd", "hhd", "d")]
     batches.append(("dhce", _dhce_relation_params(objs, alphas,
@@ -415,8 +396,7 @@ def _build_gradings(be, cfg):
                     ok = False
                 return ok, lhs, rhs
 
-            insts.append((rel, named, fn))
-    return insts
+            yield rel, named, fn
 
 
 def _module_pool(objs_nz, fam):
@@ -447,11 +427,8 @@ def _torus_pool(alphas_nz, fam):
 def _dim_ok(be, letters, bound):
     total = be.quiver.zero_class()
     for letter in letters:
-        mid = letter[2] if letter[0] in ("mu", "nu", "om") else \
-            (letter[1] if letter[0] in ("e", "Z") else None)
-        if mid is not None:
-            total = tuple(t + d for t, d in
-                          zip(total, be.class_dim(mid)))
+        if not is_torus(letter):
+            total = add_class(total, be.class_dim(letter_mid(letter)))
     return all(t <= bound for t in total)
 
 
@@ -461,7 +438,6 @@ def _build_rewrite_sanity(be, cfg):
     alphas_nz = [a for a in _alphas(be, cfg) if any(a)]
     tags = ("hd", "hhd", "dhm:0", "dhm:4", "dh", "dhtw", "dhce")
     rng = random.Random(cfg.seed)
-    insts = []
 
     def triple_fn(alg, x, y, z):
         def fn():
@@ -477,12 +453,12 @@ def _build_rewrite_sanity(be, cfg):
         alg = algebra(tag, be)
         fam = alg.family
         pool = _module_pool(objs_nz, fam) + _torus_pool(alphas_nz, fam)
-        for idx, (a, b, c) in enumerate(
-                itertools.product(pool, repeat=3)):
-            insts.append(("assoc-gen", {"algebra": tag, "triple": idx},
-                          triple_fn(alg, FreeElt.word(be.p, (a,)),
-                                    FreeElt.word(be.p, (b,)),
-                                    FreeElt.word(be.p, (c,)))))
+        # one-letter words are never mutated, so the triples share them
+        singles = [FreeElt.word(be.p, (a,)) for a in pool]
+        for idx, (x, y, z) in enumerate(
+                itertools.product(singles, repeat=3)):
+            yield ("assoc-gen", {"algebra": tag, "triple": idx},
+                   triple_fn(alg, x, y, z))
         # random words: lengths <= 2, total dims capped so merged classes
         # stay inside the window the backend enumerates quickly
         for k in range(1000):
@@ -493,9 +469,8 @@ def _build_rewrite_sanity(be, cfg):
                 if _dim_ok(be, [l for w_ in words for l in w_], 3):
                     break
             x, y, z = (FreeElt.word(be.p, w_) for w_ in words)
-            insts.append(("assoc-rand", {"algebra": tag, "triple": 1000 + k},
-                          triple_fn(alg, x, y, z)))
-    return insts
+            yield ("assoc-rand", {"algebra": tag, "triple": 1000 + k},
+                   triple_fn(alg, x, y, z))
 
 
 def _build_backend_oracle(be, cfg):
@@ -504,14 +479,13 @@ def _build_backend_oracle(be, cfg):
     closed = A1ClosedFormBackend(q)
     dmax = cfg.max_dim
     cids = {d: brute.iso_classes((d,))[0] for d in range(dmax + 1)}
-    insts = []
     for d in range(dmax + 1):
         def fn(d=d):
             got, want = brute.aut_count(cids[d]), closed.aut_count(d)
             ok = len(brute.iso_classes((d,))) == 1 and got == want
             return ok, got, want
 
-        insts.append(("aut", {"dim": d}, fn))
+        yield "aut", {"dim": d}, fn
     for a, b in itertools.product(range(dmax + 1), repeat=2):
         def fn(a=a, b=b):
             ok = brute.hom_dim(cids[a], cids[b]) == closed.hom_dim(a, b) \
@@ -519,15 +493,14 @@ def _build_backend_oracle(be, cfg):
                     (a,), (b,))
             return ok, None, None
 
-        insts.append(("hom-euler", {"A": a, "B": b}, fn))
+        yield "hom-euler", {"A": a, "B": b}, fn
     for l, m, n in itertools.product(range(dmax + 1), repeat=3):
         def fn(l=l, m=m, n=n):
             got = brute.hall_number(cids[l], cids[m], cids[n])
             want = closed.hall_number(l, m, n)
             return got == want, got, want
 
-        insts.append(("hall", {"L": l, "M": m, "N": n}, fn))
-    return insts
+        yield "hall", {"L": l, "M": m, "N": n}, fn
 
 
 _BUILDERS = {
@@ -574,9 +547,11 @@ def run_suite(cfg):
     if cfg.max_dim is None:
         default_dim = 4 if cfg.suite == "backend-oracle" else 2
         cfg = dataclasses.replace(cfg, max_dim=default_dim)
-    instances = _BUILDERS[cfg.suite](be, cfg)
-    failures = [f for f in (_run_one(be, inst) for inst in instances)
-                if f is not None]
+    count, failures = 0, []
+    for count, inst in enumerate(_BUILDERS[cfg.suite](be, cfg), 1):
+        failed = _run_one(be, inst)
+        if failed is not None:
+            failures.append(failed)
     params = {"max_dim": cfg.max_dim, "m": cfg.m, "i": cfg.i,
               "idx_window": cfg.idx_window, "seed": cfg.seed}
     if cfg.alphas is not None:
@@ -586,8 +561,8 @@ def run_suite(cfg):
         "quiver": cfg.quiver,
         "q": cfg.q,
         "params": params,
-        "instances": len(instances),
-        "passes": len(instances) - len(failures),
+        "instances": count,
+        "passes": count - len(failures),
         "failures": failures,
         "cap_hits": sum(1 for f in failures if f["note"]),
         "elapsed_ms": int((time.monotonic() - t0) * 1000),

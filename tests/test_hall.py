@@ -8,7 +8,7 @@ from hallforge.backend import QuiverBackend
 from hallforge.hall import (basis, bialgebra_check, coassoc_check, comult,
                             gamma, green_formula_check, green_pairing, hmult,
                             pairing_coproduct_check, pairing_product_check,
-                            render_hall, tensor_hmult, torus, unit)
+                            tensor_hmult, torus, unit)
 from hallforge.quiver import Quiver, preset
 from hallforge.scalars import Lin, SqrtScalar, vpow
 
@@ -165,16 +165,6 @@ def test_tensor_mult_componentwise(be):
     yt = Lin(be.q, {((0, zero_cls), (s2, zero_cls)): one}, (be, be))
     got = tensor_hmult(xt, yt)
     assert got.terms == {((s1, zero_cls), (s2, zero_cls)): one}
-
-
-def test_render(be):
-    s1, s2, split, p = ids(be)
-    x = hmult(basis(be, s1), basis(be, s2))
-    assert render_hall(x) == "v^-1 * [X{1,1}#0] + v^-1 * [X{1,1}#1]"
-    assert render_hall(unit(be)) == "1"
-    assert render_hall(torus(be, (1, 0))) == "K{(1,0)}"
-    assert render_hall(basis(be, s1, (0, 1))) == "[S1]K{(0,1)}"
-    assert render_hall(Lin(be.q, {}, be)) == "0"
 
 
 @settings(max_examples=40, deadline=None)

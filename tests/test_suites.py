@@ -1,7 +1,10 @@
+import inspect
 import threading
+from functools import partial
 
 import pytest
 
+from hallforge import suites
 from hallforge.backend import make_backend
 from hallforge.caps import CapExceeded
 from hallforge.suites import (RunConfig, _BUILDERS, _index_window, _run_one,
@@ -25,8 +28,8 @@ def test_alphas_window_is_configurable():
     narrow = RunConfig(suite="kashaev", max_dim=2,
                        alphas=((0, 0), (1, 0)))
     wide = RunConfig(suite="kashaev", max_dim=2)
-    n_narrow = len(_BUILDERS["kashaev"](BE, narrow))
-    n_wide = len(_BUILDERS["kashaev"](BE, wide))
+    n_narrow = sum(1 for _ in _BUILDERS["kashaev"](BE, narrow))
+    n_wide = sum(1 for _ in _BUILDERS["kashaev"](BE, wide))
     assert n_narrow < n_wide
 
 
@@ -81,3 +84,49 @@ def test_run_one_turns_a_cap_hit_into_a_noted_failure():
     assert _run_one(BE, ("r", {}, capped)) == {
         "relation": "r", "params": {}, "lhs": "", "rhs": "",
         "note": "enumeration cap exceeded in subobjects (spent 9, limit 8)"}
+
+
+def test_every_builder_is_a_generator():
+    for name, build in _BUILDERS.items():
+        assert inspect.isgeneratorfunction(build), name
+
+
+def test_run_suite_runs_each_instance_as_it_is_built(monkeypatch):
+    log = []
+
+    def check(k):
+        log.append("ran %d" % k)
+        return True, None, None
+
+    def build(be, cfg):
+        for k in range(3):
+            log.append("built %d" % k)
+            yield "r", {"k": k}, partial(check, k)
+
+    monkeypatch.setitem(_BUILDERS, "backend-oracle", build)
+    rep = run_suite(RunConfig(suite="backend-oracle", quiver="a1", q=2))
+    assert log == ["built 0", "ran 0", "built 1", "ran 1",
+                   "built 2", "ran 2"]
+    assert rep["instances"] == rep["passes"] == 3
+
+
+@pytest.mark.parametrize("suite, rel, side, check, sides", [
+    ("kashaev", "2.18r", 1, "2.18~2.18r", ("v^2", "1")),
+    ("heis-oracle", "2.18", 0, "2.13~2.18", ("1", "v^2")),
+])
+def test_two_pair_check_reports_the_failing_pair(monkeypatch, suite, rel,
+                                                 side, check, sides):
+    # doubling one side of `rel` breaks only the check's second pair
+    real = suites.relation_instance
+
+    def doubled(alg, rel_, prm):
+        got = list(real(alg, rel_, prm))
+        if rel_ == rel:
+            got[side] = got[side].scale(2)
+        return tuple(got)
+
+    monkeypatch.setattr(suites, "relation_instance", doubled)
+    rep = run_suite(RunConfig(suite=suite, max_dim=1))
+    bad = [f for f in rep["failures"] if f["relation"] == check]
+    assert len(bad) == 9
+    assert (bad[0]["lhs"], bad[0]["rhs"]) == sides
