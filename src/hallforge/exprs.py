@@ -280,11 +280,11 @@ def render_word(be, word):
     return " ".join(render_letter(be, letter) for letter in word)
 
 
-def _term_piece(be, word, coeff):
+def _term_piece(body, coeff):
+    """One term: the coefficient times the rendered body ("" for none)."""
     s = render_scalar(coeff)
-    if not word:
+    if not body:
         return s
-    body = render_word(be, word)
     if s == "1":
         return body
     if s == "-1":
@@ -311,7 +311,8 @@ def _word_order(be, word):
 def render_elt(be, x):
     """Deterministic text form of a free element or a normal form."""
     words = sorted(x.terms, key=lambda w: _word_order(be, w))
-    return _join_terms([_term_piece(be, w, x.terms[w]) for w in words])
+    return _join_terms([_term_piece(render_word(be, w), x.terms[w])
+                        for w in words])
 
 
 def render_tensor(be, x):
@@ -325,17 +326,8 @@ def render_tensor(be, x):
 
     keys = sorted(x.terms, key=lambda k: (-len(k[0]) - len(k[1]),
                                           leg(k[0]), leg(k[1])))
-    pieces = []
-    for lw, rw in keys:
-        body = "%s (x) %s" % (leg(lw), leg(rw))
-        s = render_scalar(x.terms[(lw, rw)])
-        if s == "1":
-            pieces.append(body)
-        elif s == "-1":
-            pieces.append("-" + body)
-        else:
-            pieces.append("%s %s" % (s, body))
-    return _join_terms(pieces)
+    return _join_terms([_term_piece("%s (x) %s" % (leg(lw), leg(rw)),
+                                    x.terms[(lw, rw)]) for lw, rw in keys])
 
 
 def render_any(be, x):

@@ -6,8 +6,10 @@ images multiplicatively and normalizes in the target, so verifying that a
 map is a homomorphism reduces to checking each defining relation of the
 source presentation with check_relation, which returns `(ok, left,
 right)` with both images unrendered; the suites render them for a failure
-and catch cap hits.  Images and results are `Lin`s labelled by the target:
-an Algebra, or the pair of Algebras of a tensor square.
+and catch cap hits.  The relation ids of the two-sided sources hd, hhd
+and d are those of `presented.TWO_SIDED`.  Images and results are `Lin`s
+labelled by the target: an Algebra, or the pair of Algebras of a tensor
+square.
 """
 
 import itertools
@@ -20,17 +22,6 @@ from .presented import (E, FreeElt, Kc, KMinus, KPlus, KcMinus, KcPlus,
                         tensor_word)
 from .quiver import neg_class, sub_class
 from .scalars import Lin, SqrtScalar, vpow
-
-# defining relations of each presentation, keyed by algebra family
-SOURCE_RELATIONS = {
-    "hd": ("2.3", "2.4", "2.5", "2.6", "2.7"),
-    "hhd": ("2.8", "2.9", "2.10", "2.11", "2.12"),
-    "d": ("2.14", "2.15", "2.16", "2.17", "2.18"),
-    "dhm": ("4.1", "4.2", "4.3", "4.4", "4.5"),
-    "dh": ("4.6", "4.7", "4.8"),
-    "dhce": ("4.10", "4.11", "4.12", "4.13", "4.14", "4.15", "4.16", "4.17"),
-}
-
 
 class GenMap:
     """A homomorphism candidate given by generator images."""

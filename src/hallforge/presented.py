@@ -5,6 +5,13 @@ pair rules.  A rule receives two adjacent letters and answers either None
 ("normally ordered, leave alone") or a list of (scalar, replacement letters)
 summands.  All coefficients are exact SqrtScalar values.
 
+The two-sided presentations hd (2.3-2.7), hhd (2.8-2.12) and d (2.14-2.18)
+share five relation shapes and differ only in their letter kinds, one torus
+exponent, the two torus-module cross exponents and the crossing.  The
+`TWO_SIDED` table holds one row of those per family; `relation_instance`,
+the one two-sided pair rule and the suites' windows all read it.  The Z
+families dh, dhtw and dhce share one Z rule, twisted everywhere but on dh.
+
 The driver keeps a stack of (word, coefficient, start) entries and searches
 each word for its leftmost redex from `start` on:
 
@@ -39,6 +46,7 @@ it never reorders om letters, so only `d_quasi` runs it: `normal_form` and
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 
 from .caps import Budget, max_enum
 from .hall import basis, comult, gamma, green_pairing
@@ -110,16 +118,6 @@ def KdPlus(alpha):
 def KdMinus(alpha):
     return ("KD", -1, tuple(alpha))
 
-
-_FAMILY_KINDS = {
-    "hd": frozenset(("K", "mu")),
-    "hhd": frozenset(("Kc", "nu")),
-    "dhm": frozenset(("k", "e")),
-    "dh": frozenset(("Z",)),
-    "dhtw": frozenset(("Z",)),
-    "dhce": frozenset(("KZ", "Z")),
-    "d": frozenset(("KD", "om")),
-}
 
 _TORUS_KINDS = frozenset(("K", "Kc", "KD", "k", "KZ"))
 
@@ -268,117 +266,119 @@ def _strip(letters):
     return tuple(l for l in letters if not _is_unit(l))
 
 
+def _gamma_terms(be, M, N, mirrored=False):
+    """(gamma, X, Y, X^, Y^, L^) over `_cross_support(M, N)` where gamma is
+    nonzero: gamma(M, N, X, Y), or gamma(N, M, Y, X) when mirrored."""
+    for X, Y, xh, yh, lh in _cross_support(be, M, N):
+        gam = gamma(be, N, M, Y, X) if mirrored else gamma(be, M, N, X, Y)
+        if not gam.is_zero():
+            yield gam, X, Y, xh, yh, lh
+
+
 def _hd_cross_terms(alg, M, N):
     # mu+_M mu-_N -> sum over X, Y of v^<L,X-Y> gamma (K-_L, mu-_Y, mu+_X)
     be = alg.be
-    out = []
-    for X, Y, xh, yh, lh in _cross_support(be, M, N):
-        gam = gamma(be, M, N, X, Y)
-        if gam.is_zero():
-            continue
-        c = gam * alg.v(be.euler_form(lh, sub_class(xh, yh)))
-        out.append((c, _strip((KMinus(lh), MuMinus(Y), MuPlus(X)))))
-    return out
+    return [(gam * alg.v(be.euler_form(lh, sub_class(xh, yh))),
+             _strip((KMinus(lh), MuMinus(Y), MuPlus(X))))
+            for gam, X, Y, xh, yh, lh in _gamma_terms(be, M, N)]
 
 
 def _hhd_cross_terms(alg, N, M):
     # nu-_N nu+_M -> sum over X, Y of v^<L,Y-X> gamma' (Kc+_L, nu+_X, nu-_Y)
     be = alg.be
-    out = []
-    for X, Y, xh, yh, lh in _cross_support(be, M, N):
-        gam = gamma(be, N, M, Y, X)
-        if gam.is_zero():
-            continue
-        c = gam * alg.v(be.euler_form(lh, sub_class(yh, xh)))
-        out.append((c, _strip((KcPlus(lh), NuPlus(X), NuMinus(Y)))))
-    return out
+    return [(gam * alg.v(be.euler_form(lh, sub_class(yh, xh))),
+             _strip((KcPlus(lh), NuPlus(X), NuMinus(Y))))
+            for gam, X, Y, xh, yh, lh in _gamma_terms(be, M, N, True)]
 
 
 def _e_cross_terms(alg, M, N, lo):
     # e_{M,lo+1} e_{N,lo} -> sum v^<L,X-Y> gamma (k_{L,lo}, e_{Y,lo}, e_{X,lo+1})
     be = alg.be
     hi = (lo + 1) % alg.m if alg.m else lo + 1
-    out = []
-    for X, Y, xh, yh, lh in _cross_support(be, M, N):
-        gam = gamma(be, M, N, X, Y)
-        if gam.is_zero():
-            continue
-        c = gam * alg.v(be.euler_form(lh, sub_class(xh, yh)))
-        out.append((c, _strip((Kc(lh, lo), E(Y, lo), E(X, hi)))))
-    return out
+    return [(gam * alg.v(be.euler_form(lh, sub_class(xh, yh))),
+             _strip((Kc(lh, lo), E(Y, lo), E(X, hi))))
+            for gam, X, Y, xh, yh, lh in _gamma_terms(be, M, N)]
 
 
 def _z_cross_terms(alg, M, N, lo, twisted):
     # (4.7) untwisted / (4.16) twisted orientation of adjacent Z letters
     be = alg.be
-    out = []
     exmn = be.euler_form(be.class_dim(M), be.class_dim(N))
-    for X, Y, xh, yh, lh in _cross_support(be, M, N):
-        gam = gamma(be, M, N, X, Y)
-        if gam.is_zero():
-            continue
+    out = []
+    for gam, X, Y, xh, yh, lh in _gamma_terms(be, M, N):
         eyx = be.euler_form(yh, xh)
-        if twisted:
-            c = gam * alg.v(-exmn - eyx)
-        else:
-            c = gam * alg.v(-2 * eyx)
-        out.append((c, _strip((Zg(Y, lo), Zg(X, lo + 1)))))
+        n = -exmn - eyx if twisted else -2 * eyx
+        out.append((gam * alg.v(n), _strip((Zg(Y, lo), Zg(X, lo + 1)))))
     return out
 
 
-def _reduce_hd(alg, a, b):
-    be = alg.be
-    ka, kb = a[0], b[0]
-    if ka == "K" and kb == "K":
-        if a[1] == b[1]:
-            return [(alg.one(), _strip((("K", a[1], add_class(a[2], b[2])),)))]
-        if a[1] == 1:
-            return [(alg.v(be.sym_euler(a[2], b[2])), (b, a))]
-        return None
-    if ka == "mu" and kb == "K":
-        sym = be.sym_euler(b[2], be.class_dim(a[2]))
-        if a[1] == b[1]:
-            n = -sym
-        elif a[1] == -1:
-            n = 0
-        else:
-            n = sym
-        return [(alg.v(n), (b, a))]
-    if ka == "mu" and kb == "mu":
-        if a[1] == b[1]:
-            return _hall_merge(alg, letter_mid(a), letter_mid(b),
-                               lambda L: ("mu", a[1], L))
-        if a[1] == 1:
-            return _hd_cross_terms(alg, a[2], b[2])
-        return None
-    return None
+class TwoSided(namedtuple("TwoSided", "module torus relations f "
+                                      "cross_variants crossing")):
+    """One two-sided presentation, with X the module and T the torus kind:
+
+    - relations: its five ids, in the order merge (X^s X^s), torus-module
+      (T^s X^s), torus-torus (T^s T^s merge, T+ T- cross), torus-module
+      cross (T^t X^-t) and crossing;
+    - f: T+_a T-_b = v^{f (a,b)} T-_b T+_a;
+    - cross_variants: (name, t, g), each T^t_a X^-t_M = v^{g (a,M)}
+      X^-t_M T^t_a; the second is the default instance;
+    - crossing: (sign of its left letter, its terms), or None where the
+      crossing is not oriented.
+
+    (a,b) is the symmetric Euler form, (a,M) that of a and dim M.
+    """
+
+    __slots__ = ()
 
 
-def _reduce_hhd(alg, a, b):
+TWO_SIDED = {
+    "hd": TwoSided("mu", "K", ("2.3", "2.4", "2.5", "2.6", "2.7"), 1,
+                   (("K-mu+", -1, -1), ("K+mu-", 1, 0)),
+                   (1, _hd_cross_terms)),
+    "hhd": TwoSided("nu", "Kc", ("2.8", "2.9", "2.10", "2.11", "2.12"), -1,
+                    (("Kc+nu-", 1, -1), ("Kc-nu+", -1, 0)),
+                    (-1, _hhd_cross_terms)),
+    "d": TwoSided("om", "KD", ("2.14", "2.15", "2.16", "2.17", "2.18"), 0,
+                  (("K-om+", -1, -1), ("K+om-", 1, -1)), None),
+}
+
+# relation id -> (row, shape index) for the four shapes before the crossing
+_SHAPES = {rid: (row, k) for row in TWO_SIDED.values()
+           for k, rid in enumerate(row.relations[:4])}
+
+_FAMILY_KINDS = {fam: frozenset((row.torus, row.module))
+                 for fam, row in TWO_SIDED.items()}
+_FAMILY_KINDS.update(dhm=frozenset(("k", "e")), dh=frozenset(("Z",)),
+                     dhtw=frozenset(("Z",)), dhce=frozenset(("KZ", "Z")))
+
+
+def _reduce_two_sided(alg, a, b):
+    """The pair rule of hd, hhd and d, read off their TWO_SIDED row.
+
+    Torus letters of one sign merge, T+ T- swaps, and a module letter
+    followed by a torus letter swaps.  Module letters of one sign merge and
+    the crossing pair crosses, except on d, which has no oriented crossing.
+    """
+    row = TWO_SIDED[alg.family]
     be = alg.be
-    ka, kb = a[0], b[0]
-    if ka == "Kc" and kb == "Kc":
+    if b[0] == row.torus:
+        if a[0] == row.torus:
+            if a[1] == b[1]:
+                return [(alg.one(),
+                         _strip(((a[0], a[1], add_class(a[2], b[2])),)))]
+            if a[1] == 1:
+                return [(alg.v(row.f * be.sym_euler(a[2], b[2])), (b, a))]
+            return None
+        # X T = v^{-g (a,M)} T X, with g = 1 when the signs match
+        g = 1 if a[1] == b[1] else next(
+            g for _, t, g in row.cross_variants if t == b[1])
+        return [(alg.v(-g * be.sym_euler(b[2], be.class_dim(a[2]))),
+                 (b, a))]
+    if row.crossing and a[0] == b[0] == row.module:
         if a[1] == b[1]:
-            return [(alg.one(), _strip((("Kc", a[1], add_class(a[2], b[2])),)))]
-        if a[1] == 1:
-            return [(alg.v(-be.sym_euler(a[2], b[2])), (b, a))]
-        return None
-    if ka == "nu" and kb == "Kc":
-        sym = be.sym_euler(b[2], be.class_dim(a[2]))
-        if a[1] == b[1]:
-            n = -sym
-        elif a[1] == 1:
-            n = 0
-        else:
-            n = sym
-        return [(alg.v(n), (b, a))]
-    if ka == "nu" and kb == "nu":
-        if a[1] == b[1]:
-            return _hall_merge(alg, letter_mid(a), letter_mid(b),
-                               lambda L: ("nu", a[1], L))
-        if a[1] == -1:
-            return _hhd_cross_terms(alg, a[2], b[2])
-        return None
+            return _hall_merge(alg, a[2], b[2], lambda L: (a[0], a[1], L))
+        if a[1] == row.crossing[0]:
+            return row.crossing[1](alg, a[2], b[2])
     return None
 
 
@@ -428,32 +428,24 @@ def _reduce_dhm(alg, a, b):
     return None
 
 
-def _reduce_dh(alg, a, b):
+def _reduce_z(alg, a, b):
+    """The Z-letter rule: untwisted (4.6-4.8) on dh, twisted (4.15-4.17)
+    on dhtw and dhce."""
     be = alg.be
+    twisted = alg.family != "dh"
     if a[2] == b[2]:
         return _hall_merge(alg, letter_mid(a), letter_mid(b),
-                           lambda L: Zg(L, a[2]), twisted=False)
+                           lambda L: Zg(L, a[2]), twisted)
     d = a[2] - b[2]
     if d == 1:
-        return _z_cross_terms(alg, a[1], b[1], b[2], twisted=False)
+        return _z_cross_terms(alg, a[1], b[1], b[2], twisted)
     if d >= 2:
         sign = 1 if d % 2 == 0 else -1
-        n = 2 * sign * be.euler_form(be.class_dim(b[1]), be.class_dim(a[1]))
-        return [(alg.v(n), (b, a))]
-    return None
-
-
-def _reduce_z_twisted(alg, a, b):
-    be = alg.be
-    if a[2] == b[2]:
-        return _hall_merge(alg, letter_mid(a), letter_mid(b),
-                           lambda L: Zg(L, a[2]))
-    d = a[2] - b[2]
-    if d == 1:
-        return _z_cross_terms(alg, a[1], b[1], b[2], twisted=True)
-    if d >= 2:
-        sign = 1 if d % 2 == 0 else -1
-        n = sign * be.sym_euler(be.class_dim(a[1]), be.class_dim(b[1]))
+        mh, nh = be.class_dim(a[1]), be.class_dim(b[1])
+        if twisted:
+            n = sign * be.sym_euler(mh, nh)
+        else:
+            n = 2 * sign * be.euler_form(nh, mh)
         return [(alg.v(n), (b, a))]
     return None
 
@@ -476,7 +468,7 @@ def _kz_scalar(alg, alpha, i, mid, j):
 def _reduce_dhce(alg, a, b):
     ka, kb = a[0], b[0]
     if ka == "Z" and kb == "Z":
-        return _reduce_z_twisted(alg, a, b)
+        return _reduce_z(alg, a, b)
     if ka == "KZ" and kb == "KZ":
         if a[2] == b[2]:
             return [(alg.one(), _strip((Kz(add_class(a[1], b[1]), a[2]),)))]
@@ -492,29 +484,14 @@ def _reduce_dhce(alg, a, b):
     return None
 
 
-def _reduce_d(alg, a, b):
-    # KD letters bubble left of om letters and merge; om letters and
-    # KD- KD+ stay as they are
-    if b[0] != "KD":
-        return None
-    if a[0] == "KD":
-        if a[1] == b[1]:
-            return [(alg.one(), _strip((("KD", a[1], add_class(a[2], b[2])),)))]
-        if a[1] == 1:
-            return [(alg.one(), (b, a))]
-        return None
-    sym = alg.be.sym_euler(b[2], alg.be.class_dim(a[2]))
-    return [(alg.v(-sym if a[1] == b[1] else sym), (b, a))]
-
-
 _REDUCERS = {
-    "hd": _reduce_hd,
-    "hhd": _reduce_hhd,
+    "hd": _reduce_two_sided,
+    "hhd": _reduce_two_sided,
     "dhm": _reduce_dhm,
-    "dh": _reduce_dh,
-    "dhtw": _reduce_z_twisted,
+    "dh": _reduce_z,
+    "dhtw": _reduce_z,
     "dhce": _reduce_dhce,
-    "d": _reduce_d,
+    "d": _reduce_two_sided,
 }
 
 
@@ -850,6 +827,16 @@ def _free_sum(alg, summands):
     return out
 
 
+def _variant(rel_id, variant, names, default):
+    """The variant an instance of rel_id selects: `default` for None."""
+    if variant is None:
+        return default
+    if variant not in names:
+        raise ValueError("relation %s has no variant %r (one of %s)"
+                         % (rel_id, variant, ", ".join(names)))
+    return variant
+
+
 def relation_instance(alg, rel_id, params):
     """Both sides of one defining relation, coefficients fully evaluated.
 
@@ -868,79 +855,41 @@ def relation_instance(alg, rel_id, params):
     variant = p.get("variant")
     word = lambda *letters: FreeElt.word(q, letters)
 
-    if rel_id == "2.3":
-        lhs = word(("mu", sign, M), ("mu", sign, N))
-        return lhs, _free_sum(alg, _hall_merge(
-            alg, M, N, lambda L: ("mu", sign, L)))
-    if rel_id == "2.4":
-        c = alg.v(be.sym_euler(alpha, be.class_dim(M)))
-        lhs = word(("K", sign, alpha), ("mu", sign, M))
-        return lhs, word(("mu", sign, M), ("K", sign, alpha)).scale(c)
-    if rel_id == "2.5":
-        if variant == "merge":
-            lhs = word(("K", sign, alpha), ("K", sign, beta))
-            return lhs, word(("K", sign, add_class(alpha, beta)))
-        lhs = word(KPlus(alpha), KMinus(beta))
-        c = alg.v(be.sym_euler(alpha, beta))
-        return lhs, word(KMinus(beta), KPlus(alpha)).scale(c)
-    if rel_id == "2.6":
-        if variant == "K-mu+":
-            c = alg.v(-be.sym_euler(alpha, be.class_dim(M)))
-            lhs = word(KMinus(alpha), MuPlus(M))
-            return lhs, word(MuPlus(M), KMinus(alpha)).scale(c)
-        lhs = word(KPlus(alpha), MuMinus(M))
-        return lhs, word(MuMinus(M), KPlus(alpha))
+    # 2.3-2.6, 2.8-2.11 and 2.14-2.17: a shape filled in from a TWO_SIDED row
+    shape = _SHAPES.get(rel_id)
+    if shape is not None:
+        row, k = shape
+        X, T = row.module, row.torus
+        if k == 0:
+            lhs = word((X, sign, M), (X, sign, N))
+            return lhs, _free_sum(alg, _hall_merge(
+                alg, M, N, lambda L: (X, sign, L)))
+        if k == 1:
+            c = alg.v(be.sym_euler(alpha, be.class_dim(M)))
+            lhs = word((T, sign, alpha), (X, sign, M))
+            return lhs, word((X, sign, M), (T, sign, alpha)).scale(c)
+        if k == 2:
+            if _variant(rel_id, variant, ("merge", "cross"), "cross") \
+                    == "merge":
+                lhs = word((T, sign, alpha), (T, sign, beta))
+                return lhs, word((T, sign, add_class(alpha, beta)))
+            c = alg.v(row.f * be.sym_euler(alpha, beta))
+            lhs = word((T, 1, alpha), (T, -1, beta))
+            return lhs, word((T, -1, beta), (T, 1, alpha)).scale(c)
+        variants = {name: (t, g) for name, t, g in row.cross_variants}
+        t, g = variants[_variant(rel_id, variant, variants,
+                                 row.cross_variants[1][0])]
+        c = alg.v(g * be.sym_euler(alpha, be.class_dim(M)))
+        lhs = word((T, t, alpha), (X, -t, M))
+        return lhs, word((X, -t, M), (T, t, alpha)).scale(c)
     if rel_id == "2.7":
         lhs = word(MuPlus(M), MuMinus(N))
         return lhs, _free_sum(alg, _hd_cross_terms(alg, M, N))
-    if rel_id == "2.8":
-        lhs = word(("nu", sign, M), ("nu", sign, N))
-        return lhs, _free_sum(alg, _hall_merge(
-            alg, M, N, lambda L: ("nu", sign, L)))
-    if rel_id == "2.9":
-        c = alg.v(be.sym_euler(alpha, be.class_dim(M)))
-        lhs = word(("Kc", sign, alpha), ("nu", sign, M))
-        return lhs, word(("nu", sign, M), ("Kc", sign, alpha)).scale(c)
-    if rel_id == "2.10":
-        if variant == "merge":
-            lhs = word(("Kc", sign, alpha), ("Kc", sign, beta))
-            return lhs, word(("Kc", sign, add_class(alpha, beta)))
-        lhs = word(KcPlus(alpha), KcMinus(beta))
-        c = alg.v(-be.sym_euler(alpha, beta))
-        return lhs, word(KcMinus(beta), KcPlus(alpha)).scale(c)
-    if rel_id == "2.11":
-        if variant == "Kc+nu-":
-            c = alg.v(-be.sym_euler(alpha, be.class_dim(M)))
-            lhs = word(KcPlus(alpha), NuMinus(M))
-            return lhs, word(NuMinus(M), KcPlus(alpha)).scale(c)
-        lhs = word(KcMinus(alpha), NuPlus(M))
-        return lhs, word(NuPlus(M), KcMinus(alpha))
     if rel_id == "2.12":
         lhs = word(NuMinus(N), NuPlus(M))
         return lhs, _free_sum(alg, _hhd_cross_terms(alg, N, M))
     if rel_id == "2.13":
         return _drinfeld_instance(be, M, N)
-    if rel_id == "2.14":
-        lhs = word(("om", sign, M), ("om", sign, N))
-        return lhs, _free_sum(alg, _hall_merge(
-            alg, M, N, lambda L: ("om", sign, L)))
-    if rel_id == "2.15":
-        c = alg.v(be.sym_euler(alpha, be.class_dim(M)))
-        lhs = word(("KD", sign, alpha), ("om", sign, M))
-        return lhs, word(("om", sign, M), ("KD", sign, alpha)).scale(c)
-    if rel_id == "2.16":
-        if variant == "merge":
-            lhs = word(("KD", sign, alpha), ("KD", sign, beta))
-            return lhs, word(("KD", sign, add_class(alpha, beta)))
-        lhs = word(KdPlus(alpha), KdMinus(beta))
-        return lhs, word(KdMinus(beta), KdPlus(alpha))
-    if rel_id == "2.17":
-        c = alg.v(-be.sym_euler(alpha, be.class_dim(M)))
-        if variant == "K-om+":
-            lhs = word(KdMinus(alpha), OmPlus(M))
-            return lhs, word(OmPlus(M), KdMinus(alpha)).scale(c)
-        lhs = word(KdPlus(alpha), OmMinus(M))
-        return lhs, word(OmMinus(M), KdPlus(alpha)).scale(c)
     if rel_id == "2.18":
         return _double_cross_instance(alg, M, N)
     if rel_id == "2.18r":
@@ -1001,7 +950,7 @@ def relation_instance(alg, rel_id, params):
             n = -2 * sign_ * be.euler_form(be.class_dim(M), be.class_dim(N))
         return lhs, word(Zg(N, j), Zg(M, i)).scale(alg.v(n))
     if rel_id == "4.10":
-        if variant == "KK":
+        if _variant(rel_id, variant, ("KK", "KZ"), "KZ") == "KK":
             lhs = word(Kz(alpha, i), Kz(beta, i))
             return lhs, word(Kz(add_class(alpha, beta), i))
         lhs = word(Kz(alpha, i), Zg(M, i))
@@ -1072,19 +1021,14 @@ def _drinfeld_instance(be, M, N):
 def _double_cross_instance(alg, M, N):
     be = alg.be
     mh, nh = be.class_dim(M), be.class_dim(N)
-    lhs = Lin(alg.q)
-    rhs = Lin(alg.q)
-    for X, Y, xh, yh, lh in _cross_support(be, M, N):
-        gam = gamma(be, M, N, X, Y)
-        if not gam.is_zero():
-            c = gam * alg.v(be.euler_form(lh, sub_class(mh, nh)))
-            lhs = lhs + FreeElt.word(
-                alg.q, (KdMinus(lh), OmMinus(Y), OmPlus(X)), c)
-        gam2 = gamma(be, N, M, Y, X)
-        if not gam2.is_zero():
-            c2 = gam2 * alg.v(be.euler_form(lh, sub_class(nh, mh)))
-            rhs = rhs + FreeElt.word(
-                alg.q, (KdPlus(lh), OmPlus(X), OmMinus(Y)), c2)
+    lhs = _free_sum(alg, (
+        (gam * alg.v(be.euler_form(lh, sub_class(mh, nh))),
+         (KdMinus(lh), OmMinus(Y), OmPlus(X)))
+        for gam, X, Y, xh, yh, lh in _gamma_terms(be, M, N)))
+    rhs = _free_sum(alg, (
+        (gam * alg.v(be.euler_form(lh, sub_class(nh, mh))),
+         (KdPlus(lh), OmPlus(X), OmMinus(Y)))
+        for gam, X, Y, xh, yh, lh in _gamma_terms(be, M, N, True)))
     return lhs, rhs
 
 

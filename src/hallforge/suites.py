@@ -30,11 +30,9 @@ from .exprs import render_any
 from .hall import (basis, bialgebra_check, coassoc_check,
                    green_formula_check, pairing_coproduct_check,
                    pairing_product_check)
-from .morphisms import (SOURCE_RELATIONS, apply_hom, build_hom,
-                        check_relation, double_monomials, rank_independence,
-                        tensor_apply)
-from .presented import (E, FreeElt, Kc, KPlus, KMinus, KcPlus, KcMinus,
-                        Kz, MuPlus, MuMinus, NuPlus, NuMinus, Zg, algebra,
+from .morphisms import (apply_hom, build_hom, check_relation,
+                        double_monomials, rank_independence, tensor_apply)
+from .presented import (TWO_SIDED, E, FreeElt, Kc, Kz, Zg, algebra,
                         d_quasi, grading_check, hd_cross, hd_cross_oracle,
                         is_torus, letter_mid, normal_form, pmult,
                         relation_instance)
@@ -56,7 +54,6 @@ class RunConfig:
     i: int = None
     max_dim: int = None
     idx_window: int = 3
-    alphas: tuple = None
     threads: int = 1  # accepted for compatibility; instances run sequentially
     seed: int = DEFAULT_SEED
 
@@ -72,9 +69,7 @@ def _objs(be, max_dim):
                                       be.class_dim(c), be.class_name(c)))
 
 
-def _alphas(be, cfg):
-    if cfg.alphas is not None:
-        return [tuple(a) for a in cfg.alphas]
+def _alphas(be):
     out = [be.quiver.zero_class()]
     for k in range(be.quiver.n):
         s = be.quiver.simple_class(k)
@@ -95,16 +90,9 @@ def _named(be, prm):
     return out
 
 
-# torus-module cross variants per two-sided source presentation
-_CROSS_VARIANTS = {
-    "hd": ("K-mu+", "K+mu-"),
-    "hhd": ("Kc+nu-", "Kc-nu+"),
-    "d": ("K-om+", "K+om-"),
-}
-
-
 def _family_relation_params(objs, alphas, family):
-    merge, kmod, ktor, kcross, cross = SOURCE_RELATIONS[family]
+    row = TWO_SIDED[family]
+    merge, kmod, ktor, kcross, cross = row.relations
     for sign in (1, -1):
         for m, n in itertools.product(objs, repeat=2):
             yield merge, {"sign": sign, "M": m, "N": n}
@@ -118,7 +106,7 @@ def _family_relation_params(objs, alphas, family):
                          "alpha": a, "beta": b}
     for a, b in itertools.product(alphas, repeat=2):
         yield ktor, {"variant": "cross", "alpha": a, "beta": b}
-    for var in _CROSS_VARIANTS[family]:
+    for var, _, _ in row.cross_variants:
         for a in alphas:
             for m in objs:
                 yield kcross, {"variant": var, "alpha": a, "M": m}
@@ -191,7 +179,7 @@ def _build_green(be, cfg):
 
 def _build_bialgebra(be, cfg):
     objs = _objs(be, cfg.max_dim)
-    alphas = _alphas(be, cfg)
+    alphas = _alphas(be)
     symbols = [(m, a) for m in objs for a in alphas]
     for m, a in symbols:
         named = {"M": be.class_name(m), "alpha": list(a)}
@@ -256,7 +244,7 @@ def _build_heis_oracle(be, cfg):
 
 def _build_kashaev(be, cfg):
     objs = _objs(be, cfg.max_dim)
-    alphas = _alphas(be, cfg)
+    alphas = _alphas(be)
     hom = build_hom(be, "I")
     yield from _morph_insts(be, hom,
                             _family_relation_params(objs, alphas, "d"))
@@ -294,7 +282,7 @@ def _index_window(cfg):
 
 def _build_kappa(be, cfg):
     objs = _objs(be, cfg.max_dim)
-    alphas = _alphas(be, cfg)
+    alphas = _alphas(be)
     for i in _index_window(cfg):
         for name, family in (("kappa", "hd"), ("kappaCheck", "hhd")):
             hom = build_hom(be, name, i=i, m=cfg.m)
@@ -306,7 +294,7 @@ def _build_kappa(be, cfg):
 
 def _build_psi(be, cfg):
     objs = _objs(be, cfg.max_dim)
-    alphas = _alphas(be, cfg)
+    alphas = _alphas(be)
     for i in _index_window(cfg):
         hom = build_hom(be, "psi", i=i, m=cfg.m)
         pairs = _family_relation_params(objs, alphas, "d")
@@ -316,7 +304,7 @@ def _build_psi(be, cfg):
 
 def _build_bridgeland(be, cfg):
     objs = _objs(be, cfg.max_dim)
-    alphas = _alphas(be, cfg)
+    alphas = _alphas(be)
     w = cfg.idx_window
     hom = build_hom(be, "phi")
     inv = build_hom(be, "phiInv")
@@ -348,7 +336,7 @@ def _build_bridgeland(be, cfg):
 
 def _build_varphi(be, cfg):
     objs = _objs(be, cfg.max_dim)
-    alphas = _alphas(be, cfg)
+    alphas = _alphas(be)
     idxs = [cfg.i] if cfg.i is not None else [-2, -1, 0, 1]
     inv = build_hom(be, "phiInv")
     for i in idxs:
@@ -378,9 +366,9 @@ def _build_varphi(be, cfg):
 
 def _build_gradings(be, cfg):
     objs = _objs(be, cfg.max_dim)
-    alphas = _alphas(be, cfg)
+    alphas = _alphas(be)
     batches = [(fam, _family_relation_params(objs, alphas, fam))
-               for fam in ("hd", "hhd", "d")]
+               for fam in TWO_SIDED]
     batches.append(("dhce", _dhce_relation_params(objs, alphas,
                                                   cfg.idx_window)))
     for fam, pairs in batches:
@@ -400,10 +388,9 @@ def _build_gradings(be, cfg):
 
 
 def _module_pool(objs_nz, fam):
-    if fam == "hd":
-        return [MuPlus(c) for c in objs_nz] + [MuMinus(c) for c in objs_nz]
-    if fam == "hhd":
-        return [NuPlus(c) for c in objs_nz] + [NuMinus(c) for c in objs_nz]
+    if fam in TWO_SIDED:
+        kind = TWO_SIDED[fam].module
+        return [(kind, s, c) for s in (1, -1) for c in objs_nz]
     if fam == "dhm":
         idxs = (0, 1)
         return [E(c, i) for i in idxs for c in objs_nz]
@@ -412,11 +399,9 @@ def _module_pool(objs_nz, fam):
 
 
 def _torus_pool(alphas_nz, fam):
-    if fam == "hd":
-        return [KPlus(a) for a in alphas_nz] + [KMinus(a) for a in alphas_nz]
-    if fam == "hhd":
-        return [KcPlus(a) for a in alphas_nz] + \
-               [KcMinus(a) for a in alphas_nz]
+    if fam in TWO_SIDED:
+        kind = TWO_SIDED[fam].torus
+        return [(kind, s, a) for s in (1, -1) for a in alphas_nz]
     if fam == "dhm":
         return [Kc(a, i) for i in (0, 1) for a in alphas_nz]
     if fam == "dhce":
@@ -435,7 +420,7 @@ def _dim_ok(be, letters, bound):
 def _build_rewrite_sanity(be, cfg):
     objs_nz = [c for c in _objs(be, cfg.max_dim)
                if sum(be.class_dim(c)) > 0]
-    alphas_nz = [a for a in _alphas(be, cfg) if any(a)]
+    alphas_nz = [a for a in _alphas(be) if any(a)]
     tags = ("hd", "hhd", "dhm:0", "dhm:4", "dh", "dhtw", "dhce")
     rng = random.Random(cfg.seed)
 
@@ -554,8 +539,6 @@ def run_suite(cfg):
             failures.append(failed)
     params = {"max_dim": cfg.max_dim, "m": cfg.m, "i": cfg.i,
               "idx_window": cfg.idx_window, "seed": cfg.seed}
-    if cfg.alphas is not None:
-        params["alphas"] = [list(a) for a in cfg.alphas]
     return {
         "suite": cfg.suite,
         "quiver": cfg.quiver,

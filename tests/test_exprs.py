@@ -7,7 +7,7 @@ from hallforge.backend import QuiverBackend
 from hallforge.exprs import (ExprError, parse_expr, render_elt, render_tensor,
                              render_word)
 from hallforge.presented import (E, Kc, KPlus, KMinus, Kz, MuMinus, MuPlus,
-                                 NuPlus, OmPlus, Zg, algebra,
+                                 NuMinus, NuPlus, OmPlus, Zg, algebra,
                                  normal_form, pmult, tensor_word, FreeElt)
 from hallforge.quiver import preset
 from hallforge.scalars import Lin, SqrtScalar, vpow
@@ -94,6 +94,15 @@ def test_render_tensor():
     HHD = algebra("hhd", BE)
     t = tensor_word((HD, HHD), (KPlus((1, 0)),), (NuPlus(S1),))
     assert render_tensor(BE, t) == "K+[(1,0)] (x) nu+[S1]"
+    algs = (HD, HHD)
+    neg = tensor_word(algs, (KPlus((1, 0)),), (NuPlus(S1),),
+                      SqrtScalar.of(-1, 2))
+    assert render_tensor(BE, neg) == "-K+[(1,0)] (x) nu+[S1]"
+    unit_leg = tensor_word(algs, (), (NuPlus(S2),), vpow(3, 2))
+    assert render_tensor(BE, unit_leg) == "v^3 1 (x) nu+[S2]"
+    pair = tensor_word(algs, (MuPlus(S1),), (NuMinus(S1),))
+    assert render_tensor(BE, pair - unit_leg) == \
+        "mu+[S1] (x) nu-[S1] - v^3 1 (x) nu+[S2]"
 
 
 _LETTER_POOL = [MuPlus(S1), MuMinus(S1), MuPlus(S2), MuMinus(S2), MuPlus(P),

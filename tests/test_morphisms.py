@@ -5,13 +5,14 @@ import pytest
 
 from hallforge.backend import QuiverBackend
 from hallforge.exprs import render_any
-from hallforge.morphisms import (GenMap, SOURCE_RELATIONS, apply_hom,
-                                 build_hom, check_relation, double_monomials,
-                                 rank_independence, tensor_apply)
-from hallforge.presented import (E, FreeElt, Kc, KMinus, KPlus, KcMinus,
-                                 KcPlus, KdMinus, KdPlus, Kz, MuMinus, MuPlus,
-                                 NuMinus, NuPlus, OmMinus, OmPlus, Zg, algebra,
-                                 normal_form, pmult, tensor_mult, tensor_word)
+from hallforge.morphisms import (GenMap, apply_hom, build_hom, check_relation,
+                                 double_monomials, rank_independence,
+                                 tensor_apply)
+from hallforge.presented import (TWO_SIDED, E, FreeElt, Kc, KMinus, KPlus,
+                                 KcMinus, KcPlus, KdMinus, KdPlus, Kz, MuMinus,
+                                 MuPlus, NuMinus, NuPlus, OmMinus, OmPlus, Zg,
+                                 algebra, normal_form, pmult, tensor_mult,
+                                 tensor_word)
 from hallforge.quiver import preset
 from hallforge.scalars import vpow
 from hallforge.suites import _run_one
@@ -113,12 +114,12 @@ def test_kappa_preserves_relations_spot():
     for m, i in ((0, 0), (0, -1), (4, 3)):
         kap = build_hom(BE, "kappa", m=m, i=i)
         chk = build_hom(BE, "kappaCheck", m=m, i=i)
-        for rel in SOURCE_RELATIONS["hd"]:
+        for rel in TWO_SIDED["hd"].relations:
             ok, left, right = check_relation(kap, rel, {
                 "M": S1, "N": P, "alpha": (1, 0), "beta": (0, 1), "sign": 1})
             assert ok, (m, i, rel, render_any(BE, left),
                         render_any(BE, right))
-        for rel in SOURCE_RELATIONS["hhd"]:
+        for rel in TWO_SIDED["hhd"].relations:
             ok, left, right = check_relation(chk, rel, {
                 "M": P, "N": S2, "alpha": (0, 1), "beta": (1, 0), "sign": -1})
             assert ok, (m, i, rel, render_any(BE, left),
@@ -127,7 +128,7 @@ def test_kappa_preserves_relations_spot():
 
 def test_I_preserves_double_relations_spot():
     I = build_hom(BE, "I")
-    for rel in SOURCE_RELATIONS["d"]:
+    for rel in TWO_SIDED["d"].relations:
         ok, left, right = check_relation(I, rel, {
             "M": S1, "N": S2, "alpha": (1, 0), "beta": (0, -1), "sign": 1})
         assert ok, (rel, render_any(BE, left), render_any(BE, right))

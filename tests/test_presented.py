@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hallforge import presented
 from hallforge.backend import QuiverBackend
 from hallforge.caps import Budget, CapExceeded
+from hallforge.exprs import render_elt
 from hallforge.presented import (Algebra, E, FreeElt, Kc, KcMinus, KcPlus,
                                  KMinus, KPlus, Kz, MuMinus,
                                  MuPlus, NuMinus, NuPlus,
@@ -213,6 +215,111 @@ def test_relation_instance_shapes():
     assert rhs.terms == {(E(S2, 2), E(S1, 0)): ONE}
     with pytest.raises(ValueError):
         relation_instance(HD, "9.9", {})
+
+
+_A, _B = (1, 0), (0, 1)
+
+# the rendered sides of one a2 q=2 instance per (relation, variant) of the
+# two-sided presentations, with the no-variant defaults of the torus-torus
+# and torus-module cross shapes; M and N are object names
+_PINNED_SIDES = [
+    ("hd", "2.3", {"sign": 1, "M": "S1", "N": "S2"},
+     "mu+[S1] mu+[S2]", "v^-1 mu+[X{1,1}#0] + v^-1 mu+[X{1,1}#1]"),
+    ("hd", "2.3", {"sign": -1, "M": "S1", "N": "S2"},
+     "mu-[S1] mu-[S2]", "v^-1 mu-[X{1,1}#0] + v^-1 mu-[X{1,1}#1]"),
+    ("hd", "2.4", {"sign": 1, "alpha": _A, "M": "S1"},
+     "K+[(1,0)] mu+[S1]", "v^2 mu+[S1] K+[(1,0)]"),
+    ("hd", "2.4", {"sign": -1, "alpha": _A, "M": "S1"},
+     "K-[(1,0)] mu-[S1]", "v^2 mu-[S1] K-[(1,0)]"),
+    ("hd", "2.5", {"variant": "merge", "sign": 1, "alpha": _A, "beta": _B},
+     "K+[(1,0)] K+[(0,1)]", "K+[(1,1)]"),
+    ("hd", "2.5", {"variant": "merge", "sign": -1, "alpha": _A, "beta": _B},
+     "K-[(1,0)] K-[(0,1)]", "K-[(1,1)]"),
+    ("hd", "2.5", {"variant": "cross", "alpha": _A, "beta": _B},
+     "K+[(1,0)] K-[(0,1)]", "v^-1 K-[(0,1)] K+[(1,0)]"),
+    ("hd", "2.5", {"alpha": _A, "beta": _B},
+     "K+[(1,0)] K-[(0,1)]", "v^-1 K-[(0,1)] K+[(1,0)]"),
+    ("hd", "2.6", {"variant": "K-mu+", "alpha": _A, "M": "S1"},
+     "K-[(1,0)] mu+[S1]", "v^-2 mu+[S1] K-[(1,0)]"),
+    ("hd", "2.6", {"variant": "K+mu-", "alpha": _A, "M": "S1"},
+     "K+[(1,0)] mu-[S1]", "mu-[S1] K+[(1,0)]"),
+    ("hd", "2.6", {"alpha": _A, "M": "S1"},
+     "K+[(1,0)] mu-[S1]", "mu-[S1] K+[(1,0)]"),
+    ("hd", "2.7", {"M": "S1", "N": "S1"},
+     "mu+[S1] mu-[S1]", "mu-[S1] mu+[S1] + K-[(1,0)]"),
+    ("hhd", "2.8", {"sign": 1, "M": "S1", "N": "S2"},
+     "nu+[S1] nu+[S2]", "v^-1 nu+[X{1,1}#0] + v^-1 nu+[X{1,1}#1]"),
+    ("hhd", "2.8", {"sign": -1, "M": "S1", "N": "S2"},
+     "nu-[S1] nu-[S2]", "v^-1 nu-[X{1,1}#0] + v^-1 nu-[X{1,1}#1]"),
+    ("hhd", "2.9", {"sign": 1, "alpha": _A, "M": "S1"},
+     "Kc+[(1,0)] nu+[S1]", "v^2 nu+[S1] Kc+[(1,0)]"),
+    ("hhd", "2.9", {"sign": -1, "alpha": _A, "M": "S1"},
+     "Kc-[(1,0)] nu-[S1]", "v^2 nu-[S1] Kc-[(1,0)]"),
+    ("hhd", "2.10", {"variant": "merge", "sign": 1, "alpha": _A, "beta": _B},
+     "Kc+[(1,0)] Kc+[(0,1)]", "Kc+[(1,1)]"),
+    ("hhd", "2.10", {"variant": "merge", "sign": -1, "alpha": _A, "beta": _B},
+     "Kc-[(1,0)] Kc-[(0,1)]", "Kc-[(1,1)]"),
+    ("hhd", "2.10", {"variant": "cross", "alpha": _A, "beta": _B},
+     "Kc+[(1,0)] Kc-[(0,1)]", "v Kc-[(0,1)] Kc+[(1,0)]"),
+    ("hhd", "2.10", {"alpha": _A, "beta": _B},
+     "Kc+[(1,0)] Kc-[(0,1)]", "v Kc-[(0,1)] Kc+[(1,0)]"),
+    ("hhd", "2.11", {"variant": "Kc+nu-", "alpha": _A, "M": "S1"},
+     "Kc+[(1,0)] nu-[S1]", "v^-2 nu-[S1] Kc+[(1,0)]"),
+    ("hhd", "2.11", {"variant": "Kc-nu+", "alpha": _A, "M": "S1"},
+     "Kc-[(1,0)] nu+[S1]", "nu+[S1] Kc-[(1,0)]"),
+    ("hhd", "2.11", {"alpha": _A, "M": "S1"},
+     "Kc-[(1,0)] nu+[S1]", "nu+[S1] Kc-[(1,0)]"),
+    ("hhd", "2.12", {"M": "S1", "N": "S1"},
+     "nu-[S1] nu+[S1]", "nu+[S1] nu-[S1] + Kc+[(1,0)]"),
+    ("d", "2.13", {"M": "S1", "N": "S1"},
+     "om+[S1] om-[S1] + KD+[(1,0)]", "om-[S1] om+[S1] + KD-[(1,0)]"),
+    ("d", "2.14", {"sign": 1, "M": "S1", "N": "S2"},
+     "om+[S1] om+[S2]", "v^-1 om+[X{1,1}#0] + v^-1 om+[X{1,1}#1]"),
+    ("d", "2.14", {"sign": -1, "M": "S1", "N": "S2"},
+     "om-[S1] om-[S2]", "v^-1 om-[X{1,1}#0] + v^-1 om-[X{1,1}#1]"),
+    ("d", "2.15", {"sign": 1, "alpha": _A, "M": "S1"},
+     "KD+[(1,0)] om+[S1]", "v^2 om+[S1] KD+[(1,0)]"),
+    ("d", "2.15", {"sign": -1, "alpha": _A, "M": "S1"},
+     "KD-[(1,0)] om-[S1]", "v^2 om-[S1] KD-[(1,0)]"),
+    ("d", "2.16", {"variant": "merge", "sign": 1, "alpha": _A, "beta": _B},
+     "KD+[(1,0)] KD+[(0,1)]", "KD+[(1,1)]"),
+    ("d", "2.16", {"variant": "merge", "sign": -1, "alpha": _A, "beta": _B},
+     "KD-[(1,0)] KD-[(0,1)]", "KD-[(1,1)]"),
+    ("d", "2.16", {"variant": "cross", "alpha": _A, "beta": _B},
+     "KD+[(1,0)] KD-[(0,1)]", "KD-[(0,1)] KD+[(1,0)]"),
+    ("d", "2.17", {"variant": "K-om+", "alpha": _A, "M": "S1"},
+     "KD-[(1,0)] om+[S1]", "v^-2 om+[S1] KD-[(1,0)]"),
+    ("d", "2.17", {"variant": "K+om-", "alpha": _A, "M": "S1"},
+     "KD+[(1,0)] om-[S1]", "v^-2 om-[S1] KD+[(1,0)]"),
+]
+
+
+@pytest.mark.parametrize(
+    "tag,rel,params,lhs,rhs", _PINNED_SIDES,
+    ids=["%s-%s-%s" % (t, r, p.get("variant", p.get("sign", "")))
+         for t, r, p, _, _ in _PINNED_SIDES])
+def test_two_sided_relation_sides_pinned(tag, rel, params, lhs, rhs):
+    prm = {k: BE.class_by_name(v) if k in ("M", "N") else v
+           for k, v in params.items()}
+    got = relation_instance(algebra(tag, BE), rel, prm)
+    assert [render_elt(BE, side) for side in got] == [lhs, rhs]
+
+
+@pytest.mark.parametrize("alg,rel,params", [
+    # a misspelling, another family's name, a wrong case: none may fall
+    # through to some other instance
+    (HD, "2.5", {"variant": "mrege", "alpha": _A, "beta": _B}),
+    (HD, "2.6", {"variant": "K-mu-", "alpha": _A, "M": S1}),
+    (HHD, "2.10", {"variant": "Merge", "alpha": _A, "beta": _B}),
+    (HHD, "2.11", {"variant": "K-mu+", "alpha": _A, "M": S1}),
+    (DD, "2.16", {"variant": "crossing", "alpha": _A, "beta": _B}),
+    (DD, "2.17", {"variant": "Kc+nu-", "alpha": _A, "M": S1}),
+    (DHCE, "4.10", {"variant": "kk", "alpha": _A, "beta": _B, "M": S1,
+                    "i": 0}),
+], ids=["2.5", "2.6", "2.10", "2.11", "2.16", "2.17", "4.10"])
+def test_unknown_variant_raises(alg, rel, params):
+    with pytest.raises(ValueError, match=re.escape(rel)):
+        relation_instance(alg, rel, params)
 
 
 def test_drinfeld_vs_double_cross():

@@ -24,15 +24,6 @@ def test_index_window_defaults():
     assert _index_window(RunConfig(suite="psi", m=7, i=2)) == [2]
 
 
-def test_alphas_window_is_configurable():
-    narrow = RunConfig(suite="kashaev", max_dim=2,
-                       alphas=((0, 0), (1, 0)))
-    wide = RunConfig(suite="kashaev", max_dim=2)
-    n_narrow = sum(1 for _ in _BUILDERS["kashaev"](BE, narrow))
-    n_wide = sum(1 for _ in _BUILDERS["kashaev"](BE, wide))
-    assert n_narrow < n_wide
-
-
 def test_instance_order_is_stable():
     cfg = RunConfig(suite="heis-oracle", max_dim=2)
     a = [(rel, prm) for rel, prm, _ in _BUILDERS["heis-oracle"](BE, cfg)]
