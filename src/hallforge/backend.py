@@ -174,15 +174,30 @@ class QuiverBackend:
         """{"dims": {"1":1,"2":1}, "maps": {"0": [[1]]}, "p": 2}"""
         if int(data.get("p", self.p)) != self.p:
             raise ValueError("rep file prime differs from backend prime")
-        dims = tuple(int(data["dims"][v]) for v in self.quiver.vertices)
+        given = data.get("dims", {})
+        for v in self.quiver.vertices:
+            if v not in given:
+                raise ValueError("rep file has no dimension for vertex %r"
+                                 % (v,))
+        dims = tuple(int(given[v]) for v in self.quiver.vertices)
+        if any(d < 0 for d in dims):
+            raise ValueError("rep file has a negative dimension")
         raw = data.get("maps", {})
+        unknown = set(raw) - {str(a) for a in range(len(self.quiver.arrows))}
+        if unknown:
+            raise ValueError("rep file maps unknown arrows %s"
+                             % ", ".join(sorted(unknown)))
         maps = []
         for a, (s, t) in enumerate(self.quiver.arrows):
             rows = raw.get(str(a))
             if rows is None:
                 maps.append(FpMatrix.zero(self.p, dims[t], dims[s]))
-            else:
-                maps.append(FpMatrix(self.p, dims[t], dims[s], rows))
+                continue
+            if not (isinstance(rows, list) and len(rows) == dims[t] and all(
+                    isinstance(r, list) and len(r) == dims[s] for r in rows)):
+                raise ValueError("arrow %d needs a %dx%d matrix"
+                                 % (a, dims[t], dims[s]))
+            maps.append(FpMatrix(self.p, dims[t], dims[s], rows))
         return Rep(self.quiver, self.p, dims, tuple(maps))
 
     def load_rep(self, path):

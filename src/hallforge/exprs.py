@@ -25,11 +25,6 @@ class ExprError(ValueError):
         self.position = position
 
 
-# atom names, longest first so the tokenizer can scan greedily
-_ATOM_NAMES = ("mu+", "mu-", "nu+", "nu-", "om+", "om-",
-               "Kc+", "Kc-", "KD+", "KD-", "KZ", "K+", "K-",
-               "Z", "e", "k")
-
 # name -> (letter kind, sign or None, takes torus class, takes index)
 _ATOMS = {
     "mu+": ("mu", 1, False, False),
@@ -49,6 +44,9 @@ _ATOMS = {
     "KD+": ("KD", 1, True, False),
     "KD-": ("KD", -1, True, False),
 }
+
+# atom names, longest first so the tokenizer can scan greedily
+_ATOM_NAMES = sorted(_ATOMS, key=len, reverse=True)
 
 
 class _Scanner:

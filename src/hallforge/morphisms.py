@@ -10,15 +10,22 @@ and catch cap hits.  The relation ids of the two-sided sources hd, hhd
 and d are those of `presented.TWO_SIDED`.  Images and results are `Lin`s
 labelled by the target: an Algebra, or the pair of Algebras of a tensor
 square.
+
+Each shape of map has one construction.  `_double_map` builds the maps
+out of the double d into a tensor square (I, psi, varphi): KD^s_a goes to
+a pair of torus words and om^s_M to a sum over M's subobject table, and
+each map supplies only its word pairs and, for varphi, its v-exponents.
+`_build_kappa` builds both index-shift maps, kappa from hd and kappaCheck
+from hhd, reading the letter kinds off the source's TWO_SIDED row.
 """
 
 import itertools
 from fractions import Fraction
 
-from .presented import (E, FreeElt, Kc, KMinus, KPlus, KcMinus, KcPlus,
-                        KdMinus, KdPlus, Kz, MuMinus, MuPlus, NuMinus, NuPlus,
-                        OmMinus, OmPlus, Zg, algebra, normal_form, pmult,
-                        relation_instance, tensor_mult, tensor_unit,
+from .presented import (TWO_SIDED, E, FreeElt, Kc, KMinus, KPlus, KcMinus,
+                        KcPlus, KdMinus, KdPlus, Kz, MuMinus, MuPlus, NuMinus,
+                        NuPlus, OmMinus, OmPlus, Zg, algebra, normal_form,
+                        pmult, relation_instance, tensor_mult, tensor_unit,
                         tensor_word)
 from .quiver import neg_class, sub_class
 from .scalars import Lin, SqrtScalar, vpow
@@ -113,108 +120,87 @@ def _nf_word(alg, letters, coeff=None):
     return normal_form(alg, FreeElt.word(alg.q, tuple(letters), coeff))
 
 
-def _embedding_terms(be, letter, plus_exp, minus_exp):
-    """Shared sum scaffold for the maps out of the double: yields
-    (coeff, M1, M2, d1, d2) over the splits carrying a nonzero Hall number,
-    in the order of M's subobject table.
+def _double_map(be, name, algs, torus_words, module_words, exponent=None,
+                params=None):
+    """A map out of the double d into the tensor square of `algs`.
 
-    plus side uses g^M_{M1 M2}, minus side g^M_{M2 M1}; the v-exponent
-    callbacks receive (dM, d1, d2)."""
-    sign, M = letter[1], letter[2]
-    aM = be.aut_count(M)
-    dM = be.class_dim(M)
-    q = be.p
-    for (quot, sub), g in be.subobject_table(M).items():
-        m1, m2 = (quot, sub) if sign > 0 else (sub, quot)
-        d1, d2 = be.class_dim(m1), be.class_dim(m2)
-        rat = Fraction(g * be.aut_count(m1) * be.aut_count(m2), aM)
-        exp = plus_exp(dM, d1, d2) if sign > 0 else minus_exp(dM, d1, d2)
-        coeff = vpow(exp, q) * SqrtScalar.of(rat, q)
-        yield coeff, m1, m2, d1, d2
+    KD^s_a goes to the word pair torus_words(s, a).  om^s_M goes to a sum
+    over M's subobject table, one term per (quotient, sub) split with
+    Hall number g: v^e (g a_M1 a_M2 / a_M) times the word pair
+    module_words(s, M1, M2, M1^, M2^), where (M1, M2) is (quotient, sub)
+    on the plus side and (sub, quotient) on the minus side.  The exponent
+    e = exponent(M^, quotient^, sub^) is the same on both sides; it
+    defaults to <quotient^, sub^>.
+    """
+    if exponent is None:
+        exponent = lambda dM, dq, ds: be.euler_form(dq, ds)
+
+    def image(letter):
+        kind, s, x = letter
+        if kind == "KD":
+            return tensor_word(algs, *torus_words(s, x))
+        aM, dM = be.aut_count(x), be.class_dim(x)
+        out = Lin(be.p, None, algs)
+        for (quot, sub), g in be.subobject_table(x).items():
+            dq, ds = be.class_dim(quot), be.class_dim(sub)
+            m1, m2, d1, d2 = ((quot, sub, dq, ds) if s > 0
+                              else (sub, quot, ds, dq))
+            rat = Fraction(g * be.aut_count(m1) * be.aut_count(m2), aM)
+            coeff = vpow(exponent(dM, dq, ds), be.p) * SqrtScalar.of(rat, be.p)
+            out = out + tensor_word(algs, *module_words(s, m1, m2, d1, d2),
+                                    coeff=coeff)
+        return out
+
+    return GenMap(name, algebra("d", be), algs, image, params)
 
 
 def _build_I(be):
-    hd = algebra("hd", be)
-    hhd = algebra("hhd", be)
-    algs = (hd, hhd)
+    def torus_words(s, a):
+        if s > 0:
+            return (KPlus(a),), (KcPlus(a),)
+        return (KMinus(a),), (KcMinus(a),)
 
-    def image(letter):
-        kind, sign = letter[0], letter[1]
-        if kind == "KD":
-            alpha = letter[2]
-            if sign > 0:
-                return tensor_word(algs, (KPlus(alpha),), (KcPlus(alpha),))
-            return tensor_word(algs, (KMinus(alpha),), (KcMinus(alpha),))
-        out = Lin(be.p, None, algs)
-        for coeff, m1, m2, d1, d2 in _embedding_terms(
-                be, letter,
-                lambda dM, d1, d2: be.euler_form(d1, d2),
-                lambda dM, d1, d2: be.euler_form(d2, d1)):
-            if sign > 0:
-                out = out + tensor_word(
-                    algs, (MuPlus(m1), KPlus(d2)), (NuPlus(m2),), coeff)
-            else:
-                out = out + tensor_word(
-                    algs, (MuMinus(m1),), (NuMinus(m2), KcMinus(d1)), coeff)
-        return out
+    def module_words(s, m1, m2, d1, d2):
+        if s > 0:
+            return (MuPlus(m1), KPlus(d2)), (NuPlus(m2),)
+        return (MuMinus(m1),), (NuMinus(m2), KcMinus(d1))
 
-    return GenMap("I", algebra("d", be), algs, image)
+    return _double_map(be, "I", (algebra("hd", be), algebra("hhd", be)),
+                       torus_words, module_words)
 
 
-def _build_kappa(be, m, i):
+def _build_kappa(be, name, m, i):
+    """kappa (source hd) or kappaCheck (source hhd): a generator of sign s
+    goes to index i + 1 when s is the sign of the left letter of the
+    source's crossing, else to index i, so the crossing lands on 4.4."""
     tgt = algebra("dhm:%d" % m, be)
+    source = algebra("hd" if name == "kappa" else "hhd", be)
+    row = TWO_SIDED[source.family]
 
     def image(letter):
-        kind, sign, arg = letter
-        idx = i + 1 if sign > 0 else i
-        if kind == "mu":
-            return _nf_word(tgt, (E(arg, idx),))
-        return _nf_word(tgt, (Kc(arg, idx),))
+        kind, s, x = letter
+        idx = i + 1 if s == row.crossing[0] else i
+        return _nf_word(tgt, (E(x, idx) if kind == row.module
+                              else Kc(x, idx),))
 
-    return GenMap("kappa", algebra("hd", be), tgt, image, {"m": m, "i": i})
-
-
-def _build_kappa_check(be, m, i):
-    tgt = algebra("dhm:%d" % m, be)
-
-    def image(letter):
-        kind, sign, arg = letter
-        idx = i if sign > 0 else i + 1
-        if kind == "nu":
-            return _nf_word(tgt, (E(arg, idx),))
-        return _nf_word(tgt, (Kc(arg, idx),))
-
-    return GenMap("kappaCheck", algebra("hhd", be), tgt, image,
-                  {"m": m, "i": i})
+    return GenMap(name, source, tgt, image, {"m": m, "i": i})
 
 
 def _build_psi(be, m, i):
     tgt = algebra("dhm:%d" % m, be)
-    algs = (tgt, tgt)
 
-    def image(letter):
-        kind, sign = letter[0], letter[1]
-        if kind == "KD":
-            alpha = letter[2]
-            if sign > 0:
-                lw, rw = (Kc(alpha, i + 1),), (Kc(alpha, i),)
-            else:
-                lw, rw = (Kc(alpha, i),), (Kc(alpha, i + 1),)
-            return tensor_word(algs, lw, rw)
-        out = Lin(be.p, None, algs)
-        for coeff, m1, m2, d1, d2 in _embedding_terms(
-                be, letter,
-                lambda dM, d1, d2: be.euler_form(d1, d2),
-                lambda dM, d1, d2: be.euler_form(d2, d1)):
-            if sign > 0:
-                out = out + tensor_word(
-                    algs, (E(m1, i + 1), Kc(d2, i + 1)), (E(m2, i),), coeff)
-            else:
-                out = out + tensor_word(
-                    algs, (E(m1, i),), (E(m2, i + 1), Kc(d1, i + 1)), coeff)
-        return out
+    def torus_words(s, a):
+        if s > 0:
+            return (Kc(a, i + 1),), (Kc(a, i),)
+        return (Kc(a, i),), (Kc(a, i + 1),)
 
-    return GenMap("psi", algebra("d", be), algs, image, {"m": m, "i": i})
+    def module_words(s, m1, m2, d1, d2):
+        if s > 0:
+            return (E(m1, i + 1), Kc(d2, i + 1)), (E(m2, i),)
+        return (E(m1, i),), (E(m2, i + 1), Kc(d1, i + 1))
+
+    return _double_map(be, "psi", (tgt, tgt), torus_words, module_words,
+                       params={"m": m, "i": i})
 
 
 def _build_phi(be):
@@ -268,45 +254,21 @@ def _build_phi_inv(be):
 
 def _build_varphi(be, i):
     ce = algebra("dhce", be)
-    algs = (ce, ce)
 
-    def image(letter):
-        kind, sign = letter[0], letter[1]
-        if kind == "KD":
-            alpha = letter[2]
-            if sign > 0:
-                lw, rw = (Kz(alpha, i + 1),), (Kz(alpha, i),)
-            else:
-                lw, rw = (Kz(alpha, i),), (Kz(alpha, i + 1),)
-            return tensor_word(algs, lw, rw)
+    def torus_words(s, a):
+        if s > 0:
+            return (Kz(a, i + 1),), (Kz(a, i),)
+        return (Kz(a, i),), (Kz(a, i + 1),)
 
-        def exp_plus(dM, d1, d2):
-            if i == -1:
-                return be.euler_form(dM, d2)
-            if i == 0:
-                return -be.euler_form(dM, d1)
-            return (be.euler_form(d1, sub_class(d2, d1))
-                    - i * (be.euler_form(d1, d1) + be.euler_form(d2, d2)))
+    def exponent(dM, dq, ds):
+        if i == -1:
+            return be.euler_form(dM, ds)
+        if i == 0:
+            return -be.euler_form(dM, dq)
+        return (be.euler_form(dq, sub_class(ds, dq))
+                - i * (be.euler_form(dq, dq) + be.euler_form(ds, ds)))
 
-        def exp_minus(dM, d1, d2):
-            if i == -1:
-                return be.euler_form(dM, d1)
-            if i == 0:
-                return -be.euler_form(dM, d2)
-            return (be.euler_form(d2, sub_class(d1, d2))
-                    - i * (be.euler_form(d1, d1) + be.euler_form(d2, d2)))
-
-        out = Lin(be.p, None, algs)
-        for coeff, m1, m2, d1, d2 in _embedding_terms(
-                be, letter, exp_plus, exp_minus):
-            if sign > 0:
-                lw, rw = _omega_plus_words(m1, m2, d1, d2)
-            else:
-                lw, rw = _omega_minus_words(m1, m2, d1, d2)
-            out = out + tensor_word(algs, lw, rw, coeff)
-        return out
-
-    def _omega_plus_words(m1, m2, d1, d2):
+    def plus_words(m1, m2, d1, d2):
         if i == -1:
             return ((Zg(m1, 0), Kz(d2, 0)), (Zg(m2, -1), Kz(d2, -1)))
         if i == 0:
@@ -326,7 +288,7 @@ def _build_varphi(be, i):
         rw += [Kz(_signed(d2, _alt(i - j - 1)), j) for j in range(i)]
         return tuple(lw), tuple(rw)
 
-    def _omega_minus_words(m1, m2, d1, d2):
+    def minus_words(m1, m2, d1, d2):
         if i == -1:
             return ((Zg(m1, -1), Kz(d1, -1)), (Zg(m2, 0), Kz(d1, 0)))
         if i == 0:
@@ -346,7 +308,11 @@ def _build_varphi(be, i):
         rw.append(Kz(d1, i + 1))
         return tuple(lw), tuple(rw)
 
-    return GenMap("varphi", algebra("d", be), algs, image, {"i": i})
+    def module_words(s, *split):
+        return (plus_words if s > 0 else minus_words)(*split)
+
+    return _double_map(be, "varphi", (ce, ce), torus_words, module_words,
+                       exponent, {"i": i})
 
 
 def build_hom(be, name, i=None, m=None):
@@ -355,16 +321,14 @@ def build_hom(be, name, i=None, m=None):
         return _build_I(be)
     if name in ("kappa", "kappaCheck", "psi"):
         m = 0 if m is None else int(m)
-        if m < 0 or m in (1, 2):
-            raise ValueError("modulus must be 0 or > 2, got %d" % m)
         if i is None:
             raise ValueError("%s needs an index i" % name)
         i = int(i)
         if m and not 0 <= i < m:
             i %= m
-        builder = {"kappa": _build_kappa, "kappaCheck": _build_kappa_check,
-                   "psi": _build_psi}[name]
-        return builder(be, m, i)
+        if name == "psi":
+            return _build_psi(be, m, i)
+        return _build_kappa(be, name, m, i)
     if name == "phi":
         return _build_phi(be)
     if name == "phiInv":

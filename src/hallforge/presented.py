@@ -11,6 +11,9 @@ exponent, the two torus-module cross exponents and the crossing.  The
 `TWO_SIDED` table holds one row of those per family; `relation_instance`,
 the one two-sided pair rule and the suites' windows all read it.  The Z
 families dh, dhtw and dhce share one Z rule, twisted everywhere but on dh.
+The comultiplication-pairing sum, sum phi(a_(2), b_(1)) a_(1) b_(2), is
+one function, `_pairing_sum`: the 2.7/2.12 oracles normal-order it, and
+it is both sides of the abstract double relation 2.13.
 
 The driver keeps a stack of (word, coefficient, start) entries and searches
 each word for its leftmost redex from `start` on:
@@ -685,6 +688,27 @@ def hd_cross(be, side, M, N):
     return Lin(alg.q, out, alg)
 
 
+def _pairing_sum(be, a, b, module, torus, s):
+    """sum phi(a_(2), b_(1)) X^s_(a_(1)) T^s X^-s_(b_(2)) T^-s, a free
+    element, over the terms [A1]K_a1 (x) [A2]K_a2 of Delta(a) and
+    [B1]K_b1 (x) [B2]K_b2 of Delta(b) for objects a and b; X is the
+    module letter kind, T the torus letter kind, and a_(1) stands for
+    (A1, a1).  This is the comultiplication-pairing sum of the Heisenberg
+    and Drinfeld doubles (Kashaev 1997)."""
+    q = be.p
+    db = comult(basis(be, b)).terms.items()
+    out = Lin(q)
+    for ((a1m, a1k), (a2m, a2k)), ca in comult(basis(be, a)).terms.items():
+        a2 = basis(be, a2m, a2k)
+        for ((b1m, b1k), (b2m, b2k)), cb in db:
+            pair = green_pairing(a2, basis(be, b1m, b1k))
+            if not pair.is_zero():
+                letters = ((module, s, a1m), (torus, s, a1k),
+                           (module, -s, b2m), (torus, -s, b2k))
+                out = out + FreeElt.word(q, letters, ca * cb * pair)
+    return out
+
+
 def hd_cross_oracle(be, side, M, N):
     """The same crossing computed from comult and green_pairing alone.
 
@@ -695,27 +719,12 @@ def hd_cross_oracle(be, side, M, N):
     """
     side = side.upper()
     if side == "HD":
-        a_obj, b_obj = N, M
+        free = _pairing_sum(be, N, M, "mu", "K", -1)
     elif side == "HHD":
-        a_obj, b_obj = M, N
+        free = _pairing_sum(be, M, N, "nu", "Kc", 1)
     else:
         raise ValueError("side must be HD or HHD, got %r" % (side,))
-    da = comult(basis(be, a_obj))
-    db = comult(basis(be, b_obj))
-    alg = algebra("hd" if side == "HD" else "hhd", be)
-    free = Lin(be.p)
-    for ((a1m, a1k), (a2m, a2k)), ca in da.terms.items():
-        for ((b1m, b1k), (b2m, b2k)), cb in db.terms.items():
-            pair = green_pairing(basis(be, a2m, a2k), basis(be, b1m, b1k))
-            if pair.is_zero():
-                continue
-            if side == "HD":
-                letters = (MuMinus(a1m), KMinus(a1k), MuPlus(b2m), KPlus(b2k))
-            else:
-                letters = (NuPlus(a1m), KcPlus(a1k), NuMinus(b2m),
-                           KcMinus(b2k))
-            free = free + FreeElt.word(be.p, letters, ca * cb * pair)
-    return normal_form(alg, free)
+    return normal_form(algebra(side.lower(), be), free)
 
 
 # ---------------------------------------------------------------------------
@@ -995,27 +1004,12 @@ def _drinfeld_instance(be, M, N):
     """The abstract double relation on ([M]+, [N]-) via comult and pairing.
 
     lhs: sum phi(a1, b2) b1 a2;  rhs: sum phi(a2, b1) a1 b2, with
-    a = [N] in the minus copy and b = [M] in the plus copy.
+    a = [N] in the minus copy and b = [M] in the plus copy.  phi is
+    symmetric, so lhs is the pairing sum with the roles of a and b
+    exchanged.
     """
-    q = be.p
-    da = comult(basis(be, N))
-    db = comult(basis(be, M))
-    lhs = Lin(q)
-    rhs = Lin(q)
-    for ((a1m, a1k), (a2m, a2k)), ca in da.terms.items():
-        for ((b1m, b1k), (b2m, b2k)), cb in db.terms.items():
-            c = ca * cb
-            p1 = green_pairing(basis(be, a1m, a1k), basis(be, b2m, b2k))
-            if not p1.is_zero():
-                lhs = lhs + FreeElt.word(
-                    q, (OmPlus(b1m), KdPlus(b1k), OmMinus(a2m), KdMinus(a2k)),
-                    c * p1)
-            p2 = green_pairing(basis(be, a2m, a2k), basis(be, b1m, b1k))
-            if not p2.is_zero():
-                rhs = rhs + FreeElt.word(
-                    q, (OmMinus(a1m), KdMinus(a1k), OmPlus(b2m), KdPlus(b2k)),
-                    c * p2)
-    return lhs, rhs
+    return (_pairing_sum(be, M, N, "om", "KD", 1),
+            _pairing_sum(be, N, M, "om", "KD", -1))
 
 
 def _double_cross_instance(alg, M, N):

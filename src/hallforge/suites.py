@@ -5,8 +5,9 @@ instances, in an order fixed by construction: plain `(relation, params,
 check)` triples, where `params` is the JSON-ready dict the report shows
 and `check()` returns `(ok, lhs, rhs)` with the compared values
 unrendered (an element, a scalar, an int, or None for checks without
-sides).  `_run_one` runs one instance: it is the one place that catches
-a cap hit and renders the sides, only for a failure.  `run_suite` pulls
+sides); a failing check may add a fourth value, a note saying why.
+`_run_one` runs one instance: it is the one place that catches a cap
+hit and renders the sides, only for a failure.  `run_suite` pulls
 the instances one at a time on the calling thread, runs each as it is
 built and counts instances, passes, failures and cap hits; no list of
 instances is ever held.
@@ -284,9 +285,9 @@ def _build_kappa(be, cfg):
     objs = _objs(be, cfg.max_dim)
     alphas = _alphas(be)
     for i in _index_window(cfg):
-        for name, family in (("kappa", "hd"), ("kappaCheck", "hhd")):
+        for name in ("kappa", "kappaCheck"):
             hom = build_hom(be, name, i=i, m=cfg.m)
-            pairs = _family_relation_params(objs, alphas, family)
+            pairs = _family_relation_params(objs, alphas, hom.source.family)
             yield from _morph_insts(be, hom, pairs,
                                     extra={"map": "%s(%d,%d)"
                                            % (name, cfg.m, i)})
@@ -379,10 +380,9 @@ def _build_gradings(be, cfg):
             def fn(alg=alg, rel=rel, prm=prm):
                 lhs, rhs = relation_instance(alg, rel, prm)
                 try:
-                    ok = grading_check(alg, lhs, rhs)
-                except ValueError:
-                    ok = False
-                return ok, lhs, rhs
+                    return grading_check(alg, lhs, rhs), lhs, rhs
+                except ValueError as exc:  # an inhomogeneous side
+                    return False, lhs, rhs, str(exc)
 
             yield rel, named, fn
 
@@ -507,20 +507,27 @@ _BUILDERS = {
 # ---------------------------------------------------------------------------
 # runner
 
+class _CapHit(dict):
+    """The failure entry of a cap hit, the only kind counted in cap_hits."""
+
+    __slots__ = ()
+
+
 def _run_one(be, inst):
     """Run one (relation, params, check) instance: None when it passes,
-    else its failure entry, whose sides are rendered here and whose note
-    is the cap message of a cap hit ("" otherwise)."""
+    else its failure entry, whose sides are rendered here.  Its note is
+    the cap message of a cap hit, the note a failing check returned, or
+    ""."""
     rel, params, check = inst
     try:
-        ok, lhs, rhs = check()
+        ok, lhs, rhs, *note = check()
     except CapExceeded as exc:
-        return {"relation": rel, "params": params, "lhs": "", "rhs": "",
-                "note": str(exc)}
+        return _CapHit(relation=rel, params=params, lhs="", rhs="",
+                       note=str(exc))
     if ok:
         return None
     return {"relation": rel, "params": params, "lhs": render_any(be, lhs),
-            "rhs": render_any(be, rhs), "note": ""}
+            "rhs": render_any(be, rhs), "note": note[0] if note else ""}
 
 
 def run_suite(cfg):
@@ -547,7 +554,7 @@ def run_suite(cfg):
         "instances": count,
         "passes": count - len(failures),
         "failures": failures,
-        "cap_hits": sum(1 for f in failures if f["note"]),
+        "cap_hits": sum(isinstance(f, _CapHit) for f in failures),
         "elapsed_ms": int((time.monotonic() - t0) * 1000),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hallforge
 from hallforge.cli import main
 from hallforge.suites import RunConfig, SUITES, exit_code, run_suite
 
@@ -49,6 +53,34 @@ def test_wrong_family_is_usage_error(capsys):
     rc, _, err = run(capsys, "mult", "--algebra", "hd",
                      "--expr", "nu+[S1]")
     assert rc == 2 and "nu" in err
+
+
+@pytest.mark.parametrize("data,why", [
+    ({"dims": {"1": 1, "2": 1}, "maps": {"0": [[1, 0]]}}, "1x1 matrix"),
+    ({"dims": {"1": 1}, "maps": {"0": [[1]]}}, "vertex '2'"),
+    ({"dims": {"1": 1, "2": 1}, "maps": {"1": [[1]]}}, "unknown arrows 1"),
+], ids=["shape", "vertex", "arrow"])
+def test_malformed_rep_file_is_a_parse_error(tmp_path, capsys, data, why):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "mult", "--algebra", "hd",
+                       "--expr", "mu+[@%s]" % path)
+    assert rc == 2 and out == ""
+    assert "cannot load rep" in err and why in err
+
+
+def test_malformed_rep_file_is_refused_under_optimize(tmp_path):
+    # the shape check must not rest on assert statements
+    path = tmp_path / "bad.json"
+    path.write_text('{"dims": {"1": 1, "2": 1}, "maps": {"0": [[1, 0]]}}')
+    src = os.path.dirname(os.path.dirname(hallforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "hallforge.cli", "mult", "--algebra",
+         "hd", "--expr", "mu+[@%s]" % path],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "1x1 matrix" in proc.stderr
 
 
 def test_hallnum(capsys):

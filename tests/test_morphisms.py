@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 from functools import partial
 
 import pytest
 
 from hallforge.backend import QuiverBackend
-from hallforge.exprs import render_any
+from hallforge.exprs import render_any, render_letter
 from hallforge.morphisms import (GenMap, apply_hom, build_hom, check_relation,
                                  double_monomials, rank_independence,
                                  tensor_apply)
@@ -279,3 +280,32 @@ def test_apply_hom_matches_unit_first_loop():
         # the cached images are shared, never updated in place
         for g, terms in images.items():
             assert h.image(g).terms == terms
+
+
+# ---------------------------------------------------------------------------
+# every generator image, byte for byte
+
+def _pinned_maps():
+    maps = [build_hom(BE, "I"), build_hom(BE, "phi"),
+            build_hom(BE, "phiInv")]
+    for m, idxs in ((0, (-1, 0, 1)), (4, range(4))):
+        for i in idxs:
+            maps += [build_hom(BE, name, m=m, i=i)
+                     for name in ("kappa", "kappaCheck", "psi")]
+    maps += [build_hom(BE, "varphi", i=i) for i in range(-3, 3)]
+    return maps
+
+
+def test_generator_images_pinned():
+    # sha256 of the rendered image of every generator of each source under
+    # every map: a change to how a map is built must keep all 700 images
+    digest = hashlib.sha256()
+    count = 0
+    for h in _pinned_maps():
+        for letter in _generators(h.source.family):
+            digest.update(("%r %s: %s\n" % (
+                h, render_letter(BE, letter),
+                render_any(BE, h.image(letter)))).encode())
+            count += 1
+    assert (count, digest.hexdigest()) == (
+        700, "bc5f4a13b06fd2418cb73227783145d895f7d3cf038445c87cc7d290141df204")

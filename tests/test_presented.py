@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 import warnings
@@ -320,6 +321,23 @@ def test_two_sided_relation_sides_pinned(tag, rel, params, lhs, rhs):
 def test_unknown_variant_raises(alg, rel, params):
     with pytest.raises(ValueError, match=re.escape(rel)):
         relation_instance(alg, rel, params)
+
+
+def test_oracles_and_drinfeld_sides_pinned():
+    # sha256 of the rendered 2.7/2.12 oracles and of both sides of 2.13,
+    # free and quasi-reduced, over the max_dim 2 window
+    digest = hashlib.sha256()
+    for m, n in itertools.product(WINDOW, repeat=2):
+        names = "%s %s" % (BE.class_name(m), BE.class_name(n))
+        for side in ("HD", "HHD"):
+            digest.update(("%s %s: %s\n" % (side, names, render_elt(
+                BE, hd_cross_oracle(BE, side, m, n)))).encode())
+        for x in relation_instance(DD, "2.13", {"M": m, "N": n}):
+            digest.update(("2.13 %s: %s | %s\n" % (
+                names, render_elt(BE, x),
+                render_elt(BE, d_quasi(BE, x)))).encode())
+    assert digest.hexdigest() == \
+        "0733b07a37c432944441169433b325266678169a06771532e48c30d3b5730ee3"
 
 
 def test_drinfeld_vs_double_cross():

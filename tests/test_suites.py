@@ -8,7 +8,7 @@ from hallforge import suites
 from hallforge.backend import make_backend
 from hallforge.caps import CapExceeded
 from hallforge.suites import (RunConfig, _BUILDERS, _index_window, _run_one,
-                              run_suite)
+                              exit_code, run_suite)
 
 BE = make_backend("a2", 2)
 
@@ -75,6 +75,31 @@ def test_run_one_turns_a_cap_hit_into_a_noted_failure():
     assert _run_one(BE, ("r", {}, capped)) == {
         "relation": "r", "params": {}, "lhs": "", "rhs": "",
         "note": "enumeration cap exceeded in subobjects (spent 9, limit 8)"}
+
+
+def test_run_one_keeps_a_failing_checks_note():
+    assert _run_one(BE, ("r", {}, lambda: (False, 3, 4, "why")))["note"] \
+        == "why"
+    assert _run_one(BE, ("r", {}, lambda: (True, 3, 3, "unused"))) is None
+
+
+def test_run_one_lets_other_errors_through():
+    def broken():
+        raise ValueError("not a cap hit")
+
+    with pytest.raises(ValueError, match="not a cap hit"):
+        _run_one(BE, ("r", {}, broken))
+
+
+def test_gradings_failure_notes_why(monkeypatch):
+    def inhomogeneous(alg, lhs, rhs):
+        raise ValueError("not homogeneous")
+
+    monkeypatch.setattr(suites, "grading_check", inhomogeneous)
+    report = run_suite(RunConfig(suite="gradings", max_dim=1, idx_window=1))
+    assert (report["passes"], report["instances"]) == (0, 859)
+    assert report["failures"][0]["note"] == "not homogeneous"
+    assert report["cap_hits"] == 0 and exit_code(report) == 1
 
 
 def test_every_builder_is_a_generator():
