@@ -112,6 +112,13 @@ def path_chains(quiver):
     return tuple(chains)
 
 
+def _json_int(x, what):
+    """x if it is a JSON integer; a ValueError naming `what` otherwise."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError("rep file: %s must be an integer, not %r" % (what, x))
+    return x
+
+
 class EnumerationError(ArithmeticError):
     """An isoclass table failed the orbit-counting identity."""
 
@@ -138,6 +145,8 @@ class QuiverBackend:
         self._classes = []
         self._key_to_id = {}
         self._dimvec_classes = {}
+        # id -> S<k> or X{d}#j, one entry per class of an enumerated dimvec
+        self._names = {}
         self._hom = {}
         self._inj = {}
         self._subs = {}
@@ -171,18 +180,29 @@ class QuiverBackend:
         return Rep(self.quiver, self.p, tuple(dims), maps)
 
     def rep_from_json(self, data):
-        """{"dims": {"1":1,"2":1}, "maps": {"0": [[1]]}, "p": 2}"""
-        if int(data.get("p", self.p)) != self.p:
+        """{"dims": {"1":1,"2":1}, "maps": {"0": [[1]]}, "p": 2}
+
+        The top level, "dims" and "maps" must be JSON objects, and p, every
+        dimension and every matrix entry a JSON integer (true and false
+        are not); anything else raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("rep file must hold a JSON object, not %s"
+                             % type(data).__name__)
+        if _json_int(data.get("p", self.p), "p") != self.p:
             raise ValueError("rep file prime differs from backend prime")
         given = data.get("dims", {})
+        raw = data.get("maps", {})
+        for what, value in (("dims", given), ("maps", raw)):
+            if not isinstance(value, dict):
+                raise ValueError("rep file %r must be a JSON object" % what)
         for v in self.quiver.vertices:
             if v not in given:
                 raise ValueError("rep file has no dimension for vertex %r"
                                  % (v,))
-        dims = tuple(int(given[v]) for v in self.quiver.vertices)
+        dims = tuple(_json_int(given[v], "the dimension of vertex %r" % (v,))
+                     for v in self.quiver.vertices)
         if any(d < 0 for d in dims):
             raise ValueError("rep file has a negative dimension")
-        raw = data.get("maps", {})
         unknown = set(raw) - {str(a) for a in range(len(self.quiver.arrows))}
         if unknown:
             raise ValueError("rep file maps unknown arrows %s"
@@ -197,6 +217,9 @@ class QuiverBackend:
                     isinstance(r, list) and len(r) == dims[s] for r in rows)):
                 raise ValueError("arrow %d needs a %dx%d matrix"
                                  % (a, dims[t], dims[s]))
+            for r in rows:
+                for x in r:
+                    _json_int(x, "an entry of arrow %d" % a)
             maps.append(FpMatrix(self.p, dims[t], dims[s], rows))
         return Rep(self.quiver, self.p, dims, tuple(maps))
 
@@ -312,6 +335,12 @@ class QuiverBackend:
                 f"orbits of the {len(found)} classes at {dimvec} cover "
                 f"{covered} of {space} arrow assignments")
         self._dimvec_classes[dimvec] = found
+        if sum(dimvec) == 1:
+            names = ["S%d" % (dimvec.index(1) + 1)] * len(found)
+        else:
+            prefix = "X{" + ",".join(str(d) for d in dimvec) + "}#"
+            names = [prefix + str(j) for j in range(len(found))]
+        self._names.update(zip(found, names))
         return list(found)
 
     def classify(self, rep):
@@ -367,12 +396,17 @@ class QuiverBackend:
         return out
 
     def class_name(self, cid):
-        """S<k> for simples, otherwise X{d1,..,dn}#j in enumeration order."""
-        dims = self.class_dim(cid)
-        if sum(dims) == 1:
-            return f"S{dims.index(1) + 1}"
-        j = self.iso_classes(dims).index(cid)
-        return "X{" + ",".join(str(d) for d in dims) + "}#" + str(j)
+        """S<k> for a class of dimension one at vertex k, otherwise
+        X{d1,..,dn}#j with j the class's place in `iso_classes(d)`.
+
+        A lookup in a table with one entry per class of each enumerated
+        dimvec, filled when that dimvec's class list is fixed; a class
+        whose dimvec is not enumerated yet has it enumerated first."""
+        name = self._names.get(cid)
+        if name is None:
+            self.iso_classes(self.class_dim(cid))
+            name = self._names[cid]
+        return name
 
     def class_by_name(self, name):
         name = name.strip()

@@ -302,30 +302,33 @@ def _join_terms(pieces):
     return out
 
 
-def _word_order(be, word):
-    return (-len(word), render_word(be, word))
+def _sorted_pieces(rendered):
+    """Join (sort key, body, coeff) triples in key order; equal keys keep
+    their order."""
+    rendered.sort(key=lambda t: t[0])
+    return _join_terms([_term_piece(body, c) for _, body, c in rendered])
 
 
 def render_elt(be, x):
-    """Deterministic text form of a free element or a normal form."""
-    words = sorted(x.terms, key=lambda w: _word_order(be, w))
-    return _join_terms([_term_piece(render_word(be, w), x.terms[w])
-                        for w in words])
+    """Deterministic text form of a free element or a normal form: longer
+    words first, then by text; each word is rendered once."""
+    rendered = []
+    for w, c in x.terms.items():
+        body = render_word(be, w)
+        rendered.append(((-len(w), body), body, c))
+    return _sorted_pieces(rendered)
 
 
 def render_tensor(be, x):
     """Text form of a tensor-square element; for reports only (not
     parseable)."""
-    if x.is_zero():
-        return "0"
-
-    def leg(w):
-        return render_word(be, w) if w else "1"
-
-    keys = sorted(x.terms, key=lambda k: (-len(k[0]) - len(k[1]),
-                                          leg(k[0]), leg(k[1])))
-    return _join_terms([_term_piece("%s (x) %s" % (leg(lw), leg(rw)),
-                                    x.terms[(lw, rw)]) for lw, rw in keys])
+    rendered = []
+    for (lw, rw), c in x.terms.items():
+        left = render_word(be, lw) if lw else "1"
+        right = render_word(be, rw) if rw else "1"
+        rendered.append(((-len(lw) - len(rw), left, right),
+                         "%s (x) %s" % (left, right), c))
+    return _sorted_pieces(rendered)
 
 
 def render_any(be, x):

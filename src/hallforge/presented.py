@@ -29,7 +29,10 @@ word goes through the same rewrites and spends the same budget visits.
 Each Algebra remembers its rules' answers, as tuples, keyed by the pair of
 letters: the table holds one entry per distinct adjacent pair the algebra
 has looked at and lives as long as the Algebra.  A rule that raises (a cap
-hit in the backend) leaves no entry.
+hit in the backend) leaves no entry.  Words enter the rewriter through a
+second table per Algebra, raw letter -> canonical letter (None for a unit
+letter), one entry per distinct letter of the family; a letter outside the
+family raises on every call and is never stored.
 
 Letters are plain tuples:
 
@@ -148,7 +151,7 @@ def _is_unit(letter):
 class Algebra:
     """A presented algebra: tag + quiver backend (+ modulus for dhm)."""
 
-    __slots__ = ("tag", "be", "m", "family", "_pair_rules")
+    __slots__ = ("tag", "be", "m", "family", "_pair_rules", "_letters")
 
     def __init__(self, tag, be):
         if tag.startswith("dhm:"):
@@ -167,6 +170,9 @@ class Algebra:
         # (a, b) -> the family rule's answer: None, or a tuple of
         # (scalar, letters); one entry per distinct adjacent pair looked at
         self._pair_rules = {}
+        # raw letter -> its canonical letter, or None for a unit letter;
+        # one entry per distinct letter of the family looked at
+        self._letters = {}
 
     @property
     def q(self):
@@ -505,7 +511,20 @@ _UNSEEN = object()
 
 
 def _canon_word(alg, w):
-    return _strip(tuple(alg.canon_letter(l) for l in w))
+    """w in canonical letters, its unit letters dropped, read off the
+    algebra's letter table (see the module docstring)."""
+    table = alg._letters
+    out = []
+    for letter in w:
+        canon = table.get(letter, _UNSEEN)
+        if canon is _UNSEEN:
+            canon = alg.canon_letter(letter)
+            if _is_unit(canon):
+                canon = None
+            table[letter] = canon
+        if canon is not None:
+            out.append(canon)
+    return tuple(out)
 
 
 def _seam(word):

@@ -319,55 +319,50 @@ def vpow(n, q):
     return _make(0, num, den, q) if odd else _make(num, 0, den, q)
 
 
-def _render_fraction(r):
-    if r.denominator == 1:
-        return str(r.numerator)
-    return "%d/%d" % (r.numerator, r.denominator)
+def _render_ratio(n, d):
+    """n/d, given in lowest terms with d > 0, as p/r or p."""
+    return str(n) if d == 1 else "%d/%d" % (n, d)
 
 
-def _as_vpower(r, q):
-    """Return k with r = q^k (k integer, any sign), or None."""
-    if r <= 0:
+def _q_power(n, d, q):
+    """k with n/d = q^k (k an integer of any sign), for n/d > 0 in lowest
+    terms; None if there is none."""
+    if d == 1:
+        m, sign = n, 1
+    elif n == 1:
+        m, sign = d, -1
+    else:
         return None
-    if r == 1:
-        return 0
     k = 0
-    if r.denominator == 1:
-        n = r.numerator
-        while n % q == 0:
-            n //= q
-            k += 1
-        return k if n == 1 else None
-    if r.numerator == 1:
-        n = r.denominator
-        while n % q == 0:
-            n //= q
-            k -= 1
-        return k if n == 1 else None
-    return None
+    while m % q == 0:
+        m //= q
+        k += 1
+    return sign * k if m == 1 else None
 
 
 def render_scalar(x):
-    """Deterministic text form: pure rationals as p/r, pure v-multiples as
-    v^k or r * v^k, mixed values as (a + b * v)."""
-    if x.b == 0:
-        k = _as_vpower(x.a, x.q)
-        if k is not None and k != 0:
-            return "v^%d" % (2 * k)
-        k = _as_vpower(-x.a, x.q)
-        if k is not None and k != 0:
-            return "-v^%d" % (2 * k)
-        return _render_fraction(x.a)
-    if x.a == 0:
-        k = _as_vpower(x.b, x.q)
-        if k is not None:
-            e = 2 * k + 1
-            return "v" if e == 1 else "v^%d" % e
-        k = _as_vpower(-x.b, x.q)
-        if k is not None:
-            e = 2 * k + 1
-            return "-v" if e == 1 else "-v^%d" % e
-        return "%s * v" % _render_fraction(x.b)
-    bpart = "%s * v" % _render_fraction(abs(x.b)) if abs(x.b) != 1 else "v"
-    sign = "+" if x.b > 0 else "-"
-    return "(%s %s %s)" % (_render_fraction(x.a), sign, bpart)
+    """Deterministic text form: pure rationals as p/r, or v^k when they are
+    a nonzero power of q; pure v-multiples as v^k or r * v; mixed values
+    as (a + b * v).
+
+    Works on the reduced int triple (an, bn, den): a pure part is already
+    in lowest terms, and each part of a mixed value is reduced on its own.
+    """
+    an, bn, den, q = x._an, x._bn, x._den, x.q
+    if bn == 0:
+        k = _q_power(abs(an), den, q) if an else None
+        if k:
+            return ("v^%d" if an > 0 else "-v^%d") % (2 * k)
+        return _render_ratio(an, den)
+    if an == 0:
+        k = _q_power(abs(bn), den, q)
+        if k is None:
+            return "%s * v" % _render_ratio(bn, den)
+        e = 2 * k + 1
+        body = "v" if e == 1 else "v^%d" % e
+        return body if bn > 0 else "-" + body
+    g, h = gcd(an, den), gcd(bn, den)
+    b = abs(bn)
+    bpart = "v" if b == den else "%s * v" % _render_ratio(b // h, den // h)
+    return "(%s %s %s)" % (_render_ratio(an // g, den // g),
+                           "+" if bn > 0 else "-", bpart)

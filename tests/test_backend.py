@@ -706,3 +706,51 @@ def test_sieve_quiver_tables_still_build_subobject_reps():
         be.aut_count(lid)
     reps = {rep.key for rep in be._classes}
     assert be._subs and set(be._subs) <= reps
+
+
+# ---------------------------------------------------------------------------
+# the class name table
+
+@pytest.mark.parametrize("tag,p,dimvec", [
+    ("a2", 2, (3, 3)), ("a3", 2, (2, 2, 2)), ("kronecker", 2, (2, 2))])
+def test_class_names_are_places_in_the_class_list(tag, p, dimvec):
+    be = QuiverBackend(preset(tag), p)
+    ids = be.iso_classes(dimvec)
+    prefix = "X{" + ",".join(map(str, dimvec)) + "}#"
+    for cid in ids:
+        assert be.class_name(cid) == prefix + str(
+            be.iso_classes(dimvec).index(cid))
+    # one name per registered class at most, however often it is asked
+    # for (the zero class gets its name when its dimvec is first listed)
+    assert set(be._names) <= set(range(len(be._classes)))
+    for _ in range(2):
+        for cid in range(len(be._classes)):
+            be.class_name(cid)
+    assert set(be._names) == set(range(len(be._classes)))
+
+
+def test_class_names_do_not_move_when_larger_dimvecs_are_enumerated():
+    def names_by_key(be, cids):
+        return {be.class_rep(c).key: be.class_name(c) for c in cids}
+
+    early = QuiverBackend(preset("a2"), 2)
+    small = early.classes_within((2, 1))
+    before = names_by_key(early, small)
+    early.classes_within((3, 3))
+    assert names_by_key(early, small) == before
+    late = QuiverBackend(preset("a2"), 2)
+    late.classes_within((3, 3))
+    assert names_by_key(late, late.classes_within((2, 1))) == before
+    assert before[early.simple_rep(0).key] == "S1"
+    assert len(early._names) == len(early._classes)
+    assert len(late._names) == len(late._classes)
+
+
+def test_class_name_lists_an_unlisted_dimvec_first():
+    # the zero class is registered when the backend is made, before its
+    # dimvec is ever listed
+    be = QuiverBackend(preset("a2"), 2)
+    zero = be.classify(be.zero_rep())
+    assert (0, 0) not in be._dimvec_classes and zero not in be._names
+    assert be.class_name(zero) == "X{0,0}#0"
+    assert be._dimvec_classes[(0, 0)] == [zero]

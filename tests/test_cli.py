@@ -59,7 +59,17 @@ def test_wrong_family_is_usage_error(capsys):
     ({"dims": {"1": 1, "2": 1}, "maps": {"0": [[1, 0]]}}, "1x1 matrix"),
     ({"dims": {"1": 1}, "maps": {"0": [[1]]}}, "vertex '2'"),
     ({"dims": {"1": 1, "2": 1}, "maps": {"1": [[1]]}}, "unknown arrows 1"),
-], ids=["shape", "vertex", "arrow"])
+    ({"dims": {"1": 1, "2": 1}, "maps": {"0": [[1.5]]}},
+     "must be an integer, not 1.5"),
+    ({"dims": {"1": 1, "2": 1}, "maps": {"0": [[None]]}},
+     "must be an integer, not None"),
+    ([{"dims": {"1": 1, "2": 1}, "maps": {"0": [[1]]}}],
+     "must hold a JSON object"),
+    ({"dims": {"1": 1, "2": 1}, "maps": {"0": [[True]]}},
+     "must be an integer, not True"),
+    ({"dims": {"1": 1.0, "2": 1}}, "vertex '1' must be an integer"),
+], ids=["shape", "vertex", "arrow", "float-entry", "null-entry",
+        "top-level-array", "bool-entry", "float-dim"])
 def test_malformed_rep_file_is_a_parse_error(tmp_path, capsys, data, why):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))

@@ -1,16 +1,23 @@
-import pytest
+import random
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
 from hallforge.backend import QuiverBackend
 from hallforge.exprs import (ExprError, parse_expr, render_elt, render_tensor,
                              render_word)
-from hallforge.presented import (E, Kc, KPlus, KMinus, Kz, MuMinus, MuPlus,
-                                 NuMinus, NuPlus, OmPlus, Zg, algebra,
-                                 normal_form, pmult, tensor_word, FreeElt)
-from hallforge.quiver import preset
+from hallforge.morphisms import apply_hom, build_hom
+from hallforge.presented import (E, Kc, KdMinus, KdPlus, KPlus, KMinus,
+                                 KcMinus, KcPlus, Kz, MuMinus, MuPlus,
+                                 NuMinus, NuPlus, OmMinus, OmPlus, Zg,
+                                 algebra, normal_form, pmult, tensor_word,
+                                 FreeElt)
+from hallforge.quiver import neg_class, preset
 from hallforge.scalars import Lin, SqrtScalar, vpow
+
+from render_oracles import ref_render_elt, ref_render_tensor
 
 BE = QuiverBackend(preset("a2"), 2)
 HD = algebra("hd", BE)
@@ -123,3 +130,86 @@ def test_parse_render_round_trip(data):
     x = Lin(HD.q, normal_form(HD, w(word, coeff)).terms)
     text = render_elt(BE, x)
     assert parse_expr(text, HD) == x
+
+
+# ---------------------------------------------------------------------------
+# render identity: exprs against the two-pass reference renderers
+
+_RENDER_BE = QuiverBackend(preset("a2"), 2)
+_OBJS = [c for c in _RENDER_BE.classes_within((2, 2))
+         if 0 < sum(_RENDER_BE.class_dim(c)) <= 2]
+_ALPHAS = [(1, 0), (0, 1), neg_class((1, 0)), (1, -1)]
+
+
+def _pool(family):
+    if family == "hd":
+        return ([MuPlus(c) for c in _OBJS] + [MuMinus(c) for c in _OBJS]
+                + [KPlus(a) for a in _ALPHAS] + [KMinus(a) for a in _ALPHAS])
+    if family == "hhd":
+        return ([NuPlus(c) for c in _OBJS] + [NuMinus(c) for c in _OBJS]
+                + [KcPlus(a) for a in _ALPHAS]
+                + [KcMinus(a) for a in _ALPHAS])
+    if family == "d":
+        return ([OmPlus(c) for c in _OBJS] + [OmMinus(c) for c in _OBJS]
+                + [KdPlus(a) for a in _ALPHAS]
+                + [KdMinus(a) for a in _ALPHAS])
+    if family == "dhm":
+        return ([E(c, i) for c in _OBJS for i in (0, 1, 5)]
+                + [Kc(a, i) for a in _ALPHAS for i in (0, 1)])
+    zs = [Zg(c, i) for c in _OBJS for i in (-1, 0, 1)]
+    if family == "dhce":
+        return zs + [Kz(a, i) for a in _ALPHAS for i in (-1, 0)]
+    return zs
+
+
+def _small_words(rng, pool):
+    """Three short words whose modules add up to at most (3,3)."""
+    while True:
+        words = [tuple(rng.choice(pool) for _ in range(rng.randint(1, 2)))
+                 for _ in range(3)]
+        total = [0, 0]
+        for word in words:
+            for letter in word:
+                if letter[0] in ("mu", "nu", "om"):
+                    mid = letter[2]
+                elif letter[0] in ("e", "Z"):
+                    mid = letter[1]
+                else:
+                    continue
+                for k, d in enumerate(_RENDER_BE.class_dim(mid)):
+                    total[k] += d
+        if max(total) <= 3:
+            return words
+
+
+@pytest.mark.parametrize("tag", ["hd", "hhd", "dhm:0", "dhm:4", "dh",
+                                 "dhtw", "dhce"])
+def test_render_elt_matches_two_pass_reference(tag):
+    be = _RENDER_BE
+    alg = algebra(tag, be)
+    rng = random.Random(tag)
+    pool = _pool(alg.family)
+    for _ in range(40):
+        x, y, z = (FreeElt.word(be.p, word) for word in _small_words(rng, pool))
+        xy = pmult(alg, x, y)
+        xyz = pmult(alg, xy, z)
+        for elt in (x, xy, xyz, normal_form(alg, xyz), x + y.scale(vpow(-3, 2))):
+            assert render_elt(be, elt) == ref_render_elt(be, elt), (tag, elt)
+
+
+@pytest.mark.parametrize("name,kw", [("psi", {"m": 0, "i": 0}),
+                                     ("psi", {"m": 4, "i": 1}),
+                                     ("varphi", {"i": -1}),
+                                     ("varphi", {"i": 0})])
+def test_render_tensor_matches_two_pass_reference(name, kw):
+    be = _RENDER_BE
+    h = build_hom(be, name, **kw)
+    gens = _pool("d")
+    rng = random.Random(name + repr(sorted(kw.items())))
+    words = [(g,) for g in gens] + [
+        tuple(rng.choice(gens) for _ in range(2)) for _ in range(40)]
+    for word in words:
+        img = apply_hom(h, FreeElt.word(be.p, word))
+        assert render_tensor(be, img) == ref_render_tensor(be, img), \
+            (h, word)
+    assert render_tensor(be, h.target_zero()) == "0"

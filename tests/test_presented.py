@@ -725,3 +725,43 @@ def test_algebra_is_one_instance_per_tag_and_backend():
     kappas = [build_hom(be, "kappa", i=i, m=4) for i in range(4)]
     assert all(h.target is presented.algebra("dhm:4", be) for h in kappas)
     assert all(h.source is hd for h in kappas)
+
+
+def test_letter_table_reduces_residues_and_drops_unit_letters():
+    be = QuiverBackend(preset("a2"), 2)
+    alg = presented.algebra("dhm:4", be)
+    s1 = be.classify(be.simple_rep(0))
+    zero = be.classify(be.zero_rep())
+    word = (E(s1, 7), Kc((0, 0), 1), Kc((1, 0), -3), E(zero, 5), E(s1, 3))
+    assert presented._canon_word(alg, word) == \
+        (E(s1, 3), Kc((1, 0), 1), E(s1, 3))
+    assert alg._letters == {E(s1, 7): E(s1, 3), Kc((0, 0), 1): None,
+                            Kc((1, 0), -3): Kc((1, 0), 1), E(zero, 5): None,
+                            E(s1, 3): E(s1, 3)}
+    # a letter outside the family raises every time and is never stored
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            presented._canon_word(alg, (E(s1, 1), MuPlus(s1)))
+    assert MuPlus(s1) not in alg._letters
+    with pytest.raises(ValueError):
+        pmult(alg, w((E(s1, 1),)), w((MuPlus(s1),)))
+
+
+def test_letter_table_holds_one_entry_per_distinct_letter():
+    be = QuiverBackend(preset("a2"), 2)
+    s1 = be.classify(be.simple_rep(0))
+    s2 = be.classify(be.simple_rep(1))
+    for tag, letters in (
+            ("dhm:4", [E(s1, i) for i in range(-4, 9)]
+             + [Kc((1, 0), i) for i in range(-4, 9)]),
+            ("hd", [MuPlus(s1), MuMinus(s2), KPlus((1, 0)),
+                    KMinus((0, 1))])):
+        alg = presented.algebra(tag, be)
+        with warnings.catch_warnings():
+            # residues two apart leave the two-residue contract on dhm:4
+            warnings.simplefilter("ignore", UserWarning)
+            for _ in range(3):
+                for a, b in itertools.product(letters, repeat=2):
+                    x = normal_form(alg, w((a, b)))
+                    pmult(alg, w((b,)), x)
+        assert set(alg._letters) == set(letters)

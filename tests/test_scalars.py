@@ -12,6 +12,8 @@ from hallforge.presented import (FreeElt, MuMinus, MuPlus, NuPlus, algebra,
 from hallforge.quiver import preset
 from hallforge.scalars import Lin, SqrtScalar, is_prime, render_scalar, vpow
 
+from render_oracles import ref_render
+
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 operands = st.one_of(st.integers(-6, 6), rationals)
 
@@ -149,7 +151,7 @@ def assert_agrees(got, want):
     assert isinstance(got.a, Fraction) and isinstance(got.b, Fraction)
     assert (got.a, got.b) == (want.a, want.b)
     assert got == SqrtScalar(want.a, want.b, want.q)
-    assert render_scalar(got) == render_scalar(want)
+    assert render_scalar(got) == ref_render(want)
 
 
 @given(rationals, rationals, rationals, rationals, operands,
@@ -171,6 +173,37 @@ def test_matches_fraction_pair_reference(a1, b1, a2, b2, r, n, q):
     assert (x == y) == ((rx.a, rx.b) == (ry.a, ry.b))
     assert (x == r) == (rx.b == 0 and rx.a == r)
     assert SqrtScalar(r, 0, q) == r and SqrtScalar.of(r, q) == r
+
+
+# parts that are 0, +-q^k (k of either sign) or plain rationals, so pure
+# rationals, pure v-multiples, mixed values, negative values and q-power
+# denominators all come up
+def _parts(q):
+    powers = st.builds(lambda k, s: s * Fraction(q) ** k,
+                       st.integers(-4, 4), st.sampled_from([1, -1]))
+    return st.one_of(st.just(Fraction(0)), powers, rationals,
+                     st.builds(lambda r, k: r / q ** k, rationals,
+                               st.integers(1, 3)))
+
+
+@given(st.sampled_from([2, 3, 5]).flatmap(
+    lambda q: st.tuples(st.just(q), _parts(q), _parts(q))))
+def test_render_matches_fraction_pair_reference(case):
+    q, a, b = case
+    x = SqrtScalar(a, b, q)
+    assert render_scalar(x) == ref_render(RefScalar(a, b, q))
+
+
+def test_render_reference_cases_frozen():
+    cases = {(Fraction(1, 4), 0, 2): "v^-4", (-9, 0, 3): "-v^4",
+             (Fraction(-1, 2), 0, 5): "-1/2", (0, Fraction(1, 25), 5): "v^-3",
+             (0, -3, 3): "-v^3", (0, Fraction(2, 3), 3): "2/3 * v",
+             (Fraction(1, 2), Fraction(-1, 4), 2): "(1/2 - 1/4 * v)",
+             (Fraction(-2, 3), Fraction(1, 3), 3): "(-2/3 + 1/3 * v)",
+             (3, Fraction(-1), 5): "(3 - v)", (0, 0, 2): "0"}
+    for (a, b, q), text in cases.items():
+        assert render_scalar(SqrtScalar(a, b, q)) == text
+        assert ref_render(RefScalar(a, b, q)) == text
 
 
 def test_mixed_operands_frozen():
