@@ -35,21 +35,27 @@ def unit(be):
     return basis(be, 0)
 
 
+def _symbol_product(be, out, left, right, c):
+    """out += c [M]K_a [N]K_b, for the symbols left = (M, a), right =
+    (N, b), one key per class L; `out` is a dict of terms."""
+    (mid, alpha), (nid, beta) = left, right
+    nhat = be.class_dim(nid)
+    base = c * _vp(be, be.sym_euler(alpha, nhat)
+                   + be.euler_form(be.class_dim(mid), nhat))
+    gamma_cls = add_class(alpha, beta)
+    for lid, g in be.product_terms(mid, nid):
+        accumulate(out, (lid, gamma_cls), base * g)
+
+
 def hmult(x, y):
     """[M]K_a [N]K_b = v^{(a,N)} v^{<M,N>} sum_L g^L_{MN} [L] K_{a+b}."""
     be = x.label
     if y.label is not be:
         raise ValueError("elements use different backends")
     out = {}
-    for (mid, alpha), cx in x.terms.items():
-        mhat = be.class_dim(mid)
-        for (nid, beta), cy in y.terms.items():
-            nhat = be.class_dim(nid)
-            base = cx * cy * _vp(be, be.sym_euler(alpha, nhat)
-                                 + be.euler_form(mhat, nhat))
-            gamma_cls = add_class(alpha, beta)
-            for lid, g in be.product_terms(mid, nid):
-                accumulate(out, (lid, gamma_cls), base * g)
+    for left, cx in x.terms.items():
+        for right, cy in y.terms.items():
+            _symbol_product(be, out, left, right, cx * cy)
     return _elt(be, out)
 
 
@@ -146,13 +152,15 @@ def green_formula_check(be, m, n, mp, np_):
 def tensor_hmult(xt, yt):
     """Componentwise product on the tensor square."""
     be = xt.label[0]
+    one = SqrtScalar.one(be.q)
     out = {}
     for (l1, l2), cx in xt.terms.items():
         for (r1, r2), cy in yt.terms.items():
-            left = hmult(_elt(be, {l1: cx}), _elt(be, {r1: cy}))
-            right = hmult(basis(be, *l2), basis(be, *r2))
-            for k1, c1 in left.terms.items():
-                for k2, c2 in right.terms.items():
+            left, right = {}, {}
+            _symbol_product(be, left, l1, r1, cx * cy)
+            _symbol_product(be, right, l2, r2, one)
+            for k1, c1 in left.items():
+                for k2, c2 in right.items():
                     accumulate(out, (k1, k2), c1 * c2)
     return Lin(be.q, out, xt.label)
 

@@ -28,7 +28,7 @@ from .presented import (TWO_SIDED, E, FreeElt, Kc, KMinus, KPlus, KcMinus,
                         pmult, relation_instance, tensor_mult, tensor_unit,
                         tensor_word)
 from .quiver import neg_class, sub_class
-from .scalars import Lin, SqrtScalar, vpow
+from .scalars import Lin, SqrtScalar, accumulate, vpow
 
 class GenMap:
     """A homomorphism candidate given by generator images."""
@@ -52,9 +52,6 @@ class GenMap:
         return Lin(self.source.q, {(): SqrtScalar.one(self.source.q)},
                    self.target)
 
-    def target_zero(self):
-        return Lin(self.source.q, None, self.target)
-
     def image(self, letter):
         letter = self.source.canon_letter(letter)
         got = self._cache.get(letter)
@@ -73,35 +70,39 @@ def apply_hom(h, x):
 
     A word's product starts from the image of its first letter: images are
     normal, so the unit times an image is that image.  The cached images
-    are shared; scale and + build new elements.
+    are shared and never changed: every word's product, times its
+    coefficient, is summed into one dict, and the result is built from it
+    once; it is canonical if every product is.
     """
-    out = h.target_zero()
+    tensor = h.is_tensor()
+    out = {}
+    canonical = True
     for word, c in x.terms.items():
         acc = h.image(word[0]) if word else h.target_unit()
         for letter in word[1:]:
             img = h.image(letter)
-            if h.is_tensor():
+            if tensor:
                 acc = tensor_mult(acc, img)
             else:
                 acc = pmult(h.target, acc, img)
-        out = out + acc.scale(c)
-    return out
+        canonical = canonical and acc.canonical
+        for key, s in acc.terms.items():
+            accumulate(out, key, s * c)
+    return Lin(h.source.q, out, h.target, canonical)
 
 
 def tensor_apply(h_left, h_right, x):
     """Map a tensor-square element leg by leg through two GenMaps."""
     algs = (h_left.target, h_right.target)
     q = algs[0].q
-    out = Lin(q, None, algs)
+    out = {}
     for (lw, rw), c in x.terms.items():
         left = apply_hom(h_left, FreeElt.word(q, lw))
         right = apply_hom(h_right, FreeElt.word(q, rw))
-        terms = {}
         for ul, cl in left.terms.items():
             for ur, cr in right.terms.items():
-                terms[(ul, ur)] = cl * cr
-        out = out + Lin(q, terms, algs).scale(c)
-    return out
+                accumulate(out, (ul, ur), cl * cr * c)
+    return Lin(q, out, algs)
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +141,18 @@ def _double_map(be, name, algs, torus_words, module_words, exponent=None,
         if kind == "KD":
             return tensor_word(algs, *torus_words(s, x))
         aM, dM = be.aut_count(x), be.class_dim(x)
-        out = Lin(be.p, None, algs)
+        out = {}
         for (quot, sub), g in be.subobject_table(x).items():
             dq, ds = be.class_dim(quot), be.class_dim(sub)
             m1, m2, d1, d2 = ((quot, sub, dq, ds) if s > 0
                               else (sub, quot, ds, dq))
             rat = Fraction(g * be.aut_count(m1) * be.aut_count(m2), aM)
             coeff = vpow(exponent(dM, dq, ds), be.p) * SqrtScalar.of(rat, be.p)
-            out = out + tensor_word(algs, *module_words(s, m1, m2, d1, d2),
-                                    coeff=coeff)
-        return out
+            split = tensor_word(algs, *module_words(s, m1, m2, d1, d2),
+                                coeff=coeff)
+            for key, c in split.terms.items():
+                accumulate(out, key, c)
+        return Lin(be.p, out, algs)
 
     return GenMap(name, algebra("d", be), algs, image, params)
 

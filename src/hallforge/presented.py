@@ -716,7 +716,7 @@ def _pairing_sum(be, a, b, module, torus, s):
     and Drinfeld doubles (Kashaev 1997)."""
     q = be.p
     db = comult(basis(be, b)).terms.items()
-    out = Lin(q)
+    out = {}
     for ((a1m, a1k), (a2m, a2k)), ca in comult(basis(be, a)).terms.items():
         a2 = basis(be, a2m, a2k)
         for ((b1m, b1k), (b2m, b2k)), cb in db:
@@ -724,8 +724,8 @@ def _pairing_sum(be, a, b, module, torus, s):
             if not pair.is_zero():
                 letters = ((module, s, a1m), (torus, s, a1k),
                            (module, -s, b2m), (torus, -s, b2k))
-                out = out + FreeElt.word(q, letters, ca * cb * pair)
-    return out
+                accumulate(out, _strip(letters), ca * cb * pair)
+    return Lin(q, out)
 
 
 def hd_cross_oracle(be, side, M, N):
@@ -849,10 +849,12 @@ def _pm(sign):
 
 
 def _free_sum(alg, summands):
-    out = Lin(alg.q)
+    """The free element sum c * letters over (c, letters) summands, their
+    unit letters dropped."""
+    out = {}
     for c, letters in summands:
-        out = out + FreeElt.word(alg.q, letters, c)
-    return out
+        accumulate(out, _strip(letters), c)
+    return Lin(alg.q, out)
 
 
 def _variant(rel_id, variant, names, default):
@@ -1052,8 +1054,7 @@ def _double_cross_expanded(alg, M, N):
     be = alg.be
     q = alg.q
     mh, nh = be.class_dim(M), be.class_dim(N)
-    lhs = Lin(q)
-    rhs = Lin(q)
+    lhs, rhs = {}, {}
     for X, Y, xh, yh, lh in _cross_support(be, M, N):
         for L in be.iso_classes(lh):
             aaa = SqrtScalar.of(be.aut_count(X) * be.aut_count(Y)
@@ -1063,13 +1064,13 @@ def _double_cross_expanded(alg, M, N):
             if g1 and g2:
                 c = aaa * SqrtScalar.of(g1 * g2, q) \
                     * alg.v(be.euler_form(lh, sub_class(mh, nh)))
-                lhs = lhs + FreeElt.word(
-                    q, (KdMinus(lh), OmMinus(Y), OmPlus(X)), c)
+                accumulate(lhs, _strip((KdMinus(lh), OmMinus(Y), OmPlus(X))),
+                           c)
             g3 = be.hall_number(M, X, L)
             g4 = be.hall_number(N, L, Y)
             if g3 and g4:
                 c2 = aaa * SqrtScalar.of(g3 * g4, q) \
                     * alg.v(be.euler_form(lh, sub_class(nh, mh)))
-                rhs = rhs + FreeElt.word(
-                    q, (KdPlus(lh), OmPlus(X), OmMinus(Y)), c2)
-    return lhs, rhs
+                accumulate(rhs, _strip((KdPlus(lh), OmPlus(X), OmMinus(Y))),
+                           c2)
+    return Lin(q, lhs), Lin(q, rhs)

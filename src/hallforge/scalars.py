@@ -69,7 +69,7 @@ class SqrtScalar:
 
     @staticmethod
     def one(q):
-        return _make(1, 0, 1, q)
+        return vpow(0, q)
 
     def _coerce(self, other):
         if isinstance(other, SqrtScalar):
@@ -133,11 +133,20 @@ class SqrtScalar:
         return o - self
 
     def __mul__(self, other):
+        # a product with exactly 1 is the other factor itself, shared
+        # rather than copied: values are immutable
+        if not isinstance(other, SqrtScalar) \
+                and isinstance(other, (int, Fraction)) and other == 1:
+            return self
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         # (a + bv)(c + dv) = ac + bd q + (ad + bc) v
         a, b, c, d = self._an, self._bn, o._an, o._bn
+        if c == 1 and d == 0 and o._den == 1:
+            return self
+        if a == 1 and b == 0 and self._den == 1:
+            return o
         return _reduced(a * c + b * d * self.q, a * d + b * c,
                         self._den * o._den, self.q)
 
@@ -310,13 +319,28 @@ class Lin:
         return "Lin(q=%d, %r, %r)" % (self.q, self.label, self.terms)
 
 
+# (n, q) -> v^n, filled on first use and never past _VPOW_LIMIT entries
+_VPOWS = {}
+_VPOW_LIMIT = 256
+
+
 def vpow(n, q):
-    """v^n exactly: q^(n/2) for even n, q^((n-1)/2) * v for odd n."""
-    assert isinstance(n, int)
-    k, odd = divmod(n, 2)
-    p = q ** abs(k)
-    num, den = (p, 1) if k >= 0 else (1, p)
-    return _make(0, num, den, q) if odd else _make(num, 0, den, q)
+    """v^n exactly: q^(n/2) for even n, q^((n-1)/2) * v for odd n.
+
+    Values are immutable, so each (n, q) is built once and shared, up to
+    _VPOW_LIMIT of them; later ones are built on every call.
+    """
+    if not isinstance(n, int):
+        raise TypeError("vpow needs an int exponent, got %r" % (n,))
+    got = _VPOWS.get((n, q))
+    if got is None:
+        k, odd = divmod(n, 2)
+        p = q ** abs(k)
+        num, den = (p, 1) if k >= 0 else (1, p)
+        got = _make(0, num, den, q) if odd else _make(num, 0, den, q)
+        if len(_VPOWS) < _VPOW_LIMIT:
+            _VPOWS[(n, q)] = got
+    return got
 
 
 def _render_ratio(n, d):

@@ -212,4 +212,4 @@ def test_render_tensor_matches_two_pass_reference(name, kw):
         img = apply_hom(h, FreeElt.word(be.p, word))
         assert render_tensor(be, img) == ref_render_tensor(be, img), \
             (h, word)
-    assert render_tensor(be, h.target_zero()) == "0"
+    assert render_tensor(be, Lin(be.p, None, h.target)) == "0"

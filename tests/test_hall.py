@@ -11,6 +11,9 @@ from hallforge.hall import (basis, bialgebra_check, coassoc_check, comult,
                             tensor_hmult, torus, unit)
 from hallforge.quiver import Quiver, preset
 from hallforge.scalars import Lin, SqrtScalar, vpow
+from hallforge.suites import _alphas, _objs
+
+import fold_oracles
 
 
 _ASSOC_BE = QuiverBackend(preset("a2"), 2)
@@ -165,6 +168,24 @@ def test_tensor_mult_componentwise(be):
     yt = Lin(be.q, {((0, zero_cls), (s2, zero_cls)): one}, (be, be))
     got = tensor_hmult(xt, yt)
     assert got.terms == {((s1, zero_cls), (s2, zero_cls)): one}
+
+
+@pytest.mark.parametrize("quiver,q", [("a2", 2), ("a1", 3)])
+def test_products_match_the_per_term_fold(quiver, q):
+    # every comult pair of the gate's bialgebra window, as its
+    # comult-mult instances multiply them
+    be = QuiverBackend(preset(quiver), q)
+    objs = _objs(be, 2)
+    symbols = [basis(be, m, a) for m in objs for a in _alphas(be)]
+    coproducts = [comult(x) for x in symbols]
+    for x, dx in zip(symbols, coproducts):
+        for y, dy in zip(symbols, coproducts):
+            got, want = hmult(x, y), fold_oracles.hmult(x, y)
+            assert fold_oracles.same(got, want)
+            got = tensor_hmult(dx, dy)
+            want = fold_oracles.tensor_hmult(dx, dy)
+            assert fold_oracles.same(got, want) and got.label == (be, be)
+    assert len(symbols) == {"a2": 35, "a1": 9}[quiver]
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,6 +4,7 @@ from functools import partial
 
 import pytest
 
+from hallforge import presented
 from hallforge.backend import QuiverBackend
 from hallforge.exprs import render_any, render_letter
 from hallforge.morphisms import (GenMap, apply_hom, build_hom, check_relation,
@@ -12,11 +13,13 @@ from hallforge.morphisms import (GenMap, apply_hom, build_hom, check_relation,
 from hallforge.presented import (TWO_SIDED, E, FreeElt, Kc, KMinus, KPlus,
                                  KcMinus, KcPlus, KdMinus, KdPlus, Kz, MuMinus,
                                  MuPlus, NuMinus, NuPlus, OmMinus, OmPlus, Zg,
-                                 algebra, normal_form, pmult, tensor_mult,
-                                 tensor_word)
+                                 algebra, normal_form, pmult,
+                                 relation_instance, tensor_mult, tensor_word)
 from hallforge.quiver import preset
-from hallforge.scalars import vpow
-from hallforge.suites import _run_one
+from hallforge.scalars import Lin, vpow
+from hallforge.suites import _BUILDERS, RunConfig, _run_one
+
+import fold_oracles
 
 BE = QuiverBackend(preset("a2"), 2)
 S1 = BE.class_by_name("S1")
@@ -241,7 +244,7 @@ def _gate_maps():
 
 def _unit_first_apply(h, x):
     """apply_hom as it read when every word started from the unit."""
-    out = h.target_zero()
+    out = Lin(h.source.q, None, h.target)
     for word, c in x.terms.items():
         acc = h.target_unit()
         for letter in word:
@@ -309,3 +312,132 @@ def test_generator_images_pinned():
             count += 1
     assert (count, digest.hexdigest()) == (
         700, "bc5f4a13b06fd2418cb73227783145d895f7d3cf038445c87cc7d290141df204")
+
+
+# ---------------------------------------------------------------------------
+# sums built in one dict against the fold they replaced
+
+_GATE_MAP_RUNS = (("kashaev", {}), ("kappa", {"m": 0}), ("kappa", {"m": 4}),
+                  ("psi", {"m": 0}), ("psi", {"m": 4, "i": 1}),
+                  ("bridgeland-derived", {}), ("varphi", {}))
+
+
+def _relation_checks(suite, kw):
+    """(map, relation id, params) of every relation instance the gate run
+    of `suite` checks through check_relation."""
+    cfg = RunConfig(suite=suite, max_dim=2, **kw)
+    for _, _, check in _BUILDERS[suite](BE, cfg):
+        if isinstance(check, partial) and check.func is check_relation:
+            yield check.args
+
+
+@pytest.mark.parametrize("suite,kw", _GATE_MAP_RUNS)
+def test_relation_sides_match_the_fold(monkeypatch, suite, kw):
+    cases = list(_relation_checks(suite, kw))
+    got = []
+    for h, rel, prm in cases:
+        sides = relation_instance(h.source, rel, prm)
+        got.append((sides, [apply_hom(h, x) for x in sides]))
+    with monkeypatch.context() as mp:
+        fold_oracles.install(mp)
+        maps = {}
+        for (h, rel, prm), (sides, images) in zip(cases, got):
+            old = maps.get(id(h))
+            if old is None:
+                # h built again, its double-map images folded
+                old = maps[id(h)] = build_hom(BE, h.name, **h.params)
+            want = relation_instance(old.source, rel, prm)
+            for x, y in zip(sides, want):
+                assert fold_oracles.same(x, y), (h, rel, prm)
+            for x, y in zip(images, [fold_oracles.apply_hom(old, s)
+                                     for s in want]):
+                assert fold_oracles.same(x, y), (h, rel, prm)
+    assert {h.name for h, _, _ in cases} == {
+        "kashaev": {"I"}, "kappa": {"kappa", "kappaCheck"}, "psi": {"psi"},
+        "bridgeland-derived": {"phi"}, "varphi": {"varphi"}}[suite]
+
+
+def test_gate_closures_match_the_fold(monkeypatch):
+    # the gate window's checks that are not check_relation calls: the
+    # bridgeland round trips, the varphi triangles, the kashaev rank
+    # monomials and the 2.13 and 2.18r sides of d
+    phi, inv = build_hom(BE, "phi"), build_hom(BE, "phiInv")
+    psis = {i: build_hom(BE, "psi", m=0, i=i) for i in (-2, -1, 0, 1)}
+    I = build_hom(BE, "I")
+    objs_nz = [c for c in WINDOW if sum(BE.class_dim(c)) > 0]
+    trips = []
+    for n in range(-3, 4):
+        trips += [("phi", Zg(c, n)) for c in objs_nz]
+        trips += [("phi", Kz(a, n)) for a in ALPHAS]
+        trips += [("phiInv", E(c, n)) for c in objs_nz]
+        trips += [("phiInv", Kc(a, n)) for a in ALPHAS]
+    gens = [("om", s, c) for s in (1, -1) for c in WINDOW] + \
+           [("KD", s, a) for s in (1, -1) for a in ALPHAS]
+    monos = double_monomials(BE, ALPHAS, WINDOW, 20)
+    dd = algebra("d", BE)
+    pairs = list(itertools.product(WINDOW, repeat=2))
+
+    def run(apply, tensor, maps):
+        phi_, inv_, psis_, I_ = maps
+        out = []
+        for rel in ("2.13", "2.18r"):
+            for m, n in pairs:
+                out += relation_instance(dd, rel, {"M": m, "N": n})
+        for first, letter in trips:
+            f, g = (phi_, inv_) if first == "phi" else (inv_, phi_)
+            out.append(apply(g, apply(f, w(letter))))
+        for psi in psis_.values():
+            out += [tensor(inv_, inv_, apply(psi, w(letter)))
+                    for letter in gens]
+        out += [apply(I_, x) for x in monos]
+        return out
+
+    got = run(apply_hom, tensor_apply, (phi, inv, psis, I))
+    with monkeypatch.context() as mp:
+        fold_oracles.install(mp)
+        old = (build_hom(BE, "phi"), build_hom(BE, "phiInv"),
+               {i: build_hom(BE, "psi", m=0, i=i) for i in psis},
+               build_hom(BE, "I"))
+        want = run(fold_oracles.apply_hom, fold_oracles.tensor_apply, old)
+    assert len(got) == len(want) == (4 * len(pairs) + len(trips)
+                                     + 4 * len(gens) + 20)
+    for x, y in zip(got, want):
+        assert fold_oracles.same(x, y)
+
+
+def test_in_place_sums_merge_cancel_and_carry_canonical():
+    # the gate window's sums never meet a key twice; these do, and one
+    # product falls outside dhm:4's two-residue contract
+    I = build_hom(BE, "I")
+    a, b, ab = (1, 0), (0, 1), (1, 1)
+    for x in (w(KdPlus(a), KdPlus(b)) + w(KdPlus(ab)).scale(2),
+              w(KdPlus(a), KdPlus(b)) - w(KdPlus(ab))):
+        assert fold_oracles.same(apply_hom(I, x),
+                                 fold_oracles.apply_hom(I, x))
+    assert apply_hom(I, w(KdPlus(a), KdPlus(b)) - w(KdPlus(ab))).is_zero()
+
+    dhm0 = algebra("dhm:0", BE)
+    inv = build_hom(BE, "phiInv")
+    one = dhm0.one()
+    x = Lin(2, {((Kc(a, 0), Kc(b, 0)), (Kc(a, 1),)): one,
+                ((Kc(ab, 0),), (Kc(a, 1),)): one},
+            (dhm0, dhm0))
+    got = tensor_apply(inv, inv, x)
+    assert len(got.terms) == 1
+    assert fold_oracles.same(got, fold_oracles.tensor_apply(inv, inv, x))
+
+    hd = algebra("hd", BE)
+    summands = [(one, (MuPlus(S1),)), (one, (MuPlus(S1), MuPlus(0))),
+                (-one, (MuPlus(S2),)), (one, (MuPlus(S2),))]
+    got = presented._free_sum(hd, summands)
+    assert got.terms == {(MuPlus(S1),): one + one}
+    assert fold_oracles.same(got, fold_oracles.free_sum(hd, summands))
+
+    dhm4 = algebra("dhm:4", BE)
+    far = GenMap("far", hd, dhm4, lambda letter: normal_form(
+        dhm4, w(E(letter[2], 0 if letter[1] > 0 else 2))))
+    x = w(MuPlus(S1), MuMinus(S2)) + w(MuPlus(S1))
+    with pytest.warns(UserWarning, match="two-residue"):
+        got = apply_hom(far, x)
+        want = fold_oracles.apply_hom(far, x)
+    assert not got.canonical and fold_oracles.same(got, want)

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from hallforge import hall
+from hallforge import hall, scalars
 from hallforge.backend import QuiverBackend
 from hallforge.presented import (FreeElt, MuMinus, MuPlus, NuPlus, algebra,
                                  normal_form, tensor_mult, tensor_unit,
@@ -41,6 +41,58 @@ def test_vpow_frozen():
 def test_mismatched_q_rejected():
     with pytest.raises(ValueError):
         sq(1, 0, 2) * sq(1, 0, 3)
+
+
+def test_multiplying_by_one_keeps_the_field_check():
+    x = sq(1, 1, 2)
+    with pytest.raises(ValueError):
+        SqrtScalar.one(3) * x
+    with pytest.raises(ValueError):
+        x * SqrtScalar.one(3)
+    with pytest.raises(ValueError):
+        SqrtScalar.one(3) * SqrtScalar.one(2)
+
+
+def test_multiplying_by_one_makes_no_scalar(monkeypatch):
+    x = sq(Fraction(3, 4), -2)
+    one = SqrtScalar.one(2)
+    made = []
+    make = scalars._make
+    monkeypatch.setattr(scalars, "_make",
+                        lambda *triple: made.append(triple) or make(*triple))
+    products = [x * 1, 1 * x, x * Fraction(1), Fraction(1) * x, x * one,
+                one * x]
+    assert made == []
+    assert all(p == x for p in products)
+    # a product with anything else is still a new value
+    assert x * 2 == sq(Fraction(3, 2), -4) and made
+
+
+def test_scalars_are_immutable():
+    x = sq(1, 1)
+    for name in ("_an", "_bn", "_den", "q", "a", "b", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 0)
+    assert x == sq(1, 1)
+
+
+def test_vpow_rejects_a_non_int_exponent():
+    assert vpow(2, 2) == SqrtScalar.of(2, 2)
+    for n in (1.5, 2.0, Fraction(2), "2", None):
+        with pytest.raises(TypeError):
+            vpow(n, 2)
+
+
+def test_vpow_table_is_bounded(monkeypatch):
+    monkeypatch.setattr(scalars, "_VPOWS", {})
+    limit = scalars._VPOW_LIMIT
+    for n in range(-limit, limit):
+        got = vpow(n, 3)
+        k, odd = divmod(n, 2)
+        want = SqrtScalar(0, Fraction(3) ** k, 3) if odd \
+            else SqrtScalar(Fraction(3) ** k, 0, 3)
+        assert got == want and vpow(n, 3) == want
+    assert len(scalars._VPOWS) == limit
 
 
 def test_divide_by_zero():
