@@ -9,8 +9,11 @@ The two-sided presentations hd (2.3-2.7), hhd (2.8-2.12) and d (2.14-2.18)
 share five relation shapes and differ only in their letter kinds, one torus
 exponent, the two torus-module cross exponents and the crossing.  The
 `TWO_SIDED` table holds one row of those per family; `relation_instance`,
-the one two-sided pair rule and the suites' windows all read it.  The Z
-families dh, dhtw and dhce share one Z rule, twisted everywhere but on dh.
+the one two-sided pair rule and the suites' windows all read it.  The
+indexed presentations dhm (4.1-4.5), dh (4.6-4.8), dhtw (4.15-4.17) and
+dhce (4.10-4.17) have one `INDEXED` row each: letter kinds, twist, cross
+builder and swap exponents.  `_indexed_side` reads a pair's right side off
+the row for both the one indexed pair rule and `relation_instance`.
 The comultiplication-pairing sum, sum phi(a_(2), b_(1)) a_(1) b_(2), is
 one function, `_pairing_sum`: the 2.7/2.12 oracles normal-order it, and
 it is both sides of the abstract double relation 2.13.
@@ -190,9 +193,7 @@ class Algebra:
             raise ValueError("symbol %r does not belong to algebra %s"
                              % (kind, self.tag))
         if self.family == "dhm" and self.m:
-            if kind == "e":
-                return ("e", letter[1], letter[2] % self.m)
-            return ("k", letter[1], letter[2] % self.m)
+            return (kind, letter[1], letter[2] % self.m)
         return letter
 
     def __eq__(self, other):
@@ -309,9 +310,10 @@ def _e_cross_terms(alg, M, N, lo):
             for gam, X, Y, xh, yh, lh in _gamma_terms(be, M, N)]
 
 
-def _z_cross_terms(alg, M, N, lo, twisted):
+def _z_cross_terms(alg, M, N, lo):
     # (4.7) untwisted / (4.16) twisted orientation of adjacent Z letters
     be = alg.be
+    twisted = INDEXED[alg.family].twisted
     exmn = be.euler_form(be.class_dim(M), be.class_dim(N))
     out = []
     for gam, X, Y, xh, yh, lh in _gamma_terms(be, M, N):
@@ -351,14 +353,10 @@ TWO_SIDED = {
                   (("K-om+", -1, -1), ("K+om-", 1, -1)), None),
 }
 
-# relation id -> (row, shape index) for the four shapes before the crossing
+# relation id -> (row, shape index) for the five shapes, the crossing only
+# where it is oriented
 _SHAPES = {rid: (row, k) for row in TWO_SIDED.values()
-           for k, rid in enumerate(row.relations[:4])}
-
-_FAMILY_KINDS = {fam: frozenset((row.torus, row.module))
-                 for fam, row in TWO_SIDED.items()}
-_FAMILY_KINDS.update(dhm=frozenset(("k", "e")), dh=frozenset(("Z",)),
-                     dhtw=frozenset(("Z",)), dhce=frozenset(("KZ", "Z")))
+           for k, rid in enumerate(row.relations[:5 if row.crossing else 4])}
 
 
 def _reduce_two_sided(alg, a, b):
@@ -398,110 +396,122 @@ def _cyc_succ(alg, x, y):
     return x == y + 1
 
 
-def _reduce_dhm(alg, a, b):
-    be = alg.be
-    ka, kb = a[0], b[0]
-    if ka == "k" and kb == "k":
-        if a[2] == b[2]:
-            return [(alg.one(), _strip((Kc(add_class(a[1], b[1]), a[2]),)))]
-        if a[2] > b[2]:
-            if _cyc_succ(alg, a[2], b[2]):
-                n = be.sym_euler(a[1], b[1])
-            elif _cyc_succ(alg, b[2], a[2]):
-                n = -be.sym_euler(a[1], b[1])
-            else:
-                n = 0
-            return [(alg.v(n), (b, a))]
-        return None
-    if ka == "e" and kb == "k":
-        j, i = a[2], b[2]
-        sym = be.sym_euler(b[1], be.class_dim(a[1]))
-        if i == j:
-            n = -sym
-        elif _cyc_succ(alg, j, i):
-            n = sym
-        else:
-            n = 0
-        return [(alg.v(n), (b, a))]
-    if ka == "e" and kb == "e":
-        if a[2] == b[2]:
-            return _hall_merge(alg, letter_mid(a), letter_mid(b),
-                               lambda L: E(L, a[2]))
-        if _cyc_succ(alg, a[2], b[2]):
-            return _e_cross_terms(alg, a[1], b[1], b[2])
-        if _cyc_succ(alg, b[2], a[2]):
-            return None
-        if a[2] > b[2]:
-            return [(alg.one(), (b, a))]
-        return None
-    return None
+def _apart(alg, i, j):
+    """Indices i and j neither equal nor adjacent."""
+    return i != j and not _cyc_succ(alg, i, j) and not _cyc_succ(alg, j, i)
 
 
-def _reduce_z(alg, a, b):
-    """The Z-letter rule: untwisted (4.6-4.8) on dh, twisted (4.15-4.17)
-    on dhtw and dhce."""
-    be = alg.be
-    twisted = alg.family != "dh"
-    if a[2] == b[2]:
-        return _hall_merge(alg, letter_mid(a), letter_mid(b),
-                           lambda L: Zg(L, a[2]), twisted)
-    d = a[2] - b[2]
-    if d == 1:
-        return _z_cross_terms(alg, a[1], b[1], b[2], twisted)
-    if d >= 2:
-        sign = 1 if d % 2 == 0 else -1
-        mh, nh = be.class_dim(a[1]), be.class_dim(b[1])
-        if twisted:
-            n = sign * be.sym_euler(mh, nh)
-        else:
-            n = 2 * sign * be.euler_form(nh, mh)
-        return [(alg.v(n), (b, a))]
-    return None
+def _parity(d):
+    return -1 if d % 2 else 1
 
 
-def _kz_scalar(alg, alpha, i, mid, j):
-    """c with K_{alpha,i} Z_{M,j} = c Z_{M,j} K_{alpha,i} per the case table."""
-    be = alg.be
-    sym = be.sym_euler(alpha, be.class_dim(mid))
-    if i == j:
-        return sym if i in (-1, 0) else 0
-    if abs(i - j) == 1:
-        return -sym if i in (-1, 0) else 0
-    if i == 0:
-        return sym if j % 2 == 0 else -sym
-    if i == -1:
-        return -sym if j % 2 == 0 else sym
-    return 0
+class Indexed(namedtuple("Indexed", "module torus relations twisted cross "
+                                    "torus_module far")):
+    """One indexed presentation, with X the module and T the torus kind (None
+    where there is none), letters (kind, class, index) and d = i - j:
+
+    - relations: its ids;
+    - twisted: whether X_{M,i} X_{N,i} merges by the twisted Hall product;
+    - cross: (alg, M, N, i) -> the summands of X_{M,i+1} X_{N,i};
+    - torus_module: (alg, i, j) -> t, T_{a,i} X_{M,j} = v^{t (a,M)} X T;
+    - far: (be, d, M^, N^) -> n, X_{M,i} X_{N,j} = v^n X_{N,j} X_{M,i}
+      for i > j not adjacent.
+
+    Torus letters swap as T_{a,i} T_{b,j} = v^{s (a,b)} T_{b,j} T_{a,i},
+    s = 1, -1 or 0 as i succeeds j, j succeeds i or neither.  A swap read
+    the other way round takes the opposite exponent.
+    """
+
+    __slots__ = ()
 
 
-def _reduce_dhce(alg, a, b):
-    ka, kb = a[0], b[0]
-    if ka == "Z" and kb == "Z":
-        return _reduce_z(alg, a, b)
-    if ka == "KZ" and kb == "KZ":
-        if a[2] == b[2]:
-            return [(alg.one(), _strip((Kz(add_class(a[1], b[1]), a[2]),)))]
-        d = a[2] - b[2]
-        if d == 1:
-            return [(alg.v(alg.be.sym_euler(a[1], b[1])), (b, a))]
-        if d >= 2:
-            return [(alg.one(), (b, a))]
-        return None
-    if ka == "Z" and kb == "KZ":
-        n = _kz_scalar(alg, b[1], b[2], a[1], a[2])
-        return [(alg.v(-n), (b, a))]
-    return None
+def _twisted_far(be, d, mh, nh):
+    return _parity(d) * be.sym_euler(mh, nh)
 
 
-_REDUCERS = {
-    "hd": _reduce_two_sided,
-    "hhd": _reduce_two_sided,
-    "dhm": _reduce_dhm,
-    "dh": _reduce_z,
-    "dhtw": _reduce_z,
-    "dhce": _reduce_dhce,
-    "d": _reduce_two_sided,
+INDEXED = {
+    "dhm": Indexed(
+        "e", "k", ("4.1", "4.2", "4.3", "4.4", "4.5"), twisted=True,
+        cross=_e_cross_terms,
+        torus_module=lambda alg, i, j:
+            1 if i == j else -1 if _cyc_succ(alg, j, i) else 0,
+        far=lambda be, d, mh, nh: 0),
+    "dh": Indexed(
+        "Z", None, ("4.6", "4.7", "4.8"), twisted=False,
+        cross=_z_cross_terms, torus_module=None,
+        far=lambda be, d, mh, nh: 2 * _parity(d) * be.euler_form(nh, mh)),
+    "dhtw": Indexed(
+        "Z", None, ("4.15", "4.16", "4.17"), twisted=True,
+        cross=_z_cross_terms, torus_module=None, far=_twisted_far),
+    "dhce": Indexed(
+        "Z", "KZ", ("4.10", "4.11", "4.12", "4.13", "4.14", "4.15", "4.16",
+                    "4.17"), twisted=True, cross=_z_cross_terms,
+        torus_module=lambda alg, i, j: _parity(i - j) if i in (-1, 0) else 0,
+        far=_twisted_far),
 }
+
+_ROWS = {**TWO_SIDED, **INDEXED}
+
+_FAMILY_KINDS = {fam: frozenset(k for k in (row.torus, row.module) if k)
+                 for fam, row in _ROWS.items()}
+
+# family -> the relation ids relation_instance builds on its algebras
+_OWNED = {fam: frozenset(row.relations) for fam, row in _ROWS.items()}
+_OWNED["d"] |= {"2.13", "2.18r"}
+
+
+def _swap_exponent(alg, row, a, b):
+    """n with a b = v^n b a, for letters that neither merge nor cross."""
+    be = alg.be
+    if a[0] != b[0]:
+        if a[0] != row.torus:
+            return -_swap_exponent(alg, row, b, a)
+        return row.torus_module(alg, a[2], b[2]) \
+            * be.sym_euler(a[1], be.class_dim(b[1]))
+    if a[0] == row.torus:
+        s = 1 if _cyc_succ(alg, a[2], b[2]) else \
+            -1 if _cyc_succ(alg, b[2], a[2]) else 0
+        return s * be.sym_euler(a[1], b[1])
+    if a[2] < b[2]:
+        return -_swap_exponent(alg, row, b, a)
+    return row.far(be, a[2] - b[2], be.class_dim(a[1]), be.class_dim(b[1]))
+
+
+def _indexed_side(alg, a, b):
+    """The right side of a b in dhm, dh, dhtw or dhce, as (scalar, letters)
+    summands: letters of one kind and index merge, X_{M,i+1} X_{N,i}
+    crosses, and any other pair swaps."""
+    row = INDEXED[alg.family]
+    if a[0] == b[0] and a[2] == b[2]:
+        if a[0] == row.torus:
+            return [(alg.one(),
+                     _strip(((a[0], add_class(a[1], b[1]), a[2]),)))]
+        return _hall_merge(alg, a[1], b[1], lambda L: (a[0], L, a[2]),
+                           row.twisted)
+    if a[0] == b[0] == row.module and _cyc_succ(alg, a[2], b[2]):
+        return row.cross(alg, a[1], b[1], b[2])
+    return [(alg.v(_swap_exponent(alg, row, a, b)), (b, a))]
+
+
+def _reduce_indexed(alg, a, b):
+    """The pair rule of dhm, dh, dhtw and dhce: torus letters go before
+    module letters and lower indices first, except that X_{M,i} X_{N,i+1}
+    is normal and X_{M,i+1} X_{N,i} crosses.  Any other pair is rewritten
+    to its `_indexed_side`."""
+    row = INDEXED[alg.family]
+    if a[0] != b[0]:
+        normal = a[0] == row.torus
+    elif a[0] == row.module and _cyc_succ(alg, a[2], b[2]):
+        normal = False
+    elif a[0] == row.module and _cyc_succ(alg, b[2], a[2]):
+        normal = True
+    else:
+        normal = a[2] < b[2]
+    return None if normal else _indexed_side(alg, a, b)
+
+
+_REDUCERS = {fam: _reduce_two_sided if fam in TWO_SIDED else _reduce_indexed
+             for fam in _ROWS}
 
 
 # ---------------------------------------------------------------------------
@@ -867,13 +877,41 @@ def _variant(rel_id, variant, names, default):
     return variant
 
 
+# 4.1-4.17: relation id -> its left side, two letters (kind, class, index)
+# with kind X the row's module and T its torus kind, class a param and
+# index i plus an offset or j; 4.10 has one per variant, KZ the default.
+# The right side is the left side's `_indexed_side`.
+_MERGE = (("X", "M", 0), ("X", "N", 0))
+_CROSS = (("X", "M", 1), ("X", "N", 0))
+_FAR = (("X", "M", 0), ("X", "N", "j"))
+_TT = (("T", "alpha", 0), ("T", "beta", "j"))
+_TX = (("T", "alpha", 0), ("X", "M", "j"))
+_INDEXED_LEFT = {
+    "4.1": _TT, "4.2": _TX, "4.3": _MERGE, "4.4": _CROSS, "4.5": _FAR,
+    "4.6": _MERGE, "4.7": _CROSS, "4.8": _FAR,
+    "4.10": {"KZ": (("T", "alpha", 0), ("X", "M", 0)),
+             "KK": (("T", "alpha", 0), ("T", "beta", 0))},
+    "4.11": _TT, "4.12": (("T", "alpha", 0), ("X", "M", 1)),
+    "4.13": (("T", "alpha", 0), ("X", "M", -1)), "4.14": _TX,
+    "4.15": _MERGE, "4.16": _CROSS, "4.17": _FAR,
+}
+
+# relation id -> the index pairs (i, j) it is stated for, where not all
+_DOMAINS = {"4.5": _apart, "4.8": _apart, "4.14": _apart, "4.17": _apart,
+            "4.11": lambda alg, i, j:
+                _cyc_succ(alg, i, j) or _apart(alg, i, j)}
+
+
 def relation_instance(alg, rel_id, params):
     """Both sides of one defining relation, coefficients fully evaluated.
 
-    params is a mapping; the keys each relation consumes are documented by
-    the builders below (objects M, N as IsoClassIds; classes alpha, beta as
-    integer tuples; indices i, j; sign/variant selectors).
+    params maps M, N to IsoClassIds, alpha, beta to integer tuples, i, j to
+    indices, and sign, variant to selectors.  A relation id outside alg's
+    family, or indices outside the relation's domain, raise ValueError.
     """
+    if rel_id not in _OWNED[alg.family]:
+        raise ValueError("relation %r does not belong to algebra %s"
+                         % (rel_id, alg.tag))
     be = alg.be
     q = alg.q
     p = dict(params)
@@ -883,9 +921,9 @@ def relation_instance(alg, rel_id, params):
     i, j = p.get("i"), p.get("j")
     sign = _pm(p.get("sign", 1))
     variant = p.get("variant")
-    word = lambda *letters: FreeElt.word(q, letters)
+    word = lambda *letters, c=None: FreeElt.word(q, letters, c)
 
-    # 2.3-2.6, 2.8-2.11 and 2.14-2.17: a shape filled in from a TWO_SIDED row
+    # 2.3-2.12 and 2.14-2.17: a shape filled in from a TWO_SIDED row
     shape = _SHAPES.get(rel_id)
     if shape is not None:
         row, k = shape
@@ -897,7 +935,7 @@ def relation_instance(alg, rel_id, params):
         if k == 1:
             c = alg.v(be.sym_euler(alpha, be.class_dim(M)))
             lhs = word((T, sign, alpha), (X, sign, M))
-            return lhs, word((X, sign, M), (T, sign, alpha)).scale(c)
+            return lhs, word((X, sign, M), (T, sign, alpha), c=c)
         if k == 2:
             if _variant(rel_id, variant, ("merge", "cross"), "cross") \
                     == "merge":
@@ -905,19 +943,18 @@ def relation_instance(alg, rel_id, params):
                 return lhs, word((T, sign, add_class(alpha, beta)))
             c = alg.v(row.f * be.sym_euler(alpha, beta))
             lhs = word((T, 1, alpha), (T, -1, beta))
-            return lhs, word((T, -1, beta), (T, 1, alpha)).scale(c)
+            return lhs, word((T, -1, beta), (T, 1, alpha), c=c)
+        if k == 4:
+            t, cross = row.crossing
+            first, second = (M, N) if t == 1 else (N, M)
+            lhs = word((X, t, first), (X, -t, second))
+            return lhs, _free_sum(alg, cross(alg, first, second))
         variants = {name: (t, g) for name, t, g in row.cross_variants}
         t, g = variants[_variant(rel_id, variant, variants,
                                  row.cross_variants[1][0])]
         c = alg.v(g * be.sym_euler(alpha, be.class_dim(M)))
         lhs = word((T, t, alpha), (X, -t, M))
-        return lhs, word((X, -t, M), (T, t, alpha)).scale(c)
-    if rel_id == "2.7":
-        lhs = word(MuPlus(M), MuMinus(N))
-        return lhs, _free_sum(alg, _hd_cross_terms(alg, M, N))
-    if rel_id == "2.12":
-        lhs = word(NuMinus(N), NuPlus(M))
-        return lhs, _free_sum(alg, _hhd_cross_terms(alg, N, M))
+        return lhs, word((X, -t, M), (T, t, alpha), c=c)
     if rel_id == "2.13":
         return _drinfeld_instance(be, M, N)
     if rel_id == "2.18":
@@ -925,100 +962,18 @@ def relation_instance(alg, rel_id, params):
     if rel_id == "2.18r":
         return _double_cross_expanded(alg, M, N)
 
-    if rel_id == "4.1":
-        a, b = alg.canon_letter(Kc(alpha, i)), alg.canon_letter(Kc(beta, j))
-        lhs = word(a, b)
-        if a[2] == b[2]:
-            return lhs, word(Kc(add_class(alpha, beta), a[2]))
-        if _cyc_succ(alg, a[2], b[2]):
-            n = be.sym_euler(alpha, beta)
-        elif _cyc_succ(alg, b[2], a[2]):
-            n = -be.sym_euler(alpha, beta)
-        else:
-            n = 0
-        return lhs, word(b, a).scale(alg.v(n))
-    if rel_id == "4.2":
-        a = alg.canon_letter(Kc(alpha, i))
-        b = alg.canon_letter(E(M, j))
-        lhs = word(a, b)
-        sym = be.sym_euler(alpha, be.class_dim(M))
-        if a[2] == b[2]:
-            n = sym
-        elif _cyc_succ(alg, b[2], a[2]):
-            n = -sym
-        else:
-            n = 0
-        return lhs, word(b, a).scale(alg.v(n))
-    if rel_id == "4.3":
-        a, b = alg.canon_letter(E(M, i)), alg.canon_letter(E(N, i))
-        lhs = word(a, b)
-        return lhs, _free_sum(alg, _hall_merge(
-            alg, M, N, lambda L: E(L, a[2])))
-    if rel_id == "4.4":
-        lo = alg.canon_letter(E(N, i))[2]
-        hi = (lo + 1) % alg.m if alg.m else lo + 1
-        lhs = word(E(M, hi), E(N, lo))
-        return lhs, _free_sum(alg, _e_cross_terms(alg, M, N, lo))
-    if rel_id == "4.5":
-        a, b = alg.canon_letter(E(M, i)), alg.canon_letter(E(N, j))
-        lhs = word(a, b)
-        return lhs, word(b, a)
-    if rel_id == "4.6":
-        lhs = word(Zg(M, i), Zg(N, i))
-        return lhs, _free_sum(alg, _hall_merge(
-            alg, M, N, lambda L: Zg(L, i), twisted=False))
-    if rel_id == "4.7":
-        lhs = word(Zg(M, i + 1), Zg(N, i))
-        return lhs, _free_sum(alg, _z_cross_terms(alg, M, N, i, twisted=False))
-    if rel_id == "4.8":
-        lhs = word(Zg(M, i), Zg(N, j))
-        sign_ = 1 if (i - j) % 2 == 0 else -1
-        if i > j:
-            n = 2 * sign_ * be.euler_form(be.class_dim(N), be.class_dim(M))
-        else:
-            # inverse of the far swap read with the roles exchanged
-            n = -2 * sign_ * be.euler_form(be.class_dim(M), be.class_dim(N))
-        return lhs, word(Zg(N, j), Zg(M, i)).scale(alg.v(n))
-    if rel_id == "4.10":
-        if _variant(rel_id, variant, ("KK", "KZ"), "KZ") == "KK":
-            lhs = word(Kz(alpha, i), Kz(beta, i))
-            return lhs, word(Kz(add_class(alpha, beta), i))
-        lhs = word(Kz(alpha, i), Zg(M, i))
-        n = be.sym_euler(alpha, be.class_dim(M)) if i in (-1, 0) else 0
-        return lhs, word(Zg(M, i), Kz(alpha, i)).scale(alg.v(n))
-    if rel_id == "4.11":
-        lhs = word(Kz(alpha, i), Kz(beta, j))
-        n = be.sym_euler(alpha, beta) if i == j + 1 else 0
-        return lhs, word(Kz(beta, j), Kz(alpha, i)).scale(alg.v(n))
-    if rel_id == "4.12":
-        lhs = word(Kz(alpha, i), Zg(M, i + 1))
-        n = -be.sym_euler(alpha, be.class_dim(M)) if i in (-1, 0) else 0
-        return lhs, word(Zg(M, i + 1), Kz(alpha, i)).scale(alg.v(n))
-    if rel_id == "4.13":
-        lhs = word(Kz(alpha, i), Zg(M, i - 1))
-        n = -be.sym_euler(alpha, be.class_dim(M)) if i in (-1, 0) else 0
-        return lhs, word(Zg(M, i - 1), Kz(alpha, i)).scale(alg.v(n))
-    if rel_id == "4.14":
-        lhs = word(Kz(alpha, i), Zg(M, j))
-        n = _kz_scalar(alg if alg.family == "dhce" else algebra("dhce", be),
-                       alpha, i, M, j) if abs(i - j) > 1 else 0
-        return lhs, word(Zg(M, j), Kz(alpha, i)).scale(alg.v(n))
-    if rel_id == "4.15":
-        lhs = word(Zg(M, i), Zg(N, i))
-        return lhs, _free_sum(alg, _hall_merge(
-            alg, M, N, lambda L: Zg(L, i)))
-    if rel_id == "4.16":
-        lhs = word(Zg(M, i + 1), Zg(N, i))
-        return lhs, _free_sum(alg, _z_cross_terms(alg, M, N, i, twisted=True))
-    if rel_id == "4.17":
-        lhs = word(Zg(M, i), Zg(N, j))
-        sign_ = 1 if (i - j) % 2 == 0 else -1
-        if i < j:
-            # inverse of the far swap read with the roles exchanged
-            sign_ = -sign_
-        n = sign_ * be.sym_euler(be.class_dim(M), be.class_dim(N))
-        return lhs, word(Zg(N, j), Zg(M, i)).scale(alg.v(n))
-    raise ValueError("unknown relation id %r" % (rel_id,))
+    left = _INDEXED_LEFT[rel_id]
+    if isinstance(left, dict):
+        left = left[_variant(rel_id, variant, left, next(iter(left)))]
+    row = INDEXED[alg.family]
+    cls = {"M": M, "N": N, "alpha": alpha, "beta": beta}
+    a, b = (alg.canon_letter((row.torus if k == "T" else row.module,
+                              cls[key], j if at == "j" else i + at))
+            for k, key, at in left)
+    if rel_id in _DOMAINS and not _DOMAINS[rel_id](alg, a[2], b[2]):
+        raise ValueError("relation %s is not stated at i=%r, j=%r"
+                         % (rel_id, i, j))
+    return word(a, b), _free_sum(alg, _indexed_side(alg, a, b))
 
 
 def _drinfeld_instance(be, M, N):

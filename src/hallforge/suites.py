@@ -33,10 +33,10 @@ from .hall import (basis, bialgebra_check, coassoc_check,
                    pairing_product_check)
 from .morphisms import (apply_hom, build_hom, check_relation,
                         double_monomials, rank_independence, tensor_apply)
-from .presented import (TWO_SIDED, E, FreeElt, Kc, Kz, Zg, algebra,
-                        d_quasi, grading_check, hd_cross, hd_cross_oracle,
-                        is_torus, letter_mid, normal_form, pmult,
-                        relation_instance)
+from .presented import (INDEXED, TWO_SIDED, E, FreeElt, Kc, Kz, Zg,
+                        algebra, d_quasi, grading_check, hd_cross,
+                        hd_cross_oracle, is_torus, letter_mid, normal_form,
+                        pmult, relation_instance)
 from .quiver import add_class, neg_class, quiver_from_arg
 
 DEFAULT_SEED = 1729
@@ -391,22 +391,16 @@ def _module_pool(objs_nz, fam):
     if fam in TWO_SIDED:
         kind = TWO_SIDED[fam].module
         return [(kind, s, c) for s in (1, -1) for c in objs_nz]
-    if fam == "dhm":
-        idxs = (0, 1)
-        return [E(c, i) for i in idxs for c in objs_nz]
-    # dh, dhtw, dhce all generate from complex letters
-    return [Zg(c, i) for i in (0, 1) for c in objs_nz]
+    # dhm, dh, dhtw and dhce generate from letters at indices 0 and 1
+    return [(INDEXED[fam].module, c, i) for i in (0, 1) for c in objs_nz]
 
 
 def _torus_pool(alphas_nz, fam):
     if fam in TWO_SIDED:
         kind = TWO_SIDED[fam].torus
         return [(kind, s, a) for s in (1, -1) for a in alphas_nz]
-    if fam == "dhm":
-        return [Kc(a, i) for i in (0, 1) for a in alphas_nz]
-    if fam == "dhce":
-        return [Kz(a, i) for i in (-1, 0) for a in alphas_nz]
-    return []
+    idxs = {"dhm": (0, 1), "dhce": (-1, 0)}.get(fam, ())
+    return [(INDEXED[fam].torus, a, i) for i in idxs for a in alphas_nz]
 
 
 def _dim_ok(be, letters, bound):

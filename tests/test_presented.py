@@ -6,7 +6,7 @@ import warnings
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hallforge import presented
+from hallforge import presented, suites
 from hallforge.backend import QuiverBackend
 from hallforge.caps import Budget, CapExceeded
 from hallforge.exprs import render_elt
@@ -306,6 +306,160 @@ def test_two_sided_relation_sides_pinned(tag, rel, params, lhs, rhs):
     assert [render_elt(BE, side) for side in got] == [lhs, rhs]
 
 
+# the same for the indexed presentations 4.1-4.17: the dhm:4 wrap across
+# residues 3 and 0, and both readings of the far swaps 4.8 and 4.17
+_P = "X{1,1}#1"
+_PINNED_INDEXED_SIDES = [
+    ("dhm:0", "4.1", {"alpha": _A, "beta": _B, "i": 1, "j": 0},
+     "k[(1,0);1] k[(0,1);0]", "v^-1 k[(0,1);0] k[(1,0);1]"),
+    ("dhm:0", "4.1", {"alpha": _A, "beta": _B, "i": 0, "j": 1},
+     "k[(1,0);0] k[(0,1);1]", "v k[(0,1);1] k[(1,0);0]"),
+    ("dhm:0", "4.1", {"alpha": _A, "beta": (1, 1), "i": 2, "j": 0},
+     "k[(1,0);2] k[(1,1);0]", "k[(1,1);0] k[(1,0);2]"),
+    ("dhm:0", "4.1", {"alpha": _A, "beta": _B, "i": 1, "j": 1},
+     "k[(1,0);1] k[(0,1);1]", "k[(1,1);1]"),
+    ("dhm:0", "4.2", {"alpha": _A, "M": "S1", "i": 0, "j": 0},
+     "k[(1,0);0] e[S1;0]", "v^2 e[S1;0] k[(1,0);0]"),
+    ("dhm:0", "4.2", {"alpha": _A, "M": "S1", "i": 0, "j": 1},
+     "k[(1,0);0] e[S1;1]", "v^-2 e[S1;1] k[(1,0);0]"),
+    ("dhm:0", "4.2", {"alpha": _A, "M": "S1", "i": 1, "j": 0},
+     "k[(1,0);1] e[S1;0]", "e[S1;0] k[(1,0);1]"),
+    ("dhm:0", "4.3", {"M": "S1", "N": "S2", "i": 2},
+     "e[S1;2] e[S2;2]", "v^-1 e[X{1,1}#0;2] + v^-1 e[X{1,1}#1;2]"),
+    ("dhm:0", "4.4", {"M": "S1", "N": "S1", "i": 0},
+     "e[S1;1] e[S1;0]", "e[S1;0] e[S1;1] + k[(1,0);0]"),
+    ("dhm:0", "4.5", {"M": "S1", "N": "S2", "i": 3, "j": 0},
+     "e[S1;3] e[S2;0]", "e[S2;0] e[S1;3]"),
+    ("dhm:4", "4.1", {"alpha": _A, "beta": _B, "i": 3, "j": 0},
+     "k[(1,0);3] k[(0,1);0]", "v k[(0,1);0] k[(1,0);3]"),
+    ("dhm:4", "4.1", {"alpha": _A, "beta": _B, "i": 0, "j": 3},
+     "k[(1,0);0] k[(0,1);3]", "v^-1 k[(0,1);3] k[(1,0);0]"),
+    ("dhm:4", "4.2", {"alpha": _A, "M": "S1", "i": 3, "j": 0},
+     "k[(1,0);3] e[S1;0]", "v^-2 e[S1;0] k[(1,0);3]"),
+    ("dhm:4", "4.2", {"alpha": _A, "M": "S1", "i": 0, "j": 3},
+     "k[(1,0);0] e[S1;3]", "e[S1;3] k[(1,0);0]"),
+    ("dhm:4", "4.3", {"M": "S1", "N": "S2", "i": 5},
+     "e[S1;1] e[S2;1]", "v^-1 e[X{1,1}#0;1] + v^-1 e[X{1,1}#1;1]"),
+    ("dhm:4", "4.4", {"M": "S1", "N": "S1", "i": 3},
+     "e[S1;0] e[S1;3]", "e[S1;3] e[S1;0] + k[(1,0);3]"),
+    ("dhm:4", "4.5", {"M": "S2", "N": "S1", "i": 2, "j": 0},
+     "e[S2;2] e[S1;0]", "e[S1;0] e[S2;2]"),
+    ("dh", "4.6", {"M": "S1", "N": "S2", "i": 1},
+     "Z[S1;1] Z[S2;1]", "Z[X{1,1}#0;1] + Z[X{1,1}#1;1]"),
+    ("dh", "4.7", {"M": "S1", "N": "S1", "i": 0},
+     "Z[S1;1] Z[S1;0]", "v^-2 Z[S1;0] Z[S1;1] + 1"),
+    ("dh", "4.8", {"M": "S2", "N": "S1", "i": 2, "j": 0},
+     "Z[S2;2] Z[S1;0]", "v^-2 Z[S1;0] Z[S2;2]"),
+    ("dh", "4.8", {"M": "S1", "N": "S2", "i": 0, "j": 3},
+     "Z[S1;0] Z[S2;3]", "v^-2 Z[S2;3] Z[S1;0]"),
+    ("dhtw", "4.15", {"M": "S1", "N": "S2", "i": 1},
+     "Z[S1;1] Z[S2;1]", "v^-1 Z[X{1,1}#0;1] + v^-1 Z[X{1,1}#1;1]"),
+    ("dhtw", "4.16", {"M": "S1", "N": "S1", "i": 0},
+     "Z[S1;1] Z[S1;0]", "v^-2 Z[S1;0] Z[S1;1] + v^-1"),
+    ("dhtw", "4.17", {"M": "S1", "N": "S2", "i": 3, "j": 0},
+     "Z[S1;3] Z[S2;0]", "v Z[S2;0] Z[S1;3]"),
+    ("dhtw", "4.17", {"M": "S1", "N": "S2", "i": 0, "j": 2},
+     "Z[S1;0] Z[S2;2]", "v Z[S2;2] Z[S1;0]"),
+    ("dhce", "4.10", {"variant": "KK", "alpha": _A, "beta": _B, "i": -1},
+     "KZ[(1,0);-1] KZ[(0,1);-1]", "KZ[(1,1);-1]"),
+    ("dhce", "4.10", {"variant": "KZ", "alpha": _A, "M": "S1", "i": 0},
+     "KZ[(1,0);0] Z[S1;0]", "v^2 Z[S1;0] KZ[(1,0);0]"),
+    ("dhce", "4.10", {"alpha": _A, "M": "S1", "i": 2},
+     "KZ[(1,0);2] Z[S1;2]", "Z[S1;2] KZ[(1,0);2]"),
+    ("dhce", "4.11", {"alpha": _A, "beta": _B, "i": 1, "j": 0},
+     "KZ[(1,0);1] KZ[(0,1);0]", "v^-1 KZ[(0,1);0] KZ[(1,0);1]"),
+    ("dhce", "4.11", {"alpha": _A, "beta": _B, "i": 0, "j": 2},
+     "KZ[(1,0);0] KZ[(0,1);2]", "KZ[(0,1);2] KZ[(1,0);0]"),
+    ("dhce", "4.12", {"alpha": _A, "M": "S1", "i": -1},
+     "KZ[(1,0);-1] Z[S1;0]", "v^-2 Z[S1;0] KZ[(1,0);-1]"),
+    ("dhce", "4.13", {"alpha": _A, "M": "S1", "i": 0},
+     "KZ[(1,0);0] Z[S1;-1]", "v^-2 Z[S1;-1] KZ[(1,0);0]"),
+    ("dhce", "4.14", {"alpha": _A, "M": "S1", "i": 0, "j": 3},
+     "KZ[(1,0);0] Z[S1;3]", "v^-2 Z[S1;3] KZ[(1,0);0]"),
+    ("dhce", "4.14", {"alpha": _A, "M": "S1", "i": -1, "j": -3},
+     "KZ[(1,0);-1] Z[S1;-3]", "v^2 Z[S1;-3] KZ[(1,0);-1]"),
+    ("dhce", "4.14", {"alpha": _A, "M": "S1", "i": 2, "j": 0},
+     "KZ[(1,0);2] Z[S1;0]", "Z[S1;0] KZ[(1,0);2]"),
+    ("dhce", "4.15", {"M": "S1", "N": "S2", "i": -2},
+     "Z[S1;-2] Z[S2;-2]", "v^-1 Z[X{1,1}#0;-2] + v^-1 Z[X{1,1}#1;-2]"),
+    ("dhce", "4.16", {"M": _P, "N": "S1", "i": -2},
+     "Z[X{1,1}#1;-1] Z[S1;-2]",
+     "v^-1 Z[S1;-2] Z[X{1,1}#1;-1] + v^-1 Z[S2;-1]"),
+    ("dhce", "4.17", {"M": "S1", "N": "S2", "i": 2, "j": 0},
+     "Z[S1;2] Z[S2;0]", "v^-1 Z[S2;0] Z[S1;2]"),
+    ("dhce", "4.17", {"M": "S1", "N": "S2", "i": -3, "j": 0},
+     "Z[S1;-3] Z[S2;0]", "v^-1 Z[S2;0] Z[S1;-3]"),
+]
+
+
+@pytest.mark.parametrize(
+    "tag,rel,params,lhs,rhs", _PINNED_INDEXED_SIDES,
+    ids=["%s-%s-%s" % (t, r, "-".join(str(p[k]) for k in ("variant", "i", "j")
+                                      if k in p))
+         for t, r, p, _, _ in _PINNED_INDEXED_SIDES])
+def test_indexed_relation_sides_pinned(tag, rel, params, lhs, rhs):
+    prm = {k: BE.class_by_name(v) if k in ("M", "N") else v
+           for k, v in params.items()}
+    got = relation_instance(algebra(tag, BE), rel, prm)
+    assert [render_elt(BE, side) for side in got] == [lhs, rhs]
+
+
+def _apart(m, i, j):
+    """Indices i, j neither equal nor adjacent, as residues mod m if m."""
+    return (i - j) % m not in (0, 1, m - 1) if m else abs(i - j) > 1
+
+
+def _indexed_instances(objs, alphas, w):
+    """(tag, relation, params) over every in-domain instance of 4.1-4.17 at
+    indices i, j in -w..w: 4.1-4.5 on dhm:0 and dhm:4, 4.6-4.8 on dh, 4.15-
+    4.17 on dhtw, and the dhce window of the bridgeland-derived suite."""
+    idxs = range(-w, w + 1)
+    pairs = list(itertools.product(idxs, repeat=2))
+    for tag, m in (("dhm:0", 0), ("dhm:4", 4)):
+        for i, j in pairs:
+            for a, b in itertools.product(alphas, repeat=2):
+                yield tag, "4.1", {"alpha": a, "beta": b, "i": i, "j": j}
+            for a in alphas:
+                for n in objs:
+                    yield tag, "4.2", {"alpha": a, "M": n, "i": i, "j": j}
+        for i in idxs:
+            for n, k in itertools.product(objs, repeat=2):
+                yield tag, "4.3", {"M": n, "N": k, "i": i}
+                yield tag, "4.4", {"M": n, "N": k, "i": i}
+        for i, j in pairs:
+            if _apart(m, i, j):
+                for n, k in itertools.product(objs, repeat=2):
+                    yield tag, "4.5", {"M": n, "N": k, "i": i, "j": j}
+    for tag, rels in (("dh", ("4.6", "4.7", "4.8")),
+                      ("dhtw", ("4.15", "4.16", "4.17"))):
+        merge, cross, far = rels
+        for n, k in itertools.product(objs, repeat=2):
+            for i in idxs:
+                yield tag, merge, {"M": n, "N": k, "i": i}
+            for i in range(-w, w):
+                yield tag, cross, {"M": n, "N": k, "i": i}
+            for i, j in pairs:
+                if _apart(0, i, j):
+                    yield tag, far, {"M": n, "N": k, "i": i, "j": j}
+    for rel, prm in suites._dhce_relation_params(objs, alphas, w):
+        yield "dhce", rel, prm
+
+
+def test_indexed_relations_hold_over_a_window():
+    objs, alphas = suites._objs(BE, 2), suites._alphas(BE)
+    count = 0
+    with warnings.catch_warnings():
+        # dhm:4's far pairs leave the two-residue contract
+        warnings.simplefilter("ignore", UserWarning)
+        for tag, rel, prm in _indexed_instances(objs, alphas, 3):
+            alg = algebra(tag, BE)
+            lhs, rhs = relation_instance(alg, rel, prm)
+            assert normal_form(alg, lhs) == normal_form(alg, rhs), \
+                (tag, rel, prm)
+            count += 1
+    assert count == 18421
+
+
 @pytest.mark.parametrize("alg,rel,params", [
     # a misspelling, another family's name, a wrong case: none may fall
     # through to some other instance
@@ -319,6 +473,37 @@ def test_two_sided_relation_sides_pinned(tag, rel, params, lhs, rhs):
                     "i": 0}),
 ], ids=["2.5", "2.6", "2.10", "2.11", "2.16", "2.17", "4.10"])
 def test_unknown_variant_raises(alg, rel, params):
+    with pytest.raises(ValueError, match=re.escape(rel)):
+        relation_instance(alg, rel, params)
+
+
+DH5 = Algebra("dhm:5", BE)
+
+
+@pytest.mark.parametrize("alg,rel,i,j", [
+    # equal or adjacent indices, where each of these would read a merge, a
+    # crossing or the wrong orientation as a swap
+    (DH, "4.8", 1, 0), (DH, "4.8", 0, 1), (DH, "4.8", 2, 2),
+    (DHTW, "4.17", 0, 1), (DHCE, "4.17", 2, 2), (DHCE, "4.17", -1, 0),
+    (DHCE, "4.11", 0, 1), (DHCE, "4.11", 1, 1),
+    (DHCE, "4.14", 0, 0), (DHCE, "4.14", 0, 1), (DHCE, "4.14", -1, -2),
+    (DH0, "4.5", 1, 1), (DH0, "4.5", 1, 0), (DH0, "4.5", 0, 1),
+    (DH4, "4.5", 3, 0), (DH4, "4.5", 5, 1), (DH4, "4.5", 1, 2),
+    (DH5, "4.5", 4, 0), (DH5, "4.5", 0, 5),
+], ids=lambda x: x.tag if isinstance(x, Algebra) else str(x))
+def test_index_outside_the_domain_raises(alg, rel, i, j):
+    params = {"M": S1, "N": S2, "alpha": _A, "beta": _B, "i": i, "j": j}
+    with pytest.raises(ValueError, match=r"%s .*i=%d, j=%d"
+                       % (re.escape(rel), i, j)):
+        relation_instance(alg, rel, params)
+
+
+@pytest.mark.parametrize("alg,rel", [
+    (HD, "2.8"), (DH, "4.15"), (DHTW, "4.6"), (DH0, "4.6"), (DHCE, "4.1"),
+    (HHD, "2.13"), (DD, "2.3"), (HD, "4.1"), (DH4, "2.18r"),
+], ids=lambda x: x.tag if isinstance(x, Algebra) else x)
+def test_relation_of_another_family_raises(alg, rel):
+    params = {"M": S1, "N": S2, "alpha": _A, "beta": _B, "i": 0, "j": 2}
     with pytest.raises(ValueError, match=re.escape(rel)):
         relation_instance(alg, rel, params)
 
