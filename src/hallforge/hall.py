@@ -27,10 +27,6 @@ def basis(be, mid, alpha=None, coeff=None):
     return _elt(be, {(mid, alpha): coeff})
 
 
-def torus(be, alpha):
-    return basis(be, 0, alpha)
-
-
 def unit(be):
     return basis(be, 0)
 

@@ -13,10 +13,13 @@ square.
 
 Each shape of map has one construction.  `_double_map` builds the maps
 out of the double d into a tensor square (I, psi, varphi): KD^s_a goes to
-a pair of torus words and om^s_M to a sum over M's subobject table, and
-each map supplies only its word pairs and, for varphi, its v-exponents.
-`_build_kappa` builds both index-shift maps, kappa from hd and kappaCheck
-from hhd, reading the letter kinds off the source's TWO_SIDED row.
+a pair of torus words and om^s_M to a sum over M's subobject table.  I
+supplies its word pairs.  `_kappa_letter` is the letter map of both
+index-shift maps, kappa from hd and kappaCheck from hhd, reading the
+letter kinds off the source's TWO_SIDED row; psi is I's word pairs with
+each leg's letters sent through it, (kappa (x) kappaCheck) o I.  varphi
+is one formula: one v-exponent, and plus-side words for i < 0 and for
+i >= 0, whose minus side is the plus side mirrored.
 """
 
 import itertools
@@ -157,52 +160,54 @@ def _double_map(be, name, algs, torus_words, module_words, exponent=None,
     return GenMap(name, algebra("d", be), algs, image, params)
 
 
+def _I_torus_words(s, a):
+    if s > 0:
+        return (KPlus(a),), (KcPlus(a),)
+    return (KMinus(a),), (KcMinus(a),)
+
+
+def _I_module_words(s, m1, m2, d1, d2):
+    if s > 0:
+        return (MuPlus(m1), KPlus(d2)), (NuPlus(m2),)
+    return (MuMinus(m1),), (NuMinus(m2), KcMinus(d1))
+
+
 def _build_I(be):
-    def torus_words(s, a):
-        if s > 0:
-            return (KPlus(a),), (KcPlus(a),)
-        return (KMinus(a),), (KcMinus(a),)
-
-    def module_words(s, m1, m2, d1, d2):
-        if s > 0:
-            return (MuPlus(m1), KPlus(d2)), (NuPlus(m2),)
-        return (MuMinus(m1),), (NuMinus(m2), KcMinus(d1))
-
     return _double_map(be, "I", (algebra("hd", be), algebra("hhd", be)),
-                       torus_words, module_words)
+                       _I_torus_words, _I_module_words)
+
+
+def _kappa_letter(row, i, letter):
+    """The dhm letter of an hd (row hd) or hhd (row hhd) letter of sign s:
+    index i + 1 when s is the sign of the left letter of the row's
+    crossing, else index i, so the crossing lands on 4.4."""
+    kind, s, x = letter
+    idx = i + 1 if s == row.crossing[0] else i
+    return E(x, idx) if kind == row.module else Kc(x, idx)
 
 
 def _build_kappa(be, name, m, i):
-    """kappa (source hd) or kappaCheck (source hhd): a generator of sign s
-    goes to index i + 1 when s is the sign of the left letter of the
-    source's crossing, else to index i, so the crossing lands on 4.4."""
+    """kappa (source hd) or kappaCheck (source hhd), letter by letter."""
     tgt = algebra("dhm:%d" % m, be)
     source = algebra("hd" if name == "kappa" else "hhd", be)
     row = TWO_SIDED[source.family]
-
-    def image(letter):
-        kind, s, x = letter
-        idx = i + 1 if s == row.crossing[0] else i
-        return _nf_word(tgt, (E(x, idx) if kind == row.module
-                              else Kc(x, idx),))
-
-    return GenMap(name, source, tgt, image, {"m": m, "i": i})
+    return GenMap(name, source, tgt, lambda letter: _nf_word(
+        tgt, (_kappa_letter(row, i, letter),)), {"m": m, "i": i})
 
 
 def _build_psi(be, m, i):
+    """(kappa (x) kappaCheck) o I: I's word pairs, each leg's letters sent
+    through its kappa letter map."""
     tgt = algebra("dhm:%d" % m, be)
+    rows = (TWO_SIDED["hd"], TWO_SIDED["hhd"])
 
-    def torus_words(s, a):
-        if s > 0:
-            return (Kc(a, i + 1),), (Kc(a, i),)
-        return (Kc(a, i),), (Kc(a, i + 1),)
+    def legs(words):
+        return tuple(tuple(_kappa_letter(row, i, x) for x in leg)
+                     for row, leg in zip(rows, words))
 
-    def module_words(s, m1, m2, d1, d2):
-        if s > 0:
-            return (E(m1, i + 1), Kc(d2, i + 1)), (E(m2, i),)
-        return (E(m1, i),), (E(m2, i + 1), Kc(d1, i + 1))
-
-    return _double_map(be, "psi", (tgt, tgt), torus_words, module_words,
+    return _double_map(be, "psi", (tgt, tgt),
+                       lambda s, a: legs(_I_torus_words(s, a)),
+                       lambda *split: legs(_I_module_words(*split)),
                        params={"m": m, "i": i})
 
 
@@ -214,11 +219,9 @@ def _build_phi(be):
         if kind == "KZ":
             return _nf_word(tgt, (Kc(letter[1], letter[2]),))
         M, n = letter[1], letter[2]
-        if n == 0:
-            return _nf_word(tgt, (E(M, 0),))
         dM = be.class_dim(M)
         mm = be.euler_form(dM, dM)
-        if n > 0:
+        if n >= 0:
             letters = [E(M, n)]
             letters += [Kc(_signed(dM, _alt(k)), n - k)
                         for k in range(1, n + 1)]
@@ -239,11 +242,9 @@ def _build_phi_inv(be):
         if kind == "k":
             return _nf_word(tgt, (Kz(letter[1], letter[2]),))
         M, n = letter[1], letter[2]
-        if n == 0:
-            return _nf_word(tgt, (Zg(M, 0),))
         dM = be.class_dim(M)
         mm = be.euler_form(dM, dM)
-        if n > 0:
+        if n >= 0:
             letters = [Zg(M, n)]
             letters += [Kz(_signed(dM, _alt(n - k - 1)), k) for k in range(n)]
             return _nf_word(tgt, letters, vpow(-n * mm, be.p))
@@ -256,63 +257,37 @@ def _build_phi_inv(be):
 
 
 def _build_varphi(be, i):
+    """The closed form of (phiInv (x) phiInv) o psi(0, i).  The plus side
+    of a split has its quotient's Z at i + 1 and its sub's at i, each
+    followed by an alternating tail of torus letters; the minus side, and
+    KD-, are the plus side of the exchanged split with its legs
+    exchanged."""
     ce = algebra("dhce", be)
 
     def torus_words(s, a):
-        if s > 0:
-            return (Kz(a, i + 1),), (Kz(a, i),)
-        return (Kz(a, i),), (Kz(a, i + 1),)
+        words = (Kz(a, i + 1),), (Kz(a, i),)
+        return words if s > 0 else words[::-1]
 
     def exponent(dM, dq, ds):
-        if i == -1:
-            return be.euler_form(dM, ds)
-        if i == 0:
-            return -be.euler_form(dM, dq)
         return (be.euler_form(dq, sub_class(ds, dq))
                 - i * (be.euler_form(dq, dq) + be.euler_form(ds, ds)))
 
     def plus_words(m1, m2, d1, d2):
-        if i == -1:
-            return ((Zg(m1, 0), Kz(d2, 0)), (Zg(m2, -1), Kz(d2, -1)))
-        if i == 0:
-            return ((Zg(m1, 1), Kz(d2, 1), Kz(d1, 0)), (Zg(m2, 0),))
-        if i < -1:
-            lw = [Zg(m1, i + 1)]
-            lw += [Kz(_signed(d1, _alt(i + j + 1)), -j)
-                   for j in range(1, -(i + 1) + 1)]
-            lw.append(Kz(d2, i + 1))
-            rw = [Zg(m2, i)]
-            rw += [Kz(_signed(d2, _alt(i + j)), -j) for j in range(1, -i + 1)]
-            return tuple(lw), tuple(rw)
-        lw = [Zg(m1, i + 1)]
-        lw += [Kz(_signed(d1, _alt(i - j)), j) for j in range(i + 1)]
-        lw.append(Kz(d2, i + 1))
-        rw = [Zg(m2, i)]
-        rw += [Kz(_signed(d2, _alt(i - j - 1)), j) for j in range(i)]
-        return tuple(lw), tuple(rw)
+        if i < 0:
+            left = [Kz(_signed(d1, _alt(i - k + 1)), k)
+                    for k in range(-1, i, -1)]
+            right = [Kz(_signed(d2, _alt(i - k)), k)
+                     for k in range(-1, i - 1, -1)]
+        else:
+            left = [Kz(_signed(d1, _alt(i - k)), k) for k in range(i + 1)]
+            right = [Kz(_signed(d2, _alt(i - k - 1)), k) for k in range(i)]
+        return ((Zg(m1, i + 1), *left, Kz(d2, i + 1)), (Zg(m2, i), *right))
 
-    def minus_words(m1, m2, d1, d2):
-        if i == -1:
-            return ((Zg(m1, -1), Kz(d1, -1)), (Zg(m2, 0), Kz(d1, 0)))
-        if i == 0:
-            return ((Zg(m1, 0),), (Zg(m2, 1), Kz(d1, 1), Kz(d2, 0)))
-        if i < -1:
-            lw = [Zg(m1, i)]
-            lw += [Kz(_signed(d1, _alt(i + j)), -j) for j in range(1, -i + 1)]
-            rw = [Zg(m2, i + 1)]
-            rw += [Kz(_signed(d2, _alt(i + j + 1)), -j)
-                   for j in range(1, -(i + 1) + 1)]
-            rw.append(Kz(d1, i + 1))
-            return tuple(lw), tuple(rw)
-        lw = [Zg(m1, i)]
-        lw += [Kz(_signed(d1, _alt(i - j - 1)), j) for j in range(i)]
-        rw = [Zg(m2, i + 1)]
-        rw += [Kz(_signed(d2, _alt(i - j)), j) for j in range(i + 1)]
-        rw.append(Kz(d1, i + 1))
-        return tuple(lw), tuple(rw)
-
-    def module_words(s, *split):
-        return (plus_words if s > 0 else minus_words)(*split)
+    def module_words(s, m1, m2, d1, d2):
+        if s > 0:
+            return plus_words(m1, m2, d1, d2)
+        left, right = plus_words(m2, m1, d2, d1)
+        return right, left
 
     return _double_map(be, "varphi", (ce, ce), torus_words, module_words,
                        exponent, {"i": i})
@@ -327,7 +302,7 @@ def build_hom(be, name, i=None, m=None):
         if i is None:
             raise ValueError("%s needs an index i" % name)
         i = int(i)
-        if m and not 0 <= i < m:
+        if m:
             i %= m
         if name == "psi":
             return _build_psi(be, m, i)

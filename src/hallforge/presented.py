@@ -897,9 +897,9 @@ _INDEXED_LEFT = {
 }
 
 # relation id -> the index pairs (i, j) it is stated for, where not all
-_DOMAINS = {"4.5": _apart, "4.8": _apart, "4.14": _apart, "4.17": _apart,
-            "4.11": lambda alg, i, j:
-                _cyc_succ(alg, i, j) or _apart(alg, i, j)}
+DOMAINS = {"4.5": _apart, "4.8": _apart, "4.14": _apart, "4.17": _apart,
+           "4.11": lambda alg, i, j:
+               _cyc_succ(alg, i, j) or _apart(alg, i, j)}
 
 
 def relation_instance(alg, rel_id, params):
@@ -970,7 +970,7 @@ def relation_instance(alg, rel_id, params):
     a, b = (alg.canon_letter((row.torus if k == "T" else row.module,
                               cls[key], j if at == "j" else i + at))
             for k, key, at in left)
-    if rel_id in _DOMAINS and not _DOMAINS[rel_id](alg, a[2], b[2]):
+    if rel_id in DOMAINS and not DOMAINS[rel_id](alg, a[2], b[2]):
         raise ValueError("relation %s is not stated at i=%r, j=%r"
                          % (rel_id, i, j))
     return word(a, b), _free_sum(alg, _indexed_side(alg, a, b))

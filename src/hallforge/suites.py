@@ -33,8 +33,8 @@ from .hall import (basis, bialgebra_check, coassoc_check,
                    pairing_product_check)
 from .morphisms import (apply_hom, build_hom, check_relation,
                         double_monomials, rank_independence, tensor_apply)
-from .presented import (INDEXED, TWO_SIDED, E, FreeElt, Kc, Kz, Zg,
-                        algebra, d_quasi, grading_check, hd_cross,
+from .presented import (DOMAINS, INDEXED, TWO_SIDED, E, FreeElt, Kc, Kz,
+                        Zg, algebra, d_quasi, grading_check, hd_cross,
                         hd_cross_oracle, is_torus, letter_mid, normal_form,
                         pmult, relation_instance)
 from .quiver import add_class, neg_class, quiver_from_arg
@@ -115,21 +115,25 @@ def _family_relation_params(objs, alphas, family):
         yield cross, {"M": m, "N": n}
 
 
-def _dhce_relation_params(objs, alphas, w):
-    # index pairs outside a relation's stated domain are not instances of
-    # it (adjacent K pairs belong to 4.11, same-level to 4.10), so the
-    # windows below enumerate only the legal combinations
+def _dhce_relation_params(be, objs, alphas, w):
+    # index pairs outside a relation's stated domain (`DOMAINS`, on dhce)
+    # are not instances of it, so the window enumerates only those inside
     idxs = list(range(-w, w + 1))
+    dhce = algebra("dhce", be)
+
+    def pairs(rel):
+        return [(i, j) for i, j in itertools.product(idxs, repeat=2)
+                if DOMAINS[rel](dhce, i, j)]
+
     for i in idxs:
         for a, b in itertools.product(alphas, repeat=2):
             yield "4.10", {"variant": "KK", "alpha": a, "beta": b, "i": i}
         for a in alphas:
             for m in objs:
                 yield "4.10", {"variant": "KZ", "alpha": a, "M": m, "i": i}
-    for i, j in itertools.product(idxs, repeat=2):
-        if i == j + 1 or abs(i - j) > 1:
-            for a, b in itertools.product(alphas, repeat=2):
-                yield "4.11", {"alpha": a, "beta": b, "i": i, "j": j}
+    for i, j in pairs("4.11"):
+        for a, b in itertools.product(alphas, repeat=2):
+            yield "4.11", {"alpha": a, "beta": b, "i": i, "j": j}
     for i in range(-w, w):
         for a in alphas:
             for m in objs:
@@ -138,21 +142,19 @@ def _dhce_relation_params(objs, alphas, w):
         for a in alphas:
             for m in objs:
                 yield "4.13", {"alpha": a, "M": m, "i": i}
-    for i, j in itertools.product(idxs, repeat=2):
-        if abs(i - j) > 1:
-            for a in alphas:
-                for m in objs:
-                    yield "4.14", {"alpha": a, "M": m, "i": i, "j": j}
+    for i, j in pairs("4.14"):
+        for a in alphas:
+            for m in objs:
+                yield "4.14", {"alpha": a, "M": m, "i": i, "j": j}
     for i in idxs:
         for m, n in itertools.product(objs, repeat=2):
             yield "4.15", {"M": m, "N": n, "i": i}
     for i in range(-w, w):
         for m, n in itertools.product(objs, repeat=2):
             yield "4.16", {"M": m, "N": n, "i": i}
-    for i, j in itertools.product(idxs, repeat=2):
-        if abs(i - j) > 1:
-            for m, n in itertools.product(objs, repeat=2):
-                yield "4.17", {"M": m, "N": n, "i": i, "j": j}
+    for i, j in pairs("4.17"):
+        for m, n in itertools.product(objs, repeat=2):
+            yield "4.17", {"M": m, "N": n, "i": i, "j": j}
 
 
 def _morph_insts(be, h, pairs, extra=None):
@@ -309,7 +311,8 @@ def _build_bridgeland(be, cfg):
     w = cfg.idx_window
     hom = build_hom(be, "phi")
     inv = build_hom(be, "phiInv")
-    yield from _morph_insts(be, hom, _dhce_relation_params(objs, alphas, w))
+    yield from _morph_insts(be, hom,
+                            _dhce_relation_params(be, objs, alphas, w))
     dhce = algebra("dhce", be)
     dhm0 = algebra("dhm:0", be)
     objs_nz = [c for c in objs if sum(be.class_dim(c)) > 0]
@@ -370,7 +373,7 @@ def _build_gradings(be, cfg):
     alphas = _alphas(be)
     batches = [(fam, _family_relation_params(objs, alphas, fam))
                for fam in TWO_SIDED]
-    batches.append(("dhce", _dhce_relation_params(objs, alphas,
+    batches.append(("dhce", _dhce_relation_params(be, objs, alphas,
                                                   cfg.idx_window)))
     for fam, pairs in batches:
         alg = algebra(fam, be)

@@ -8,7 +8,7 @@ from hallforge.backend import QuiverBackend
 from hallforge.hall import (basis, bialgebra_check, coassoc_check, comult,
                             gamma, green_formula_check, green_pairing, hmult,
                             pairing_coproduct_check, pairing_product_check,
-                            tensor_hmult, torus, unit)
+                            tensor_hmult, unit)
 from hallforge.quiver import Quiver, preset
 from hallforge.scalars import Lin, SqrtScalar, vpow
 from hallforge.suites import _alphas, _objs
@@ -43,9 +43,9 @@ def test_hmult_frozen(be):
 
 def test_hmult_torus(be):
     s1, s2, split, p = ids(be)
-    ka = torus(be, (1, 0))
-    kb = torus(be, (0, 1))
-    assert hmult(ka, kb) == torus(be, (1, 1))
+    ka = basis(be, 0, (1, 0))
+    kb = basis(be, 0, (0, 1))
+    assert hmult(ka, kb) == basis(be, 0, (1, 1))
     # K_a [M] = v^{(a,M)} [M] K_a
     lhs = hmult(ka, basis(be, s2))
     assert lhs == Lin(be.q, {(s2, (1, 0)): vpow(be.sym_euler((1, 0), (0, 1)), 2)}, be)
@@ -72,7 +72,7 @@ def test_comult_frozen(be):
         ((s1, (0, 1)), (s2, zero)): vpow(-1, 2),
     }
     assert got.terms == want
-    got = comult(torus(be, (1, 0)))
+    got = comult(basis(be, 0, (1, 0)))
     assert got.terms == {((0, (1, 0)), (0, (1, 0))): SqrtScalar.one(2)}
     got = comult(basis(be, s1))
     assert got.terms == {
@@ -86,7 +86,7 @@ def test_green_pairing_frozen(be):
     one = SqrtScalar.one(2)
     assert green_pairing(basis(be, p), basis(be, p)) == one
     assert green_pairing(basis(be, s1), basis(be, s2)).is_zero()
-    got = green_pairing(torus(be, (1, 0)), torus(be, (0, 1)))
+    got = green_pairing(basis(be, 0, (1, 0)), basis(be, 0, (0, 1)))
     assert got == vpow(-1, 2)
     # a_M in the denominator: S1 + S1 direct sum has 6 automorphisms
     ss = be.classify(be.direct_sum(be.simple_rep(0), be.simple_rep(0)))
@@ -154,7 +154,7 @@ def test_pairing_axioms(be):
         x, y, z = (basis(be, c) for c in tup)
         assert pairing_product_check(x, y, z)
         assert pairing_coproduct_check(x, y, z)
-    ks = [torus(be, a) for a in ((1, 0), (0, 1), (-1, 0))]
+    ks = [basis(be, 0, a) for a in ((1, 0), (0, 1), (-1, 0))]
     for x, y, z in itertools.product(ks, repeat=3):
         assert pairing_product_check(x, y, z)
         assert pairing_coproduct_check(x, y, z)

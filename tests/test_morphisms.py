@@ -17,7 +17,7 @@ from hallforge.presented import (TWO_SIDED, E, FreeElt, Kc, KMinus, KPlus,
                                  relation_instance, tensor_mult, tensor_word)
 from hallforge.quiver import preset
 from hallforge.scalars import Lin, vpow
-from hallforge.suites import _BUILDERS, RunConfig, _run_one
+from hallforge.suites import _BUILDERS, RunConfig, _alphas, _run_one
 
 import fold_oracles
 
@@ -312,6 +312,32 @@ def test_generator_images_pinned():
             count += 1
     assert (count, digest.hexdigest()) == (
         700, "bc5f4a13b06fd2418cb73227783145d895f7d3cf038445c87cc7d290141df204")
+
+
+@pytest.mark.parametrize("quiver,q", [("a2", 2), ("a2", 3),
+                                      ("kronecker", 2)])
+def test_psi_is_kappa_tensor_kappa_check_after_I(quiver, q):
+    # psi(m, i) = (kappa(m, i) (x) kappaCheck(m, i)) o I on every generator
+    # of d, unit letters included: one route maps letters and then orders
+    # in dhm, the other orders in hd and hhd and then maps
+    be = QuiverBackend(preset(quiver), q)
+    objs = [c for c in be.classes_within((2, 2))
+            if sum(be.class_dim(c)) <= 2]
+    alphas = _alphas(be)
+    gens = ([OmPlus(c) for c in objs] + [OmMinus(c) for c in objs]
+            + [KdPlus(a) for a in alphas] + [KdMinus(a) for a in alphas])
+    I = build_hom(be, "I")
+    count = 0
+    for m, idxs in ((0, (-1, 0, 1)), (4, range(4))):
+        for i in idxs:
+            psi = build_hom(be, "psi", m=m, i=i)
+            kap = build_hom(be, "kappa", m=m, i=i)
+            chk = build_hom(be, "kappaCheck", m=m, i=i)
+            for g in gens:
+                assert psi.image(g) == tensor_apply(kap, chk, I.image(g)), \
+                    (quiver, q, m, i, g)
+                count += 1
+    assert count == {"a2": 168, "kronecker": 196}[quiver]
 
 
 # ---------------------------------------------------------------------------

@@ -441,7 +441,7 @@ def _indexed_instances(objs, alphas, w):
             for i, j in pairs:
                 if _apart(0, i, j):
                     yield tag, far, {"M": n, "N": k, "i": i, "j": j}
-    for rel, prm in suites._dhce_relation_params(objs, alphas, w):
+    for rel, prm in suites._dhce_relation_params(BE, objs, alphas, w):
         yield "dhce", rel, prm
 
 

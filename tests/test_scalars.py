@@ -331,7 +331,7 @@ KINDS = {
                        + tensor_unit(HD3_HHD3),
                        tensor_unit(HD3_HHD3),
                        tensor_word(HD3_HHD3, (), (), ZERO3)),
-    "hall": lambda: (hall.basis(BE3, S1) + hall.torus(BE3, (1, 0)),
+    "hall": lambda: (hall.basis(BE3, S1) + hall.basis(BE3, 0, (1, 0)),
                      hall.unit(BE3),
                      hall.basis(BE3, 0, coeff=ZERO3)),
     "hall-tensor": lambda: (hall.comult(hall.basis(BE3, S1, (0, 1))),
