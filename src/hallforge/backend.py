@@ -280,12 +280,16 @@ class QuiverBackend:
         on a path quiver, the subobjects) of each new class, which can
         enumerate smaller dimvecs earlier than a scan without it would;
         that changes the global ids, never the order within a dimvec.
+        A dimvec of wrong length or with a negative entry raises ValueError.
         """
         dimvec = tuple(int(d) for d in dimvec)
         got = self._dimvec_classes.get(dimvec)
         if got is not None:
             return list(got)
         quiver, p = self.quiver, self.p
+        if len(dimvec) != quiver.n or any(d < 0 for d in dimvec):
+            raise ValueError(f"dimension vector {dimvec} needs {quiver.n} "
+                             f"nonnegative entries")
         slots = [(dimvec[t] * dimvec[s]) for s, t in quiver.arrows]
         total = sum(slots)
         space = p ** total

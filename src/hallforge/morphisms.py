@@ -133,24 +133,24 @@ def _double_map(be, name, algs, torus_words, module_words, exponent=None,
     Hall number g: v^e (g a_M1 a_M2 / a_M) times the word pair
     module_words(s, M1, M2, M1^, M2^), where (M1, M2) is (quotient, sub)
     on the plus side and (sub, quotient) on the minus side.  The exponent
-    e = exponent(M^, quotient^, sub^) is the same on both sides; it
-    defaults to <quotient^, sub^>.
+    e = exponent(quotient^, sub^) is the same on both sides; it defaults
+    to <quotient^, sub^>.
     """
     if exponent is None:
-        exponent = lambda dM, dq, ds: be.euler_form(dq, ds)
+        exponent = be.euler_form
 
     def image(letter):
         kind, s, x = letter
         if kind == "KD":
             return tensor_word(algs, *torus_words(s, x))
-        aM, dM = be.aut_count(x), be.class_dim(x)
+        aM = be.aut_count(x)
         out = {}
         for (quot, sub), g in be.subobject_table(x).items():
             dq, ds = be.class_dim(quot), be.class_dim(sub)
             m1, m2, d1, d2 = ((quot, sub, dq, ds) if s > 0
                               else (sub, quot, ds, dq))
             rat = Fraction(g * be.aut_count(m1) * be.aut_count(m2), aM)
-            coeff = vpow(exponent(dM, dq, ds), be.p) * SqrtScalar.of(rat, be.p)
+            coeff = vpow(exponent(dq, ds), be.p) * SqrtScalar.of(rat, be.p)
             split = tensor_word(algs, *module_words(s, m1, m2, d1, d2),
                                 coeff=coeff)
             for key, c in split.terms.items():
@@ -268,7 +268,7 @@ def _build_varphi(be, i):
         words = (Kz(a, i + 1),), (Kz(a, i),)
         return words if s > 0 else words[::-1]
 
-    def exponent(dM, dq, ds):
+    def exponent(dq, ds):
         return (be.euler_form(dq, sub_class(ds, dq))
                 - i * (be.euler_form(dq, dq) + be.euler_form(ds, ds)))
 

@@ -7,13 +7,15 @@ summands.  All coefficients are exact SqrtScalar values.
 
 The two-sided presentations hd (2.3-2.7), hhd (2.8-2.12) and d (2.14-2.18)
 share five relation shapes and differ only in their letter kinds, one torus
-exponent, the two torus-module cross exponents and the crossing.  The
-`TWO_SIDED` table holds one row of those per family; `relation_instance`,
-the one two-sided pair rule and the suites' windows all read it.  The
-indexed presentations dhm (4.1-4.5), dh (4.6-4.8), dhtw (4.15-4.17) and
-dhce (4.10-4.17) have one `INDEXED` row each: letter kinds, twist, cross
-builder and swap exponents.  `_indexed_side` reads a pair's right side off
-the row for both the one indexed pair rule and `relation_instance`.
+exponent, the two torus-module cross exponents and the crossing: one
+`TWO_SIDED` row each.  The indexed presentations dhm (4.1-4.5), dh
+(4.6-4.8), dhtw (4.15-4.17) and dhce (4.10-4.17) have one `INDEXED` row
+each: letter kinds, twist, cross builder and swap exponents.
+`_two_sided_side` and `_indexed_side` read a letter pair's right side off
+its row, for both the family's one pair rule and `relation_instance`.  The
+crossing sum v^<L, X-Y> gamma(M, N, X, Y) over letters of L, X and Y, or
+its mirror, is one function, `_crossing_terms`, given their letters by the
+hd and hhd crossings, 4.4 and both sides of 2.18.
 The comultiplication-pairing sum, sum phi(a_(2), b_(1)) a_(1) b_(2), is
 one function, `_pairing_sum`: the 2.7/2.12 oracles normal-order it, and
 it is both sides of the abstract double relation 2.13.
@@ -285,29 +287,21 @@ def _gamma_terms(be, M, N, mirrored=False):
             yield gam, X, Y, xh, yh, lh
 
 
-def _hd_cross_terms(alg, M, N):
-    # mu+_M mu-_N -> sum over X, Y of v^<L,X-Y> gamma (K-_L, mu-_Y, mu+_X)
+def _crossing_terms(alg, M, N, letters, mirrored=False):
+    """The crossing sum over `_gamma_terms(M, N)`: the summands
+    v^<L^, X^ - Y^> gamma(M, N, X, Y) letters(L^, X, Y), or, mirrored,
+    v^<L^, Y^ - X^> gamma(N, M, Y, X) letters(L^, X, Y)."""
     be = alg.be
-    return [(gam * alg.v(be.euler_form(lh, sub_class(xh, yh))),
-             _strip((KMinus(lh), MuMinus(Y), MuPlus(X))))
-            for gam, X, Y, xh, yh, lh in _gamma_terms(be, M, N)]
-
-
-def _hhd_cross_terms(alg, N, M):
-    # nu-_N nu+_M -> sum over X, Y of v^<L,Y-X> gamma' (Kc+_L, nu+_X, nu-_Y)
-    be = alg.be
-    return [(gam * alg.v(be.euler_form(lh, sub_class(yh, xh))),
-             _strip((KcPlus(lh), NuPlus(X), NuMinus(Y))))
-            for gam, X, Y, xh, yh, lh in _gamma_terms(be, M, N, True)]
+    for gam, X, Y, xh, yh, lh in _gamma_terms(be, M, N, mirrored):
+        d = sub_class(yh, xh) if mirrored else sub_class(xh, yh)
+        yield gam * alg.v(be.euler_form(lh, d)), _strip(letters(lh, X, Y))
 
 
 def _e_cross_terms(alg, M, N, lo):
     # e_{M,lo+1} e_{N,lo} -> sum v^<L,X-Y> gamma (k_{L,lo}, e_{Y,lo}, e_{X,lo+1})
-    be = alg.be
     hi = (lo + 1) % alg.m if alg.m else lo + 1
-    return [(gam * alg.v(be.euler_form(lh, sub_class(xh, yh))),
-             _strip((Kc(lh, lo), E(Y, lo), E(X, hi))))
-            for gam, X, Y, xh, yh, lh in _gamma_terms(be, M, N)]
+    return _crossing_terms(alg, M, N,
+                           lambda L, X, Y: (Kc(L, lo), E(Y, lo), E(X, hi)))
 
 
 def _z_cross_terms(alg, M, N, lo):
@@ -333,8 +327,9 @@ class TwoSided(namedtuple("TwoSided", "module torus relations f "
     - f: T+_a T-_b = v^{f (a,b)} T-_b T+_a;
     - cross_variants: (name, t, g), each T^t_a X^-t_M = v^{g (a,M)}
       X^-t_M T^t_a; the second is the default instance;
-    - crossing: (sign of its left letter, its terms), or None where the
-      crossing is not oriented.
+    - crossing: (t, letters, mirrored), or None where the crossing is not
+      oriented: X^t X^-t, with (M, N) the objects of its plus and minus
+      letter, is `_crossing_terms(M, N, letters, mirrored)`.
 
     (a,b) is the symmetric Euler form, (a,M) that of a and dim M.
     """
@@ -345,10 +340,12 @@ class TwoSided(namedtuple("TwoSided", "module torus relations f "
 TWO_SIDED = {
     "hd": TwoSided("mu", "K", ("2.3", "2.4", "2.5", "2.6", "2.7"), 1,
                    (("K-mu+", -1, -1), ("K+mu-", 1, 0)),
-                   (1, _hd_cross_terms)),
+                   (1, lambda L, X, Y: (KMinus(L), MuMinus(Y), MuPlus(X)),
+                    False)),
     "hhd": TwoSided("nu", "Kc", ("2.8", "2.9", "2.10", "2.11", "2.12"), -1,
                     (("Kc+nu-", 1, -1), ("Kc-nu+", -1, 0)),
-                    (-1, _hhd_cross_terms)),
+                    (-1, lambda L, X, Y: (KcPlus(L), NuPlus(X), NuMinus(Y)),
+                     True)),
     "d": TwoSided("om", "KD", ("2.14", "2.15", "2.16", "2.17", "2.18"), 0,
                   (("K-om+", -1, -1), ("K+om-", 1, -1)), None),
 }
@@ -359,34 +356,49 @@ _SHAPES = {rid: (row, k) for row in TWO_SIDED.values()
            for k, rid in enumerate(row.relations[:5 if row.crossing else 4])}
 
 
-def _reduce_two_sided(alg, a, b):
-    """The pair rule of hd, hhd and d, read off their TWO_SIDED row.
-
-    Torus letters of one sign merge, T+ T- swaps, and a module letter
-    followed by a torus letter swaps.  Module letters of one sign merge and
-    the crossing pair crosses, except on d, which has no oriented crossing.
-    """
-    row = TWO_SIDED[alg.family]
+def _two_sided_exponent(alg, row, a, b):
+    """n with a b = v^n b a, for T+ T- and for a torus and a module letter
+    in either order."""
     be = alg.be
+    if a[0] != row.torus:
+        return -_two_sided_exponent(alg, row, b, a)
     if b[0] == row.torus:
+        return row.f * be.sym_euler(a[2], b[2])
+    g = 1 if a[1] == b[1] else next(
+        g for _, t, g in row.cross_variants if t == a[1])
+    return g * be.sym_euler(a[2], be.class_dim(b[2]))
+
+
+def _two_sided_side(alg, a, b):
+    """The right side of a b in hd, hhd or d, as (scalar, letters)
+    summands: letters of one kind and sign merge, the crossing pair X^t
+    X^-t crosses, and any other pair swaps."""
+    row = TWO_SIDED[alg.family]
+    if a[0] == b[0] and a[1] == b[1]:
         if a[0] == row.torus:
-            if a[1] == b[1]:
-                return [(alg.one(),
-                         _strip(((a[0], a[1], add_class(a[2], b[2])),)))]
-            if a[1] == 1:
-                return [(alg.v(row.f * be.sym_euler(a[2], b[2])), (b, a))]
-            return None
-        # X T = v^{-g (a,M)} T X, with g = 1 when the signs match
-        g = 1 if a[1] == b[1] else next(
-            g for _, t, g in row.cross_variants if t == b[1])
-        return [(alg.v(-g * be.sym_euler(b[2], be.class_dim(a[2]))),
-                 (b, a))]
-    if row.crossing and a[0] == b[0] == row.module:
-        if a[1] == b[1]:
-            return _hall_merge(alg, a[2], b[2], lambda L: (a[0], a[1], L))
-        if a[1] == row.crossing[0]:
-            return row.crossing[1](alg, a[2], b[2])
-    return None
+            return [(alg.one(),
+                     _strip(((a[0], a[1], add_class(a[2], b[2])),)))]
+        return _hall_merge(alg, a[2], b[2], lambda L: (a[0], a[1], L))
+    if a[0] == b[0] == row.module:
+        t, letters, mirrored = row.crossing
+        M, N = (a[2], b[2]) if t == 1 else (b[2], a[2])
+        return _crossing_terms(alg, M, N, letters, mirrored)
+    return [(alg.v(_two_sided_exponent(alg, row, a, b)), (b, a))]
+
+
+def _reduce_two_sided(alg, a, b):
+    """The pair rule of hd, hhd and d.  Normal are T- T+, any T X, the
+    reversed crossing pair X^-t X^t and, on d, any module pair: d never
+    reorders or merges its module letters.  Any other pair is rewritten to
+    its `_two_sided_side`."""
+    row = TWO_SIDED[alg.family]
+    if b[0] == row.torus:
+        normal = a[0] == row.torus and a[1] < b[1]
+    elif a[0] == row.torus or not row.crossing:
+        normal = True
+    else:
+        normal = a[1] != b[1] and a[1] != row.crossing[0]
+    return None if normal else _two_sided_side(alg, a, b)
 
 
 def _cyc_succ(alg, x, y):
@@ -555,7 +567,7 @@ def _rewrite(alg, stack, budget=None):
     reduce_pair = _REDUCERS[alg.family]
     rules = alg._pair_rules
     if budget is None:
-        budget = Budget("normal_form", max_enum())
+        budget = Budget("normal_form")
     out = {}
     while stack:
         w, c, i = stack.pop()
@@ -704,17 +716,13 @@ def hd_cross(be, side, M, N):
 
     side HD:  mu+_M mu-_N ;  side HHD:  nu-_N nu+_M.
     """
-    alg = algebra("hd" if side.upper() == "HD" else "hhd", be)
-    if side.upper() == "HD":
-        terms = _hd_cross_terms(alg, M, N)
-    elif side.upper() == "HHD":
-        terms = _hhd_cross_terms(alg, N, M)
-    else:
+    tag = side.lower()
+    if tag not in ("hd", "hhd"):
         raise ValueError("side must be HD or HHD, got %r" % (side,))
-    out = {}
-    for c, w in terms:
-        accumulate(out, w, c)
-    return Lin(alg.q, out, alg)
+    alg = algebra(tag, be)
+    _, letters, mirrored = TWO_SIDED[tag].crossing
+    free = _free_sum(alg, _crossing_terms(alg, M, N, letters, mirrored))
+    return Lin(alg.q, free.terms, alg)
 
 
 def _pairing_sum(be, a, b, module, torus, s):
@@ -843,8 +851,7 @@ def d_quasi(be, x):
     comparison, not to define a basis, so the result is a free element.
     """
     alg = algebra("d", be)
-    return Lin(alg.q, _normalize_terms(alg, x.terms,
-                                       Budget("d_quasi", max_enum())))
+    return Lin(alg.q, _normalize_terms(alg, x.terms, Budget("d_quasi")))
 
 
 # ---------------------------------------------------------------------------
@@ -912,7 +919,6 @@ def relation_instance(alg, rel_id, params):
     if rel_id not in _OWNED[alg.family]:
         raise ValueError("relation %r does not belong to algebra %s"
                          % (rel_id, alg.tag))
-    be = alg.be
     q = alg.q
     p = dict(params)
     M, N = p.get("M"), p.get("N")
@@ -923,40 +929,33 @@ def relation_instance(alg, rel_id, params):
     variant = p.get("variant")
     word = lambda *letters, c=None: FreeElt.word(q, letters, c)
 
-    # 2.3-2.12 and 2.14-2.17: a shape filled in from a TWO_SIDED row
+    # 2.3-2.12 and 2.14-2.17: a shape's left side filled in from a
+    # TWO_SIDED row; the right side is the left side's `_two_sided_side`
     shape = _SHAPES.get(rel_id)
     if shape is not None:
         row, k = shape
         X, T = row.module, row.torus
         if k == 0:
-            lhs = word((X, sign, M), (X, sign, N))
-            return lhs, _free_sum(alg, _hall_merge(
-                alg, M, N, lambda L: (X, sign, L)))
-        if k == 1:
-            c = alg.v(be.sym_euler(alpha, be.class_dim(M)))
-            lhs = word((T, sign, alpha), (X, sign, M))
-            return lhs, word((X, sign, M), (T, sign, alpha), c=c)
-        if k == 2:
+            a, b = (X, sign, M), (X, sign, N)
+        elif k == 1:
+            a, b = (T, sign, alpha), (X, sign, M)
+        elif k == 2:
             if _variant(rel_id, variant, ("merge", "cross"), "cross") \
                     == "merge":
-                lhs = word((T, sign, alpha), (T, sign, beta))
-                return lhs, word((T, sign, add_class(alpha, beta)))
-            c = alg.v(row.f * be.sym_euler(alpha, beta))
-            lhs = word((T, 1, alpha), (T, -1, beta))
-            return lhs, word((T, -1, beta), (T, 1, alpha), c=c)
-        if k == 4:
-            t, cross = row.crossing
-            first, second = (M, N) if t == 1 else (N, M)
-            lhs = word((X, t, first), (X, -t, second))
-            return lhs, _free_sum(alg, cross(alg, first, second))
-        variants = {name: (t, g) for name, t, g in row.cross_variants}
-        t, g = variants[_variant(rel_id, variant, variants,
-                                 row.cross_variants[1][0])]
-        c = alg.v(g * be.sym_euler(alpha, be.class_dim(M)))
-        lhs = word((T, t, alpha), (X, -t, M))
-        return lhs, word((X, -t, M), (T, t, alpha), c=c)
+                a, b = (T, sign, alpha), (T, sign, beta)
+            else:
+                a, b = (T, 1, alpha), (T, -1, beta)
+        elif k == 3:
+            signs = {name: t for name, t, _ in row.cross_variants}
+            t = signs[_variant(rel_id, variant, signs,
+                               row.cross_variants[1][0])]
+            a, b = (T, t, alpha), (X, -t, M)
+        else:
+            t = row.crossing[0]
+            a, b = (X, t, M if t == 1 else N), (X, -t, N if t == 1 else M)
+        return word(a, b), _free_sum(alg, _two_sided_side(alg, a, b))
     if rel_id == "2.13":
-        return _drinfeld_instance(be, M, N)
+        return _drinfeld_instance(alg.be, M, N)
     if rel_id == "2.18":
         return _double_cross_instance(alg, M, N)
     if rel_id == "2.18r":
@@ -989,17 +988,13 @@ def _drinfeld_instance(be, M, N):
 
 
 def _double_cross_instance(alg, M, N):
-    be = alg.be
-    mh, nh = be.class_dim(M), be.class_dim(N)
-    lhs = _free_sum(alg, (
-        (gam * alg.v(be.euler_form(lh, sub_class(mh, nh))),
-         (KdMinus(lh), OmMinus(Y), OmPlus(X)))
-        for gam, X, Y, xh, yh, lh in _gamma_terms(be, M, N)))
-    rhs = _free_sum(alg, (
-        (gam * alg.v(be.euler_form(lh, sub_class(nh, mh))),
-         (KdPlus(lh), OmPlus(X), OmMinus(Y)))
-        for gam, X, Y, xh, yh, lh in _gamma_terms(be, M, N, True)))
-    return lhs, rhs
+    """2.18: the crossing sum of (M, N) as on hd equals the mirrored one as
+    on hhd, their letters renamed to KD and om."""
+    lhs = _crossing_terms(alg, M, N, lambda L, X, Y:
+                          (KdMinus(L), OmMinus(Y), OmPlus(X)))
+    rhs = _crossing_terms(alg, M, N, lambda L, X, Y:
+                          (KdPlus(L), OmPlus(X), OmMinus(Y)), mirrored=True)
+    return _free_sum(alg, lhs), _free_sum(alg, rhs)
 
 
 def _double_cross_expanded(alg, M, N):

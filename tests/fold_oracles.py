@@ -60,20 +60,20 @@ def tensor_apply(h_left, h_right, x):
 def double_map(be, name, algs, torus_words, module_words, exponent=None,
                params=None):
     if exponent is None:
-        exponent = lambda dM, dq, ds: be.euler_form(dq, ds)
+        exponent = be.euler_form
 
     def image(letter):
         kind, s, x = letter
         if kind == "KD":
             return tensor_word(algs, *torus_words(s, x))
-        aM, dM = be.aut_count(x), be.class_dim(x)
+        aM = be.aut_count(x)
         out = Lin(be.p, None, algs)
         for (quot, sub), g in be.subobject_table(x).items():
             dq, ds = be.class_dim(quot), be.class_dim(sub)
             m1, m2, d1, d2 = ((quot, sub, dq, ds) if s > 0
                               else (sub, quot, ds, dq))
             rat = Fraction(g * be.aut_count(m1) * be.aut_count(m2), aM)
-            coeff = vpow(exponent(dM, dq, ds), be.p) * SqrtScalar.of(rat, be.p)
+            coeff = vpow(exponent(dq, ds), be.p) * SqrtScalar.of(rat, be.p)
             out = out + tensor_word(algs, *module_words(s, m1, m2, d1, d2),
                                     coeff=coeff)
         return out

@@ -79,27 +79,39 @@ def test_malformed_rep_file_is_a_parse_error(tmp_path, capsys, data, why):
     assert "cannot load rep" in err and why in err
 
 
+def run_optimized(*argv):
+    """The CLI in a `python -O` subprocess, where assert statements are
+    gone: (exit code, stdout, stderr)."""
+    src = os.path.dirname(os.path.dirname(hallforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-m", "hallforge.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def test_malformed_rep_file_is_refused_under_optimize(tmp_path):
     # the shape check must not rest on assert statements
     path = tmp_path / "bad.json"
     path.write_text('{"dims": {"1": 1, "2": 1}, "maps": {"0": [[1, 0]]}}')
-    src = os.path.dirname(os.path.dirname(hallforge.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "hallforge.cli", "mult", "--algebra",
-         "hd", "--expr", "mu+[@%s]" % path],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert "1x1 matrix" in proc.stderr
+    rc, out, err = run_optimized("mult", "--algebra", "hd",
+                                 "--expr", "mu+[@%s]" % path)
+    assert rc == 2 and out == ""
+    assert "1x1 matrix" in err
 
 
 def test_hallnum(capsys):
     rc, out, _ = run(capsys, "hallnum", "--L", "X{1,1}#1",
                      "--M", "S1", "--N", "S2")
     assert rc == 0 and out.strip() == "1"
-    rc, _, err = run(capsys, "hallnum", "--L", "P", "--M", "S1",
-                     "--N", "S2")
-    assert rc == 2 and "unknown object" in err
+    # a name that parses to no class, also one whose dimvec has the wrong
+    # length or a negative entry, is refused, and not by an assert statement
+    bad = [("hallnum", "--L", name, "--M", "S1", "--N", "S2")
+           for name in ("P", "X{1,1,1}#0", "X{1}#0", "X{1,-1}#0")]
+    bad += [("mult", "--algebra", "hd", "--expr", "mu+[%s]" % name)
+            for name in ("X{1,1,1}#0", "X{1}#0")]
+    for argv in bad:
+        for rc, out, err in (run(capsys, *argv), run_optimized(*argv)):
+            assert rc == 2 and out == "" and "unknown object" in err, argv
 
 
 def test_classes_table(capsys):

@@ -445,19 +445,32 @@ def _indexed_instances(objs, alphas, w):
         yield "dhce", rel, prm
 
 
-def test_indexed_relations_hold_over_a_window():
+def _two_sided_instances(objs, alphas):
+    """(tag, relation, params) over the hd and hhd windows of the suites:
+    2.3-2.7 and 2.8-2.12, every variant and sign."""
+    for tag in ("hd", "hhd"):
+        for rel, prm in suites._family_relation_params(objs, alphas, tag):
+            yield tag, rel, prm
+
+
+@pytest.mark.parametrize("instances,count", [
+    (lambda objs, alphas: _indexed_instances(objs, alphas, 3), 18421),
+    (_two_sided_instances, 724),
+], ids=["indexed", "two-sided"])
+def test_relations_hold_over_a_window(instances, count):
+    # both sides normal-ordered in the algebra's own presentation
     objs, alphas = suites._objs(BE, 2), suites._alphas(BE)
-    count = 0
+    seen = 0
     with warnings.catch_warnings():
         # dhm:4's far pairs leave the two-residue contract
         warnings.simplefilter("ignore", UserWarning)
-        for tag, rel, prm in _indexed_instances(objs, alphas, 3):
+        for tag, rel, prm in instances(objs, alphas):
             alg = algebra(tag, BE)
             lhs, rhs = relation_instance(alg, rel, prm)
             assert normal_form(alg, lhs) == normal_form(alg, rhs), \
                 (tag, rel, prm)
-            count += 1
-    assert count == 18421
+            seen += 1
+    assert seen == count
 
 
 @pytest.mark.parametrize("alg,rel,params", [
