@@ -14,10 +14,10 @@ quiver both are built as Reps (`subobject_pairs`) and classified.  Once
 classified, an object is a class id, and a_M, the subobject table
 {(M, N): g^L_{MN}} of each class L, the product terms (L, g^L_{MN}) of
 each pair (M, N) and the Euler form of each dimvec pair are computed once
-and read by id from then on.  Suites run their instances sequentially on the calling thread
-(`--threads` is accepted but ignored), so nothing in the package calls a
-backend from more than one thread and the memo tables are plain dicts
-with no lock.
+and read by id from then on.  A suite run shards its instances over
+forked processes (`--threads` is the shard count), each with its own copy
+of the backend, so nothing in the package calls a backend from more than
+one thread and the memo tables are plain dicts with no lock.
 """
 
 import itertools

@@ -21,6 +21,9 @@ class CapExceeded(Exception):
         self.limit = limit
         self.spent = spent
 
+    def __reduce__(self):
+        return CapExceeded, (self.op, self.limit, self.spent)
+
 
 def max_enum():
     raw = os.environ.get("HALLFORGE_MAX_ENUM")

@@ -120,7 +120,9 @@ def _build_parser():
                    help="complex-degree bound for indexed relations")
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--threads", type=int, default=1,
-                   help="accepted but ignored: instances run sequentially")
+                   help="shard count: run the instances in this many "
+                   "processes, capped at the usable CPUs; the report "
+                   "does not depend on it")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(fn=_cmd_verify)
 

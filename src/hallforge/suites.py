@@ -7,20 +7,25 @@ and `check()` returns `(ok, lhs, rhs)` with the compared values
 unrendered (an element, a scalar, an int, or None for checks without
 sides); a failing check may add a fourth value, a note saying why.
 `_run_one` runs one instance: it is the one place that catches a cap
-hit and renders the sides, only for a failure.  `run_suite` pulls
-the instances one at a time on the calling thread, runs each as it is
-built and counts instances, passes, failures and cap hits; no list of
-instances is ever held.
-`RunConfig.threads` (the CLI's `--threads`) is accepted but ignored: the
-checks are pure Python under one interpreter lock, and a thread pool over
-them measured slower than one thread.  Two runs of one configuration
+hit and renders the sides, only for a failure.
+`RunConfig.threads` (the CLI's `--threads`) is the shard count, capped at
+the usable CPUs.  `run_suite` forks one child process per shard past the
+first and runs shard 0 itself; every process pulls the whole instance
+stream one instance at a time, runs those whose stream index is its shard
+mod the shard count, and holds no list of instances.  The children send
+their counts and failures back through pipes, and the failures are merged
+in stream order.  Each process has its own backend, so no backend is
+shared.  A run forks nothing where the platform has no fork or the
+calling process runs another thread.  Two runs of one configuration
 produce the same report up to the timestamp and elapsed_ms fields,
 whatever `threads` says.
 """
 
 import dataclasses
 import itertools
+import os
 import random
+import threading
 import time
 from datetime import datetime, timezone
 from functools import partial
@@ -55,7 +60,7 @@ class RunConfig:
     i: int = None
     max_dim: int = None
     idx_window: int = 3
-    threads: int = 1  # accepted for compatibility; instances run sequentially
+    threads: int = 1  # shard count, capped at the usable CPUs; >= 1
     seed: int = DEFAULT_SEED
 
 
@@ -527,20 +532,125 @@ def _run_one(be, inst):
             "rhs": render_any(be, rhs), "note": note[0] if note else ""}
 
 
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _shard_count(threads):
+    """The number of processes a run with `threads` uses: `threads` capped
+    at the usable CPUs, or one where the platform cannot fork or another
+    thread runs (a forked child could inherit a lock that thread holds)."""
+    if threads < 1:
+        raise ValueError("threads must be at least 1, not %r" % (threads,))
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(threads, _usable_cpus())
+
+
+def _run_shard(be, insts, k, n):
+    """Run the instances whose stream index is k mod n: the length of the
+    stream and the (index, failure entry) pair of each that fails."""
+    failures = []
+    index = -1
+    for index, inst in enumerate(insts):
+        if index % n == k:
+            failed = _run_one(be, inst)
+            if failed is not None:
+                failures.append((index, failed))
+    return index + 1, failures
+
+
+def _fork_shard(be, insts, k, n):
+    """Fork a child that runs shard k and pickles its result, or the
+    exception it raised, into a pipe: (pid, the pipe's read end)."""
+    import pickle  # here, so a run that forks nothing never imports it
+
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(rfd)
+        os.close(wfd)
+        raise
+    if pid == 0:
+        # os._exit: the child runs no atexit hook, flushes no stdio buffer
+        # it inherited and never returns into the parent's caller
+        try:
+            os.close(rfd)
+            try:
+                out = _run_shard(be, insts, k, n)
+            except BaseException as exc:
+                out = exc
+            try:
+                data = pickle.dumps(out)
+                if isinstance(out, BaseException):
+                    pickle.loads(data)  # the parent must be able to rebuild it
+            except Exception:
+                data = pickle.dumps(RuntimeError("shard %d raised %r"
+                                                 % (k, out)))
+            with open(wfd, "wb") as fh:
+                fh.write(data)
+        finally:
+            os._exit(0)
+    os.close(wfd)
+    return pid, open(rfd, "rb")
+
+
+def _child_result(k, pipe):
+    import pickle
+
+    data = pipe.read()
+    if not data:
+        raise RuntimeError("shard %d ended without a result" % k)
+    out = pickle.loads(data)
+    if isinstance(out, BaseException):
+        raise out
+    return out
+
+
+def _run_shards(be, insts, n):
+    """Run the stream `insts` as n shards, shards 1..n-1 in forked
+    children, and return its length and its failures in stream order.
+    Every child is reaped before this returns or raises."""
+    children = []
+    try:
+        for k in range(1, n):
+            children.append(_fork_shard(be, insts, k, n))
+        results = [_run_shard(be, insts, 0, n)]
+        results += [_child_result(k, pipe)
+                    for k, (_, pipe) in enumerate(children, 1)]
+    except BaseException:
+        import signal
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+    counts = {count for count, _ in results}
+    if len(counts) != 1:
+        raise RuntimeError("shards saw streams of lengths %s" % sorted(counts))
+    failures = sorted((f for _, fs in results for f in fs),
+                      key=lambda f: f[0])
+    return counts.pop(), [entry for _, entry in failures]
+
+
 def run_suite(cfg):
     if cfg.suite not in SUITES:
         raise ValueError("unknown suite %r (choose from %s)"
                          % (cfg.suite, ", ".join(SUITES)))
+    n = _shard_count(cfg.threads)
     t0 = time.monotonic()
     be = make_backend(quiver_from_arg(cfg.quiver), cfg.q)
     if cfg.max_dim is None:
         default_dim = 4 if cfg.suite == "backend-oracle" else 2
         cfg = dataclasses.replace(cfg, max_dim=default_dim)
-    count, failures = 0, []
-    for count, inst in enumerate(_BUILDERS[cfg.suite](be, cfg), 1):
-        failed = _run_one(be, inst)
-        if failed is not None:
-            failures.append(failed)
+    count, failures = _run_shards(be, _BUILDERS[cfg.suite](be, cfg), n)
     params = {"max_dim": cfg.max_dim, "m": cfg.m, "i": cfg.i,
               "idx_window": cfg.idx_window, "seed": cfg.seed}
     return {

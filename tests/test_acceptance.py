@@ -1,8 +1,8 @@
 """End-to-end acceptance gate: one test per criterion, exact counts only.
 
 Each criterion prints one PASS/FAIL line (visible with -s, and captured
-on failure).  run_suite accepts a thread count but runs instances
-sequentially; criterion 11 pins report equality across thread counts.
+on failure).  run_suite shards instances over up to `threads` processes;
+criterion 11 pins report equality across thread counts.
 """
 
 import json

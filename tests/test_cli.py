@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -167,16 +169,59 @@ def test_verify_writes_report(tmp_path, capsys):
                            "timestamp"}
 
 
-def test_reports_identical_across_thread_counts():
-    # timestamp and elapsed_ms are wall-clock, everything else must match
-    def strip(rep):
-        return {k: v for k, v in rep.items()
-                if k not in ("timestamp", "elapsed_ms")}
+def test_reports_identical_across_thread_counts(monkeypatch):
+    # timestamp and elapsed_ms are wall-clock, everything else must match,
+    # the order of failures from different shards included
+    def stripped(cfg, threads):
+        rep = run_suite(dataclasses.replace(cfg, threads=threads))
+        return json.dumps({k: v for k, v in rep.items()
+                           if k not in ("timestamp", "elapsed_ms")},
+                          sort_keys=True)
 
-    one = run_suite(RunConfig(suite="heis-oracle", threads=1))
-    four = run_suite(RunConfig(suite="heis-oracle", threads=4))
-    assert json.dumps(strip(one), sort_keys=True) == \
-        json.dumps(strip(four), sort_keys=True)
+    one = stripped(RunConfig(suite="heis-oracle"), 1)
+    assert stripped(RunConfig(suite="heis-oracle"), 4) == one
+    # 948 passed and 24 cap hits, spread over the shards
+    monkeypatch.setenv("HALLFORGE_MAX_ENUM", "8")
+    capped = RunConfig(suite="kappa", max_dim=1)
+    one = stripped(capped, 1)
+    assert '"cap_hits": 24' in one and '"passes": 948' in one
+    assert stripped(capped, 2) == one and stripped(capped, 4) == one
+
+
+def test_verify_refuses_fewer_than_one_thread(capsys):
+    for threads in ("0", "-2"):
+        rc, out, err = run(capsys, "verify", "--suite", "backend-oracle",
+                           "--quiver", "a1", "--threads", threads)
+        assert rc == 2 and out == ""
+        assert "threads must be at least 1" in err
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (("--suite", "heis-oracle"), None),
+    # 24 cap hits: 20 printed with their sides and notes, then a count
+    (("--suite", "kappa", "--max-dim", "1"), "8"),
+], ids=["heis-oracle", "kappa-capped"])
+def test_verify_prints_the_same_lines_at_any_thread_count(argv, cap):
+    # stdout is a pipe, so block-buffered: a child that flushed the buffer
+    # it inherited would print the parent's pending lines twice
+    src = os.path.dirname(os.path.dirname(hallforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("HALLFORGE_MAX_ENUM", None)
+    if cap:
+        env["HALLFORGE_MAX_ENUM"] = cap
+
+    def lines(threads):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hallforge.cli", "verify", *argv,
+             "--threads", threads], stdout=subprocess.PIPE, text=True,
+            env=env)
+        return re.sub(r"\d+ ms$", "ms", proc.stdout,
+                      flags=re.M).splitlines()
+
+    one = lines("1")
+    assert lines("2") == one
+    # the summary, four lines per shown failure, then the count of the rest
+    assert len(one) == (82 if cap else 1)
 
 
 def test_exit_code_ladder():

@@ -1,5 +1,7 @@
 import inspect
+import os
 import threading
+import time
 from functools import partial
 
 import pytest
@@ -146,3 +148,159 @@ def test_two_pair_check_reports_the_failing_pair(monkeypatch, suite, rel,
     bad = [f for f in rep["failures"] if f["relation"] == check]
     assert len(bad) == 9
     assert (bad[0]["lhs"], bad[0]["rhs"]) == sides
+
+
+def _refuse_fork():
+    raise AssertionError("a process was started")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 64])
+def test_shard_count_is_threads_capped_at_the_usable_cpus(monkeypatch, cpus,
+                                                          threads):
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: cpus)
+    assert suites._shard_count(threads) == min(threads, cpus)
+
+
+def test_shard_count_without_fork_is_one(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
+    assert [suites._shard_count(t) for t in (1, 2, 64)] == [1, 1, 1]
+
+
+def test_shard_count_is_one_while_another_thread_runs(monkeypatch):
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, args=(30,))
+    other.start()
+    try:
+        assert suites._shard_count(2) == 1
+    finally:
+        stop.set()
+        other.join(30)
+    assert not other.is_alive()
+    assert suites._shard_count(2) == 2
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_shard_count_refuses_fewer_than_one_thread(monkeypatch, threads):
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        suites._shard_count(threads)
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        run_suite(RunConfig(suite="backend-oracle", quiver="a1",
+                            threads=threads))
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert suites._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert suites._usable_cpus() == 1
+
+
+def _shard_run(monkeypatch, build, threads=2):
+    """Run the instances `build` yields at `threads` on four usable CPUs."""
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: 4)
+    monkeypatch.setitem(_BUILDERS, "backend-oracle", build)
+    return run_suite(RunConfig(suite="backend-oracle", quiver="a1",
+                               threads=threads))
+
+
+@pytest.mark.parametrize("bad, exc", [
+    (3, ZeroDivisionError("instance 3")),  # shard 1: the child's
+    (4, ZeroDivisionError("instance 4")),  # shard 0: the parent's
+    (0, KeyboardInterrupt("instance 0")),
+], ids=["child", "parent", "parent-interrupt"])
+def test_a_raising_shard_leaves_no_process_behind(monkeypatch, bad, exc):
+    def check(k):
+        if k == bad:
+            raise exc
+        if k % 2 and k > bad:  # the child hangs: only a kill ends it soon
+            time.sleep(60)
+        return True, None, None
+
+    def build(be, cfg):
+        for k in range(8):
+            yield "r", {"k": k}, partial(check, k)
+
+    t0 = time.monotonic()
+    with pytest.raises(type(exc)) as got:
+        _shard_run(monkeypatch, build)
+    assert str(got.value) == str(exc)
+    assert time.monotonic() - t0 < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _capped():
+    raise CapExceeded("subobjects", 8, 9)
+
+
+def test_shards_merge_failures_in_stream_order(monkeypatch):
+    def build(be, cfg):
+        for k in range(7):
+            if k in (1, 2, 5):
+                yield "r", {"k": k}, lambda: (False, None, None)
+            elif k == 6:
+                yield "r", {"k": k}, _capped
+            else:
+                yield "r", {"k": k}, lambda: (True, None, None)
+
+    for threads in (1, 2, 3, 4):
+        rep = _shard_run(monkeypatch, build, threads)
+        assert [f["params"]["k"] for f in rep["failures"]] == [1, 2, 5, 6]
+        assert (rep["instances"], rep["passes"], rep["cap_hits"]) == (7, 3, 1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _Unrebuildable(Exception):
+    def __init__(self, a, b):
+        super().__init__("%s and %s" % (a, b))
+
+
+def test_a_childs_error_that_cannot_be_rebuilt_is_named(monkeypatch):
+    def broken():
+        raise _Unrebuildable(1, 2)
+
+    def build(be, cfg):
+        yield "r", {}, lambda: (True, None, None)
+        yield "r", {}, broken  # index 1: the child's
+
+    with pytest.raises(RuntimeError, match=r"shard 1 raised "
+                       r"_Unrebuildable\('1 and 2'\)"):
+        _shard_run(monkeypatch, build)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_cap_error_crosses_the_pipe_as_itself(monkeypatch):
+    def capped():
+        raise CapExceeded("iso_classes", 8, 9)
+
+    def build(be, cfg):
+        yield "r", {}, lambda: (True, None, None)
+        if os.getpid() != parent:
+            capped()  # outside any check, so not a cap hit
+
+    parent = os.getpid()
+    with pytest.raises(CapExceeded) as got:
+        _shard_run(monkeypatch, build)
+    assert (got.value.op, got.value.limit, got.value.spent) == \
+        ("iso_classes", 8, 9)
+    assert str(got.value) == \
+        "enumeration cap exceeded in iso_classes (spent 9, limit 8)"
+
+
+def test_shards_that_see_different_streams_fail_loudly(monkeypatch):
+    def build(be, cfg):
+        for k in range(3 if os.getpid() == parent else 4):
+            yield "r", {"k": k}, lambda: (True, None, None)
+
+    parent = os.getpid()
+    with pytest.raises(RuntimeError, match=r"lengths \[3, 4\]"):
+        _shard_run(monkeypatch, build)
