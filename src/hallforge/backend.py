@@ -227,19 +227,6 @@ class QuiverBackend:
         with open(path) as fh:
             return self.rep_from_json(json.load(fh))
 
-    def direct_sum(self, a, b):
-        dims = tuple(x + y for x, y in zip(a.dims, b.dims))
-        maps = []
-        for idx, (s, t) in enumerate(self.quiver.arrows):
-            ma, mb = a.maps[idx], b.maps[idx]
-            rows = []
-            for r in ma.entries:
-                rows.append(tuple(r) + (0,) * mb.cols)
-            for r in mb.entries:
-                rows.append((0,) * ma.cols + tuple(r))
-            maps.append(FpMatrix.from_rows(self.p, rows, cols=dims[s]))
-        return Rep(self.quiver, self.p, dims, tuple(maps))
-
     # -- registry -----------------------------------------------------
 
     def _register(self, rep):

@@ -1,7 +1,12 @@
 """Enumeration budget shared by every exhaustive loop.
 
-Each top-level operation that enumerates candidates charges a Budget; the
-cap comes from HALLFORGE_MAX_ENUM (candidate visits per operation)."""
+Each top-level operation that enumerates candidates runs under a cap on
+its candidate visits, HALLFORGE_MAX_ENUM.  A `verify` run reads it once,
+when `run_suite` starts and before it forks, and every operation of the
+run, in its shard children too, takes that value.  Outside a run each
+top-level operation reads it when it starts.  Most loops count against
+the cap through a Budget; the rewrite driver counts in a local and raises
+the same CapExceeded."""
 
 import os
 
@@ -38,6 +43,24 @@ def max_enum():
     return val
 
 
+# the cap of the run in progress, or None outside a run
+_run_limit = None
+
+
+def current_limit():
+    """The cap of an operation starting now: the run's, or outside a run
+    HALLFORGE_MAX_ENUM read now."""
+    return max_enum() if _run_limit is None else _run_limit
+
+
+def fix_limit(limit):
+    """Make `limit` the cap of every operation from now on (None: each
+    reads the environment again); returns the value it replaces."""
+    global _run_limit
+    previous, _run_limit = _run_limit, limit
+    return previous
+
+
 class Budget:
     """Counts candidate visits for one logical operation."""
 
@@ -45,7 +68,7 @@ class Budget:
 
     def __init__(self, op, limit=None):
         self.op = op
-        self.limit = max_enum() if limit is None else limit
+        self.limit = current_limit() if limit is None else limit
         self.spent = 0
 
     def spend(self, n=1):

@@ -51,18 +51,6 @@ class FpMatrix:
     def __repr__(self):
         return "FpMatrix(p=%d, %r)" % (self.p, [list(r) for r in self.entries])
 
-    def transpose(self):
-        return FpMatrix(self.p, self.cols, self.rows, tuple(zip(*self.entries)) if self.rows else ((),) * self.cols)
-
-    def mul(self, other):
-        assert self.p == other.p and self.cols == other.rows
-        p = self.p
-        out = []
-        bt = other.transpose().entries
-        for r in self.entries:
-            out.append(tuple(sum(x * y for x, y in zip(r, c)) % p for c in bt))
-        return FpMatrix(p, self.rows, other.cols, out)
-
     def apply(self, vec):
         """Matrix times column vector (vec a tuple of length cols)."""
         assert len(vec) == self.cols

@@ -52,7 +52,7 @@ def hmult(x, y):
     for left, cx in x.terms.items():
         for right, cy in y.terms.items():
             _symbol_product(be, out, left, right, cx * cy)
-    return _elt(be, out)
+    return Lin.owned(be.q, out, be)
 
 
 def comult(x):
@@ -68,7 +68,7 @@ def comult(x):
                 * (g * be.aut_count(mid) * be.aut_count(nid))
             accumulate(out, ((mid, add_class(nhat, alpha)), (nid, alpha)),
                        coeff)
-    return Lin(be.q, out, (be, be))
+    return Lin.owned(be.q, out, (be, be))
 
 
 def green_pairing(x, y):
@@ -158,7 +158,7 @@ def tensor_hmult(xt, yt):
             for k1, c1 in left.items():
                 for k2, c2 in right.items():
                     accumulate(out, (k1, k2), c1 * c2)
-    return Lin(be.q, out, xt.label)
+    return Lin.owned(be.q, out, xt.label)
 
 
 def coassoc_check(x):

@@ -91,7 +91,7 @@ def apply_hom(h, x):
         canonical = canonical and acc.canonical
         for key, s in acc.terms.items():
             accumulate(out, key, s * c)
-    return Lin(h.source.q, out, h.target, canonical)
+    return Lin.owned(h.source.q, out, h.target, canonical)
 
 
 def tensor_apply(h_left, h_right, x):
@@ -105,7 +105,7 @@ def tensor_apply(h_left, h_right, x):
         for ul, cl in left.terms.items():
             for ur, cr in right.terms.items():
                 accumulate(out, (ul, ur), cl * cr * c)
-    return Lin(q, out, algs)
+    return Lin.owned(q, out, algs)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +155,7 @@ def _double_map(be, name, algs, torus_words, module_words, exponent=None,
                                 coeff=coeff)
             for key, c in split.terms.items():
                 accumulate(out, key, c)
-        return Lin(be.p, out, algs)
+        return Lin.owned(be.p, out, algs)
 
     return GenMap(name, algebra("d", be), algs, image, params)
 

@@ -30,7 +30,7 @@ each word for its leftmost redex from `start` on:
   the pair that joins its two factors' words.
 
 Either way the search finds the redex a search from 0 would find, so every
-word goes through the same rewrites and spends the same budget visits.
+word goes through the same rewrites and counts the same visits.
 Each Algebra remembers its rules' answers, as tuples, keyed by the pair of
 letters: the table holds one entry per distinct adjacent pair the algebra
 has looked at and lives as long as the Algebra.  A rule that raises (a cap
@@ -59,7 +59,7 @@ from __future__ import annotations
 import warnings
 from collections import namedtuple
 
-from .caps import Budget, max_enum
+from .caps import CapExceeded, current_limit
 from .hall import basis, comult, gamma, green_pairing
 from .quiver import add_class, neg_class, sub_class
 from .scalars import Lin, SqrtScalar, accumulate, vpow
@@ -554,24 +554,26 @@ def _seam(word):
     return max(len(word) - 1, 0)
 
 
-def _rewrite(alg, stack, budget=None):
+def _rewrite(alg, stack, op, limit, spent=0):
     """Normal-order the sum of c * w over the stack entries (w, c, start).
 
     w is spelled in canonical non-unit letters and holds no redex at a pair
     left of `start`.  Each step rewrites the leftmost redex, at pair i; the
     words it produces keep the pairs left of i - 1, so they resume there.
     Pair-rule answers come from the algebra's table, filled on first use.
-    Returns {word: coefficient}, where words whose terms cancelled keep a
-    zero coefficient until a `Lin` drops them.
+    Every word popped off the stack is one visit, counted on from `spent`
+    in a local: past `limit` the rewrite raises CapExceeded(op, limit,
+    visits).  Returns ({word: coefficient}, visits), where words whose
+    terms cancelled keep a zero coefficient until a `Lin` drops them.
     """
     reduce_pair = _REDUCERS[alg.family]
     rules = alg._pair_rules
-    if budget is None:
-        budget = Budget("normal_form")
     out = {}
     while stack:
         w, c, i = stack.pop()
-        budget.spend(1)
+        spent += 1
+        if spent > limit:
+            raise CapExceeded(op, limit, spent)
         last = len(w) - 1
         while i < last:
             pair = w[i:i + 2]
@@ -591,13 +593,13 @@ def _rewrite(alg, stack, budget=None):
         resume = max(i - 1, 0)
         for scal, letters in res:
             stack.append((head + letters + tail, c * scal, resume))
-    return out
+    return out, spent
 
 
-def _normalize_terms(alg, terms, budget=None):
-    """Normal form of free terms {word: coeff}, searched from the start."""
+def _normalize_terms(alg, terms, op, limit, spent=0):
+    """`_rewrite` of free terms {word: coeff}, searched from the start."""
     return _rewrite(alg, [(_canon_word(alg, w), c, 0)
-                          for w, c in terms.items()], budget)
+                          for w, c in terms.items()], op, limit, spent)
 
 
 def _word_canonical(alg, w):
@@ -613,7 +615,8 @@ def _word_canonical(alg, w):
 
 
 def _normal_elt(alg, terms):
-    x = Lin(alg.q, terms, alg)
+    """The normal form of alg whose terms are the rewrite result `terms`."""
+    x = Lin.owned(alg.q, terms, alg)
     if not all(_word_canonical(alg, w) for w in x.terms):
         x.canonical = False
         warnings.warn("normal_form(%s): word outside the two-residue contract;"
@@ -628,15 +631,25 @@ def _check_oriented(alg):
 
 
 def normal_form(alg, x, budget=None):
-    """Rewrite x's words to their normal form in alg.  Raises for tag 'd'."""
+    """Rewrite x's words to their normal form in alg.  Raises for tag 'd'.
+
+    The rewrite's visits are charged to `budget` when one is given, else
+    counted against the cap of an operation starting now."""
     _check_oriented(alg)
-    return _normal_elt(alg, _normalize_terms(alg, x.terms, budget))
+    if budget is None:
+        terms, _ = _normalize_terms(alg, x.terms, "normal_form",
+                                    current_limit())
+    else:
+        terms, budget.spent = _normalize_terms(alg, x.terms, budget.op,
+                                               budget.limit, budget.spent)
+    return _normal_elt(alg, terms)
 
 
 def _canon_words(alg, x):
-    """{word: the same word in canonical non-unit letters} over x's words."""
-    if x.label == alg:
-        return {w: w for w in x.terms}
+    """{word: the same word in canonical non-unit letters} over the words
+    of x, or None when x is a normal form of alg, whose words already are."""
+    if x.label is alg:
+        return None
     return {w: _canon_word(alg, w) for w in x.terms}
 
 
@@ -644,53 +657,59 @@ def pmult(alg, a, b):
     """Product of two (normal or free) elements, renormalized.
 
     Equal to normal_form of the free product.  A word of a normal form of
-    alg holds no redex, so when `a` is one the search in each product word
-    starts at the seam, the pair that joins a's word to b's.
+    alg (an element labelled by alg itself) holds no redex and is spelled
+    in canonical letters, so it is used as it is, and when `a` is one the
+    search in each product word starts at the seam, the pair that joins
+    a's word to b's.
     """
     _check_oriented(alg)
-    seam_start = a.label == alg
     canon_a, canon_b = _canon_words(alg, a), _canon_words(alg, b)
     # keyed by the raw product word, as the free product accumulates
     prod = {}
     for w1, c1 in a.terms.items():
-        k1 = canon_a[w1]
-        start = _seam(k1) if seam_start else 0
+        if canon_a is None:
+            k1, start = w1, _seam(w1)
+        else:
+            k1, start = canon_a[w1], 0
         for w2, c2 in b.terms.items():
             w = w1 + w2
             c = c1 * c2
             entry = prod.get(w)
             if entry is None:
-                prod[w] = [k1 + canon_b[w2], c, start]
+                k2 = w2 if canon_b is None else canon_b[w2]
+                # two normal words: the raw product is the canonical one
+                prod[w] = [w if k1 is w1 and k2 is w2 else k1 + k2, c, start]
             else:
                 entry[1] = entry[1] + c
     stack = [tuple(e) for e in prod.values() if not e[1].is_zero()]
-    return _normal_elt(alg, _rewrite(alg, stack))
+    terms, _ = _rewrite(alg, stack, "normal_form", current_limit())
+    return _normal_elt(alg, terms)
 
 
 def tensor_mult(x, y):
     """Componentwise product of tensor-square elements (no sign rule).
 
     Both legs of every term are normal, so each leg of a product starts its
-    search at its seam.  Each leg is rewritten under its own budget, capped
-    by the HALLFORGE_MAX_ENUM read once per call.
+    search at its seam.  The cap of an operation is read once per call, and
+    each leg's rewrite counts its own visits against it.
     """
     if y.label != x.label:
         raise ValueError("tensor_mult of %r and %r" % (x.label, y.label))
     a1, a2 = x.label
     one = SqrtScalar.one(a2.q)
-    limit = max_enum()
+    limit = current_limit()
     terms = {}
     for (u1, u2), c in x.terms.items():
         s1, s2 = _seam(u1), _seam(u2)
         for (w1, w2), d in y.terms.items():
-            left = _rewrite(a1, [(u1 + w1, c * d, s1)],
-                            Budget("normal_form", limit))
-            right = _rewrite(a2, [(u2 + w2, one, s2)],
-                             Budget("normal_form", limit))
+            left, _ = _rewrite(a1, [(u1 + w1, c * d, s1)], "normal_form",
+                               limit)
+            right, _ = _rewrite(a2, [(u2 + w2, one, s2)], "normal_form",
+                                limit)
             for lw, lc in left.items():
                 for rw, rc in right.items():
                     accumulate(terms, (lw, rw), lc * rc)
-    return Lin(x.q, terms, x.label)
+    return Lin.owned(x.q, terms, x.label)
 
 
 def tensor_word(algs, left_letters, right_letters, coeff=None):
@@ -698,14 +717,17 @@ def tensor_word(algs, left_letters, right_letters, coeff=None):
     algebra of `algs`."""
     a1, a2 = algs
     c = coeff if coeff is not None else SqrtScalar.one(a1.q)
-    left = _normalize_terms(a1, {_strip(tuple(left_letters)): c})
-    right = _normalize_terms(a2, {_strip(tuple(right_letters)):
-                                  SqrtScalar.one(a2.q)})
+    limit = current_limit()
+    left, _ = _normalize_terms(a1, {_strip(tuple(left_letters)): c},
+                               "normal_form", limit)
+    right, _ = _normalize_terms(a2, {_strip(tuple(right_letters)):
+                                     SqrtScalar.one(a2.q)},
+                                "normal_form", limit)
     terms = {}
     for lw, lc in left.items():
         for rw, rc in right.items():
             accumulate(terms, (lw, rw), lc * rc)
-    return Lin(a1.q, terms, tuple(algs))
+    return Lin.owned(a1.q, terms, tuple(algs))
 
 
 # ---------------------------------------------------------------------------
@@ -851,7 +873,8 @@ def d_quasi(be, x):
     comparison, not to define a basis, so the result is a free element.
     """
     alg = algebra("d", be)
-    return Lin(alg.q, _normalize_terms(alg, x.terms, Budget("d_quasi")))
+    terms, _ = _normalize_terms(alg, x.terms, "d_quasi", current_limit())
+    return Lin.owned(alg.q, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -871,7 +894,7 @@ def _free_sum(alg, summands):
     out = {}
     for c, letters in summands:
         accumulate(out, _strip(letters), c)
-    return Lin(alg.q, out)
+    return Lin.owned(alg.q, out)
 
 
 def _variant(rel_id, variant, names, default):

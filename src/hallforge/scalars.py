@@ -135,22 +135,44 @@ class SqrtScalar:
     def __mul__(self, other):
         # a product with exactly 1 is the other factor itself, shared
         # rather than copied: values are immutable
-        if not isinstance(other, SqrtScalar) \
-                and isinstance(other, (int, Fraction)) and other == 1:
-            return self
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # (a + bv)(c + dv) = ac + bd q + (ad + bc) v
-        a, b, c, d = self._an, self._bn, o._an, o._bn
-        if c == 1 and d == 0 and o._den == 1:
-            return self
-        if a == 1 and b == 0 and self._den == 1:
-            return o
-        return _reduced(a * c + b * d * self.q, a * d + b * c,
-                        self._den * o._den, self.q)
+        if isinstance(other, SqrtScalar):
+            if other.q != self.q:
+                raise ValueError("mixed base fields: q=%r vs q=%r"
+                                 % (self.q, other.q))
+            # (a + bv)(c + dv) = ac + bd q + (ad + bc) v
+            a, b, c, d = self._an, self._bn, other._an, other._bn
+            if c == 1 and d == 0 and other._den == 1:
+                return self
+            if a == 1 and b == 0 and self._den == 1:
+                return other
+            return _reduced(a * c + b * d * self.q, a * d + b * c,
+                            self._den * other._den, self.q)
+        if isinstance(other, int):
+            return self._times(other, 1)
+        if isinstance(other, Fraction):
+            return self._times(other.numerator, other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
+
+    def _times(self, n, d):
+        """self * n/d, for ints n/d in lowest terms: the triple is scaled,
+        and no scalar is built for the factor."""
+        if d <= 0:
+            if d == 0:
+                raise ZeroDivisionError("division by zero in Q(sqrt %d)"
+                                        % self.q)
+            n, d = -n, -d
+        if n == d:
+            return self
+        an, bn, den = self._an, self._bn, self._den
+        if d == 1:
+            # only n and den can share a factor: an, bn, den share none
+            g = gcd(n, den)
+            if g != 1:
+                n, den = n // g, den // g
+            return _make(an * n, bn * n, den, self.q)
+        return _reduced(an * n, bn * n, den * d, self.q)
 
     def inverse(self):
         # conjugate trick: (a + bv)(a - bv) = a^2 - q b^2, nonzero for q prime
@@ -163,6 +185,10 @@ class SqrtScalar:
         return _reduced(d * a, -d * b, n, self.q)
 
     def __truediv__(self, other):
+        if isinstance(other, int):
+            return self._times(1, other)
+        if isinstance(other, Fraction):
+            return self._times(other.denominator, other.numerator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -260,6 +286,13 @@ class Lin:
     cyclic two-residue contract; a sum is canonical if both summands are.
     The constructors that know each key format live with it (`hall.basis`,
     `presented.FreeElt.word`, `presented.tensor_unit`, ...).
+
+    `Lin(q, terms)` copies `terms`, so its caller may go on changing its
+    dict.  `Lin.owned(q, terms)` takes the dict itself and deletes its zero
+    coefficients in place: only for a dict the package has just built and
+    hands over, which no one changes or reads afterwards (the products and
+    sums here, `hall`'s products and coproducts, the rewrite driver's
+    results and the images `morphisms` builds).
     """
 
     __slots__ = ("q", "terms", "label", "canonical")
@@ -270,6 +303,22 @@ class Lin:
                       if terms else {})
         self.label = label
         self.canonical = canonical
+
+    @staticmethod
+    def owned(q, terms, label=None, canonical=True):
+        """The Lin of `terms`, which it takes as its own (see above)."""
+        for c in terms.values():
+            if not c._an and not c._bn:
+                # a zero coefficient: drop every one, in place
+                for k in [k for k, c in terms.items() if c.is_zero()]:
+                    del terms[k]
+                break
+        x = _new(Lin)
+        x.q = q
+        x.terms = terms
+        x.label = label
+        x.canonical = canonical
+        return x
 
     def _check(self, other):
         if (other.label is not self.label and other.label != self.label) \
@@ -283,8 +332,8 @@ class Lin:
         out = dict(self.terms)
         for key, c in other.terms.items():
             accumulate(out, key, c)
-        return Lin(self.q, out, self.label,
-                   self.canonical and other.canonical)
+        return Lin.owned(self.q, out, self.label,
+                         self.canonical and other.canonical)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -292,8 +341,8 @@ class Lin:
     def scale(self, c):
         if not isinstance(c, SqrtScalar):
             c = SqrtScalar.of(c, self.q)
-        return Lin(self.q, {k: s * c for k, s in self.terms.items()},
-                   self.label, self.canonical)
+        return Lin.owned(self.q, {k: s * c for k, s in self.terms.items()},
+                         self.label, self.canonical)
 
     def __mul__(self, other):
         """Concatenation of free words; elements of an algebra multiply
@@ -305,7 +354,7 @@ class Lin:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 accumulate(out, w1 + w2, c1 * c2)
-        return Lin(self.q, out)
+        return Lin.owned(self.q, out)
 
     def __eq__(self, other):
         return (isinstance(other, Lin) and self.terms == other.terms

@@ -16,7 +16,9 @@ mod the shard count, and holds no list of instances.  The children send
 their counts and failures back through pipes, and the failures are merged
 in stream order.  Each process has its own backend, so no backend is
 shared.  A run forks nothing where the platform has no fork or the
-calling process runs another thread.  Two runs of one configuration
+calling process runs another thread.  It reads HALLFORGE_MAX_ENUM once,
+before it forks, and every operation of the run, in every shard, is
+capped by that value (see `caps`).  Two runs of one configuration
 produce the same report up to the timestamp and elapsed_ms fields,
 whatever `threads` says.
 """
@@ -31,6 +33,7 @@ from datetime import datetime, timezone
 from functools import partial
 
 from .backend import A1ClosedFormBackend, make_backend
+from . import caps
 from .caps import CapExceeded
 from .exprs import render_any
 from .hall import (basis, bialgebra_check, coassoc_check,
@@ -646,11 +649,16 @@ def run_suite(cfg):
                          % (cfg.suite, ", ".join(SUITES)))
     n = _shard_count(cfg.threads)
     t0 = time.monotonic()
-    be = make_backend(quiver_from_arg(cfg.quiver), cfg.q)
-    if cfg.max_dim is None:
-        default_dim = 4 if cfg.suite == "backend-oracle" else 2
-        cfg = dataclasses.replace(cfg, max_dim=default_dim)
-    count, failures = _run_shards(be, _BUILDERS[cfg.suite](be, cfg), n)
+    # one read of the cap for the whole run, before any child is forked
+    outer = caps.fix_limit(caps.max_enum())
+    try:
+        be = make_backend(quiver_from_arg(cfg.quiver), cfg.q)
+        if cfg.max_dim is None:
+            default_dim = 4 if cfg.suite == "backend-oracle" else 2
+            cfg = dataclasses.replace(cfg, max_dim=default_dim)
+        count, failures = _run_shards(be, _BUILDERS[cfg.suite](be, cfg), n)
+    finally:
+        caps.fix_limit(outer)
     params = {"max_dim": cfg.max_dim, "m": cfg.m, "i": cfg.i,
               "idx_window": cfg.idx_window, "seed": cfg.seed}
     return {

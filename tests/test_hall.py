@@ -14,6 +14,7 @@ from hallforge.scalars import Lin, SqrtScalar, vpow
 from hallforge.suites import _alphas, _objs
 
 import fold_oracles
+from matrix_oracles import direct_sum
 
 
 _ASSOC_BE = QuiverBackend(preset("a2"), 2)
@@ -89,7 +90,7 @@ def test_green_pairing_frozen(be):
     got = green_pairing(basis(be, 0, (1, 0)), basis(be, 0, (0, 1)))
     assert got == vpow(-1, 2)
     # a_M in the denominator: S1 + S1 direct sum has 6 automorphisms
-    ss = be.classify(be.direct_sum(be.simple_rep(0), be.simple_rep(0)))
+    ss = be.classify(direct_sum(be, be.simple_rep(0), be.simple_rep(0)))
     got = green_pairing(basis(be, ss), basis(be, ss))
     assert got == SqrtScalar.of(Fraction(1, 6), 2)
 

@@ -4,7 +4,7 @@ from functools import partial
 
 import pytest
 
-from hallforge import presented
+from hallforge import presented, scalars, suites
 from hallforge.backend import QuiverBackend
 from hallforge.exprs import render_any, render_letter
 from hallforge.morphisms import (GenMap, apply_hom, build_hom, check_relation,
@@ -467,3 +467,55 @@ def test_in_place_sums_merge_cancel_and_carry_canonical():
         got = apply_hom(far, x)
         want = fold_oracles.apply_hom(far, x)
     assert not got.canonical and fold_oracles.same(got, want)
+
+
+def test_owned_terms_alias_no_shared_value(monkeypatch):
+    # the kappa, psi and varphi checks on one backend: every cached image
+    # and pair-rule answer must still be what a recomputation gives, and
+    # no Lin that took its dict as its own may keep a zero coefficient
+    maps = []
+    build = suites.build_hom
+    monkeypatch.setattr(suites, "build_hom",
+                        lambda *args, **kw: maps.append(build(*args, **kw))
+                        or maps[-1])
+    zeros = []
+    owned = scalars.Lin.owned
+
+    def checked(q, terms, label=None, canonical=True):
+        x = owned(q, terms, label, canonical)
+        zeros.extend(k for k, c in x.terms.items() if c.is_zero())
+        return x
+
+    monkeypatch.setattr(scalars.Lin, "owned", staticmethod(checked))
+    be = QuiverBackend(preset("a2"), 2)
+    for suite, kw in (("kappa", {"m": 0}), ("psi", {"m": 0}), ("varphi", {})):
+        cfg = RunConfig(suite=suite, max_dim=2, **kw)
+        for _, _, check in _BUILDERS[suite](be, cfg):
+            assert check()[0]
+    assert zeros == []
+    assert {h.name for h in maps} == {"kappa", "kappaCheck", "psi",
+                                      "phiInv", "varphi"}
+    assert sum(len(alg._pair_rules) for alg in be.algebras.values()) > 100
+    for alg in be.algebras.values():
+        reduce_pair = presented._REDUCERS[alg.family]
+        for (a, b), got in alg._pair_rules.items():
+            fresh = reduce_pair(alg, a, b)
+            assert got == (None if fresh is None else tuple(fresh))
+    for h in maps:
+        assert h._cache
+        for letter, img in h._cache.items():
+            fresh = h._image_fn(letter)
+            assert img == fresh and list(img.terms) == list(fresh.terms)
+
+
+def test_public_lin_copies_and_owned_lin_takes_its_dict():
+    one, zero = vpow(0, 2), vpow(0, 2) * 0
+    d = {(MuPlus(S1),): one, (MuMinus(S1),): zero}
+    x = Lin(2, d)
+    d[(MuPlus(S2),)] = one
+    d[(MuPlus(S1),)] = zero
+    assert x.terms == {(MuPlus(S1),): one}
+    d = {(MuPlus(S1),): one, (MuMinus(S1),): zero}
+    y = Lin.owned(2, d)
+    assert y.terms is d and d == {(MuPlus(S1),): one}
+    assert y == Lin(2, {(MuPlus(S1),): one})

@@ -304,6 +304,60 @@ def test_rational_hash_agrees_with_int_and_fraction():
     assert SqrtScalar(1, 1, 2) not in {1: None, Fraction(1, 2): None}
 
 
+# a rational operand: ints with 0 and negatives, and Fractions whose
+# denominators are powers of q times a small cofactor
+def _rational_operands(q):
+    powers = st.integers(-4, 4).map(lambda k: Fraction(q) ** k)
+    return st.one_of(
+        st.integers(-40, 40),
+        st.builds(lambda n, p, d: Fraction(n, d) * p, st.integers(-40, 40),
+                  powers, st.integers(1, 6)))
+
+
+def _triple(x):
+    return (x._an, x._bn, x._den, x.q)
+
+
+@given(rationals, rationals, st.sampled_from([2, 3, 5]), st.data())
+def test_rational_operands_scale_the_triple(a, b, q, data):
+    x = SqrtScalar(a, b, q)
+    r = data.draw(_rational_operands(q))
+    want = x * SqrtScalar.of(r, q)
+    for got in (x * r, r * x):
+        assert isinstance(got, SqrtScalar)
+        assert_canonical(got)
+        assert _triple(got) == _triple(want)
+        assert got == want and hash(got) == hash(want)
+    if r:
+        quot = x / r
+        assert_canonical(quot)
+        assert _triple(quot) == _triple(x * SqrtScalar.of(r, q).inverse())
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / r
+    assert x * 1 is x and 1 * x is x and x / 1 is x
+
+
+def test_rational_operands_make_no_scalar_for_themselves(monkeypatch):
+    x = SqrtScalar(Fraction(3, 4), -2, 3)
+    built = []
+    rational = scalars._rational
+    monkeypatch.setattr(scalars, "_rational",
+                        lambda *args: built.append(args) or rational(*args))
+    products = [x * 6, 6 * x, x * Fraction(-2, 9), x / 4, x / Fraction(2, 3)]
+    assert built == []
+    assert products == [SqrtScalar(Fraction(9, 2), -12, 3),
+                        SqrtScalar(Fraction(9, 2), -12, 3),
+                        SqrtScalar(Fraction(-1, 6), Fraction(4, 9), 3),
+                        SqrtScalar(Fraction(3, 16), Fraction(-1, 2), 3),
+                        SqrtScalar(Fraction(9, 8), -3, 3)]
+    # two scalars of different fields still do not multiply
+    with pytest.raises(ValueError):
+        x * SqrtScalar(1, 1, 2)
+    with pytest.raises(ValueError):
+        SqrtScalar.of(2, 5) * x
+
+
 # -- Lin: one combination type for every kind of element ---------------
 
 BE3 = QuiverBackend(preset("a2"), 3)
