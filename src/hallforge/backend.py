@@ -24,8 +24,8 @@ import itertools
 import json
 
 from .caps import Budget
-from .fq import (FpMatrix, enumerate_subspaces, gaussian_binomial, gl_order,
-                 in_rowspace, rank, reduce_against, row_rank, rowspace_coords)
+from .fq import (apply, enumerate_subspaces, gaussian_binomial, gl_order,
+                 in_rowspace, reduce_against, row_rank, rowspace_coords)
 from .quiver import add_class, preset
 from .scalars import is_prime
 
@@ -33,33 +33,25 @@ from .scalars import is_prime
 class Rep:
     """A representation: one F_p space per vertex, one matrix per arrow.
 
-    maps[a] has shape (dims[t], dims[s]) for arrow a: s -> t and acts on
-    column vectors.
+    maps[a] is the matrix of arrow a: s -> t, a tuple of dims[t] row tuples
+    of length dims[s] with entries reduced mod p, acting on column vectors
+    (see `fq`); key is (dims, maps).  Rep itself checks nothing: build a
+    Rep from outside input with `QuiverBackend.rep` or `rep_from_json`,
+    which reduce the entries and raise ValueError for a wrong shape.
     """
 
-    __slots__ = ("quiver", "p", "dims", "maps", "_key")
+    __slots__ = ("quiver", "p", "dims", "maps", "key")
 
     def __init__(self, quiver, p, dims, maps):
-        assert is_prime(p)
-        dims = tuple(int(d) for d in dims)
-        assert len(dims) == quiver.n and all(d >= 0 for d in dims)
-        maps = tuple(maps)
-        assert len(maps) == len(quiver.arrows)
-        for (s, t), m in zip(quiver.arrows, maps):
-            assert m.p == p and m.rows == dims[t] and m.cols == dims[s], \
-                "arrow matrix shape mismatch"
+        dims, maps = tuple(dims), tuple(maps)
         object.__setattr__(self, "quiver", quiver)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "_key", (dims, tuple(m.entries for m in maps)))
+        object.__setattr__(self, "key", (dims, maps))
 
     def __setattr__(self, name, value):
         raise AttributeError("Rep is immutable")
-
-    @property
-    def key(self):
-        return self._key
 
     @property
     def total_dim(self):
@@ -70,17 +62,17 @@ class Rep:
 
     def __eq__(self, other):
         return (isinstance(other, Rep) and self.quiver == other.quiver
-                and self.p == other.p and self._key == other._key)
+                and self.p == other.p and self.key == other.key)
 
     def __hash__(self):
-        return hash(self._key)
+        return hash(self.key)
 
     def __repr__(self):
         return f"Rep(dims={self.dims}, p={self.p})"
 
 
-def _zero_maps(quiver, p, dims):
-    return tuple(FpMatrix.zero(p, dims[t], dims[s]) for s, t in quiver.arrows)
+def _zero_maps(quiver, dims):
+    return tuple(((0,) * dims[s],) * dims[t] for s, t in quiver.arrows)
 
 
 def path_chains(quiver):
@@ -119,6 +111,12 @@ def _json_int(x, what):
     return x
 
 
+def _check_prime(p):
+    """A ValueError unless the field size p is prime."""
+    if not is_prime(p):
+        raise ValueError("field size must be prime, not %r" % (p,))
+
+
 class EnumerationError(ArithmeticError):
     """An isoclass table failed the orbit-counting identity."""
 
@@ -134,11 +132,12 @@ class QuiverBackend:
     registered, across dimvecs, in whatever order the computation asks
     for them; their numbering is not stable across versions, and nothing
     sorts or renders by raw id.  Memo tables fill lazily without
-    locking: not safe to share across threads.
+    locking: not safe to share across threads.  A field size p that is not
+    prime raises ValueError.
     """
 
     def __init__(self, quiver, p):
-        assert is_prime(p), "field size must be prime"
+        _check_prime(p)
         self.quiver = quiver
         self.p = p
         self.q = p
@@ -167,24 +166,44 @@ class QuiverBackend:
 
     def zero_rep(self):
         dims = (0,) * self.quiver.n
-        return Rep(self.quiver, self.p, dims, _zero_maps(self.quiver, self.p, dims))
+        return Rep(self.quiver, self.p, dims, _zero_maps(self.quiver, dims))
 
     def simple_rep(self, k):
         dims = self.quiver.simple_class(k)
-        return Rep(self.quiver, self.p, dims, _zero_maps(self.quiver, self.p, dims))
+        return Rep(self.quiver, self.p, dims, _zero_maps(self.quiver, dims))
 
-    def rep(self, dims, maps_entries):
-        maps = tuple(
-            FpMatrix.from_rows(self.p, rows, cols=dims[s])
-            for (s, t), rows in zip(self.quiver.arrows, maps_entries))
-        return Rep(self.quiver, self.p, tuple(dims), maps)
+    def rep(self, dims, maps):
+        """The Rep with dimension vector dims and one matrix per arrow in
+        maps, each a sequence of rows of integers, reduced mod p here.
+        Raises ValueError for a dims of the wrong length or with a negative
+        entry, for a matrix count other than the arrow count, and for a
+        matrix of arrow s -> t that is not dims[t] rows of dims[s] entries.
+        """
+        arrows = self.quiver.arrows
+        dims, maps = tuple(int(d) for d in dims), tuple(maps)
+        if len(dims) != self.quiver.n or any(d < 0 for d in dims):
+            raise ValueError("dimension vector %s needs %d nonnegative "
+                             "entries" % (dims, self.quiver.n))
+        if len(maps) != len(arrows):
+            raise ValueError("%d matrices for %d arrows"
+                             % (len(maps), len(arrows)))
+        reduced = []
+        for a, ((s, t), rows) in enumerate(zip(arrows, maps)):
+            m = tuple(tuple(int(x) % self.p for x in r) for r in rows)
+            if len(m) != dims[t] or any(len(r) != dims[s] for r in m):
+                raise ValueError("arrow %d needs a %dx%d matrix"
+                                 % (a, dims[t], dims[s]))
+            reduced.append(m)
+        return Rep(self.quiver, self.p, dims, reduced)
 
     def rep_from_json(self, data):
         """{"dims": {"1":1,"2":1}, "maps": {"0": [[1]]}, "p": 2}
 
-        The top level, "dims" and "maps" must be JSON objects, and p, every
-        dimension and every matrix entry a JSON integer (true and false
-        are not); anything else raises ValueError."""
+        The top level, "dims" and "maps" must be JSON objects, every matrix
+        a list of lists, and p, every dimension and every matrix entry a
+        JSON integer (true and false are not); an arrow missing from "maps"
+        is zero.  The Rep is built by `rep`, which checks the shapes.
+        Anything else raises ValueError."""
         if not isinstance(data, dict):
             raise ValueError("rep file must hold a JSON object, not %s"
                              % type(data).__name__)
@@ -211,17 +230,16 @@ class QuiverBackend:
         for a, (s, t) in enumerate(self.quiver.arrows):
             rows = raw.get(str(a))
             if rows is None:
-                maps.append(FpMatrix.zero(self.p, dims[t], dims[s]))
-                continue
-            if not (isinstance(rows, list) and len(rows) == dims[t] and all(
-                    isinstance(r, list) and len(r) == dims[s] for r in rows)):
+                rows = [[0] * dims[s]] * dims[t]
+            if not (isinstance(rows, list)
+                    and all(isinstance(r, list) for r in rows)):
                 raise ValueError("arrow %d needs a %dx%d matrix"
                                  % (a, dims[t], dims[s]))
             for r in rows:
                 for x in r:
                     _json_int(x, "an entry of arrow %d" % a)
-            maps.append(FpMatrix(self.p, dims[t], dims[s], rows))
-        return Rep(self.quiver, self.p, dims, tuple(maps))
+            maps.append(rows)
+        return self.rep(dims, maps)
 
     def load_rep(self, path):
         with open(path) as fh:
@@ -296,18 +314,19 @@ class QuiverBackend:
                 pos += n_ent
                 maps.append(tuple(chunk[r * dimvec[s]:(r + 1) * dimvec[s]]
                                   for r in range(dimvec[t])))
-            key = (dimvec, tuple(maps))
+            maps = tuple(maps)
+            key = (dimvec, maps)
             if self._chains is not None:
                 if self._rank_to_id.get(self._rank_key(key)) in found:
                     continue
             else:
-                cand = self.rep(dimvec, maps)
+                cand = Rep(quiver, p, dimvec, maps)
                 if any(self.is_iso(cand, self._classes[cid]) for cid in found):
                     self._forget(cand, found)
                     continue
             cid = self._key_to_id.get(key)
             if cid is None:
-                cid = self._register(self.rep(dimvec, maps))
+                cid = self._register(Rep(quiver, p, dimvec, maps))
             found.append(cid)
             if space == 1:
                 # one assignment, one class: its orbit is the whole space
@@ -434,8 +453,9 @@ class QuiverBackend:
         return self.euler_form(x, y) + self.euler_form(y, x)
 
     def _hom_system(self, a, b):
-        """Constraint matrix for intertwiners phi: a -> b (phi_t f_a = f_b phi_s)."""
-        quiver = self.quiver
+        """Constraint matrix for intertwiners phi: a -> b (phi_t f_a = f_b phi_s),
+        as (unknown count, rows reduced mod p)."""
+        quiver, p = self.quiver, self.p
         m, n = a.dims, b.dims
         offs = []
         total = 0
@@ -450,11 +470,11 @@ class QuiverBackend:
                     row = [0] * total
                     # (phi_t fa)[r,c] = sum_j phi_t[r,j] fa[j,c]
                     for j in range(m[t]):
-                        row[offs[t] + r * m[t] + j] += fa.entries[j][c]
+                        row[offs[t] + r * m[t] + j] += fa[j][c]
                     # (fb phi_s)[r,c] = sum_j fb[r,j] phi_s[j,c]
                     for j in range(n[s]):
-                        row[offs[s] + j * m[s] + c] -= fb.entries[r][j]
-                    rows.append(row)
+                        row[offs[s] + j * m[s] + c] -= fb[r][j]
+                    rows.append(tuple(x % p for x in row))
         return total, rows
 
     def hom_dim(self, a, b):
@@ -464,13 +484,7 @@ class QuiverBackend:
         if got is not None:
             return got
         total, rows = self._hom_system(a, b)
-        if total == 0:
-            dim = 0
-        elif not rows:
-            dim = total
-        else:
-            dim = total - rank(FpMatrix.from_rows(self.p, rows, cols=total))
-        self._hom[memo_key] = dim
+        dim = self._hom[memo_key] = total - row_rank(rows, self.p)
         return dim
 
     def ext_dim(self, a, b):
@@ -484,22 +498,22 @@ class QuiverBackend:
         dimension then `enumerate_subspaces` order) and an iterator over
         the index tuples of the combos (U_v) closed under every arrow, in
         `itertools.product` order: rep's subobjects."""
-        arrows = self.quiver.arrows
+        arrows, p = self.quiver.arrows, self.p
         budget = Budget("subobjects")
         per_vertex = []
         for d in rep.dims:
             bases = []
             for k in range(d + 1):
-                bases.extend(enumerate_subspaces(d, k, self.p, budget))
+                bases.extend(enumerate_subspaces(d, k, p, budget))
             per_vertex.append(bases)
         # images[a][i]: arrow a applied to the basis of subspace i at its source
-        images = [[[f.apply(row) for row in b.entries] for b in per_vertex[s]]
+        images = [[[apply(f, row, p) for row in b] for b in per_vertex[s]]
                   for f, (s, t) in zip(rep.maps, arrows)]
 
         def closed():
             for combo in itertools.product(*(range(len(b)) for b in per_vertex)):
                 budget.spend()
-                if all(in_rowspace(v, per_vertex[t][combo[t]])
+                if all(in_rowspace(v, per_vertex[t][combo[t]], p)
                        for a, (s, t) in enumerate(arrows)
                        for v in images[a][combo[s]]):
                     yield combo
@@ -526,30 +540,26 @@ class QuiverBackend:
 
     def _make_sub_quot(self, rep, combo):
         quiver, p = self.quiver, self.p
-        sub_dims = tuple(b.rows for b in combo)
-        quot_dims = tuple(d - b.rows for d, b in zip(rep.dims, combo))
+        sub_dims = tuple(len(b) for b in combo)
+        quot_dims = tuple(d - len(b) for d, b in zip(rep.dims, combo))
         nonpiv = []
         for i, b in enumerate(combo):
-            pivots = {next(j for j, x in enumerate(row) if x) for row in b.entries}
+            pivots = {next(j for j, x in enumerate(row) if x) for row in b}
             nonpiv.append([c for c in range(rep.dims[i]) if c not in pivots])
         sub_maps, quot_maps = [], []
         for idx, (s, t) in enumerate(quiver.arrows):
             f = rep.maps[idx]
-            cols = []
-            for row in combo[s].entries:
-                cols.append(rowspace_coords(f.apply(row), combo[t]))
-            sub_maps.append(FpMatrix(p, sub_dims[t], sub_dims[s],
-                                     tuple(zip(*cols)) if cols else ((),) * sub_dims[t]))
+            # the images of the basis vectors, in coordinates: the columns
+            cols = [rowspace_coords(apply(f, row, p), combo[t], p)
+                    for row in combo[s]]
+            sub_maps.append(tuple(zip(*cols)) if cols else ((),) * sub_dims[t])
             qcols = []
             for c in nonpiv[s]:
-                e = tuple(1 if j == c else 0 for j in range(rep.dims[s]))
-                red = reduce_against(f.apply(e), combo[t])
+                red = reduce_against(tuple(r[c] for r in f), combo[t], p)
                 qcols.append(tuple(red[j] for j in nonpiv[t]))
-            quot_maps.append(FpMatrix(p, quot_dims[t], quot_dims[s],
-                                      tuple(zip(*qcols)) if qcols else ((),) * quot_dims[t]))
-        sub = Rep(quiver, p, sub_dims, tuple(sub_maps))
-        quot = Rep(quiver, p, quot_dims, tuple(quot_maps))
-        return sub, quot
+            quot_maps.append(tuple(zip(*qcols)) if qcols else ((),) * quot_dims[t])
+        return (Rep(quiver, p, sub_dims, sub_maps),
+                Rep(quiver, p, quot_dims, quot_maps))
 
     # -- counting -----------------------------------------------------
 
@@ -658,8 +668,8 @@ class QuiverBackend:
         return table
 
     def _rank_key_table(self, rep):
-        """rep's subobject table on a path quiver, with no Rep or FpMatrix
-        built per subobject.  For a composite F: s -> t of rep (see
+        """rep's subobject table on a path quiver, with no Rep built per
+        subobject.  For a composite F: s -> t of rep (see
         `_composites`) and a subobject with subspaces (U_v), the sub's rank
         along F is dim F(U_s) and the quotient's is dim(U_t + im F) -
         dim U_t; each is computed once per subspace of its vertex."""
@@ -670,11 +680,11 @@ class QuiverBackend:
         for s, t, rows in self._composites(rep.key[1]):
             cols = tuple(zip(*rows))
             subs.append((s, [row_rank([tuple(sum(x * y for x, y in zip(r, u)) % p
-                                             for r in rows) for u in b.entries], p)
+                                             for r in rows) for u in b], p)
                              for b in per_vertex[s]]))
-            quots.append((t, [row_rank(b.entries + cols, p) - b.rows
+            quots.append((t, [row_rank(b + cols, p) - len(b)
                               for b in per_vertex[t]]))
-        sizes = [[b.rows for b in bases] for bases in per_vertex]
+        sizes = [[len(b) for b in bases] for bases in per_vertex]
         table = {}
         # the only sub or quotient with rep's dims is rep itself, already
         # registered, so no lookup re-enters an in-progress iso_classes
@@ -710,10 +720,11 @@ class QuiverBackend:
 
 class A1ClosedFormBackend:
     """Closed-form oracle for the one-vertex quiver: subspace counts are
-    Gaussian binomials and a_M is the general linear group order."""
+    Gaussian binomials and a_M is the general linear group order.  A field
+    size p that is not prime raises ValueError."""
 
     def __init__(self, p):
-        assert is_prime(p)
+        _check_prime(p)
         self.quiver = preset("a1")
         self.p = p
         self.q = p

@@ -1,68 +1,27 @@
 """Dense exact linear algebra over F_p and canonical subspace enumeration.
 
-Matrices are immutable tuples of tuples (row-major residues), so they hash
-and compare structurally. Everything here is pure."""
+A matrix is a tuple of row tuples of residues reduced mod p (row-major,
+acting on column vectors), so it hashes and compares structurally; a
+subspace is the matrix of its canonical RREF basis, one row per basis
+vector.  The functions here take p as an argument and trust their input:
+p prime, every row of one length and every entry in range(p).  Input from
+outside the package is reduced and checked where it enters, by
+`QuiverBackend.rep`.  Everything here is pure."""
 
 from itertools import combinations, product
 
 from .caps import Budget
-from .scalars import is_prime
 
 
-class FpMatrix:
-    __slots__ = ("p", "rows", "cols", "entries")
-
-    def __init__(self, p, rows, cols, entries):
-        assert is_prime(p), "p must be prime"
-        assert rows >= 0 and cols >= 0
-        ents = tuple(tuple(int(x) % p for x in row) for row in entries)
-        assert len(ents) == rows and all(len(r) == cols for r in ents)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", ents)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FpMatrix is immutable")
-
-    @staticmethod
-    def zero(p, rows, cols):
-        return FpMatrix(p, rows, cols, ((0,) * cols,) * rows)
-
-    @staticmethod
-    def identity(p, n):
-        return FpMatrix(p, n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def from_rows(p, rows_list, cols=None):
-        rows_list = [tuple(r) for r in rows_list]
-        if cols is None:
-            cols = len(rows_list[0]) if rows_list else 0
-        return FpMatrix(p, len(rows_list), cols, rows_list)
-
-    def __eq__(self, other):
-        if not isinstance(other, FpMatrix):
-            return NotImplemented
-        return self.p == other.p and self.entries == other.entries and self.cols == other.cols
-
-    def __hash__(self):
-        return hash((self.p, self.cols, self.entries))
-
-    def __repr__(self):
-        return "FpMatrix(p=%d, %r)" % (self.p, [list(r) for r in self.entries])
-
-    def apply(self, vec):
-        """Matrix times column vector (vec a tuple of length cols)."""
-        assert len(vec) == self.cols
-        p = self.p
-        return tuple(sum(x * y for x, y in zip(r, vec)) % p for r in self.entries)
+def apply(m, vec, p):
+    """m times the column vector vec (a tuple with one entry per column)."""
+    return tuple(sum(x * y for x, y in zip(r, vec)) % p for r in m)
 
 
-def rref(m):
-    """Gauss-Jordan over F_p. Returns (reduced FpMatrix, rank, pivot_cols)."""
-    p = m.p
-    rows = [list(r) for r in m.entries]
-    nr, nc = m.rows, m.cols
+def rref(m, p):
+    """Gauss-Jordan over F_p. Returns (reduced matrix, rank, pivot_cols)."""
+    rows = [list(r) for r in m]
+    nr, nc = len(rows), len(rows[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(nc):
@@ -84,15 +43,14 @@ def rref(m):
                 rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    return FpMatrix(p, nr, nc, rows), r, pivots
+    return tuple(tuple(row) for row in rows), r, pivots
 
 
 def row_rank(rows, p):
     """Rank over F_p of the span of rows, an iterable of tuples of
-    residues: forward elimination only, building no FpMatrix.  Each kept
-    row is scaled to a leading 1 and is zero at the pivots of the rows
-    kept before it, so reducing a new row against them in order clears
-    every pivot column."""
+    residues: forward elimination only.  Each kept row is scaled to a
+    leading 1 and is zero at the pivots of the rows kept before it, so
+    reducing a new row against them in order clears every pivot column."""
     kept = []
     for row in rows:
         for c, b in kept:
@@ -107,32 +65,11 @@ def row_rank(rows, p):
     return len(kept)
 
 
-def rank(m):
-    return row_rank(m.entries, m.p)
-
-
-def solve_nullspace(m):
-    """Canonical RREF basis of {x : m x = 0}, one row per basis vector."""
-    red, rk, pivots = rref(m)
-    nc = m.cols
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [0] * nc
-        vec[f] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (-red.entries[i][f]) % m.p
-        basis.append(tuple(vec))
-    # independent by construction; one more reduction makes the basis canonical
-    return rref(FpMatrix.from_rows(m.p, basis, nc))[0]
-
-
-def reduce_against(vec, basis):
+def reduce_against(vec, basis, p):
     """Reduce vec modulo the row space of an RREF basis; residual is zero
     iff vec lies in the span."""
-    p = basis.p
     v = list(vec)
-    for row in basis.entries:
+    for row in basis:
         lead = next((i for i, x in enumerate(row) if x), None)
         if lead is None:
             continue
@@ -142,16 +79,15 @@ def reduce_against(vec, basis):
     return tuple(v)
 
 
-def in_rowspace(vec, basis):
-    return all(x == 0 for x in reduce_against(vec, basis))
+def in_rowspace(vec, basis, p):
+    return all(x == 0 for x in reduce_against(vec, basis, p))
 
 
-def rowspace_coords(vec, basis):
+def rowspace_coords(vec, basis, p):
     """Coordinates of vec in an RREF basis, or None if outside the span."""
     coords = []
     v = list(vec)
-    p = basis.p
-    for row in basis.entries:
+    for row in basis:
         lead = next(i for i, x in enumerate(row) if x)
         c = v[lead]
         coords.append(c)
@@ -164,8 +100,10 @@ def rowspace_coords(vec, basis):
 
 def enumerate_subspaces(n, k, p, budget=None):
     """All k-dim subspaces of F_p^n as canonical RREF bases, deterministic
-    order: pivot-column patterns lexicographically, then free entries."""
-    assert 0 <= k <= n
+    order: pivot-column patterns lexicographically, then free entries.
+    Raises ValueError unless 0 <= k <= n."""
+    if not 0 <= k <= n:
+        raise ValueError("no %d-dimensional subspaces of F_p^%d" % (k, n))
     if budget is None:
         budget = Budget("enumerate_subspaces")
     count = gaussian_binomial(n, k, p)
@@ -182,7 +120,7 @@ def enumerate_subspaces(n, k, p, budget=None):
                 rows[i][pc] = 1
             for (i, c), val in zip(slots, vals):
                 rows[i][c] = val
-            out.append(FpMatrix.from_rows(p, rows, n))
+            out.append(tuple(tuple(row) for row in rows))
     return out
 
 
@@ -194,7 +132,8 @@ def gaussian_binomial(n, k, q):
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise AssertionError("Gaussian binomial not integral")  # unreachable
     return num // den
 
 

@@ -9,7 +9,9 @@ import itertools
 import weakref
 
 from hallforge.caps import Budget
-from hallforge.fq import FpMatrix, rank, solve_nullspace
+from hallforge.fq import row_rank
+
+from matrix_oracles import identity, solve_nullspace
 
 
 def _rep(be, x):
@@ -24,10 +26,9 @@ def hom_basis(be, a, b):
     if total == 0:
         return []
     if rows:
-        kernel = solve_nullspace(FpMatrix.from_rows(be.p, rows, cols=total))
-        vecs = list(kernel.entries)
+        vecs = list(solve_nullspace(rows, be.p, total))
     else:
-        vecs = list(FpMatrix.identity(be.p, total).entries)
+        vecs = list(identity(total))
     out = []
     m, n = a.dims, b.dims
     for v in vecs:
@@ -36,7 +37,7 @@ def hom_basis(be, a, b):
         for i in range(be.quiver.n):
             ent = [v[pos + r * m[i]:pos + (r + 1) * m[i]] for r in range(n[i])]
             pos += n[i] * m[i]
-            mats.append(FpMatrix(be.p, n[i], m[i], ent))
+            mats.append(tuple(ent))
         out.append(tuple(mats))
     return out
 
@@ -51,10 +52,10 @@ def _all_homs(be, a, b, budget=None):
             acc = [[0] * a.dims[i] for _ in range(b.dims[i])]
             for c, elt in zip(coeffs, basis):
                 if c:
-                    for r, row in enumerate(elt[i].entries):
+                    for r, row in enumerate(elt[i]):
                         for j, x in enumerate(row):
                             acc[r][j] = (acc[r][j] + c * x) % be.p
-            mats.append(FpMatrix(be.p, b.dims[i], a.dims[i], acc))
+            mats.append(tuple(tuple(row) for row in acc))
         yield tuple(mats)
 
 
@@ -64,7 +65,7 @@ def aut_count_enum(be, m):
     budget = Budget("aut_count_enum")
     count = 0
     for mats in _all_homs(be, m, m, budget):
-        if all(rank(mat) == mat.rows for mat in mats):
+        if all(row_rank(mat, be.p) == len(mat) for mat in mats):
             count += 1
     return count
 
@@ -76,7 +77,7 @@ def is_iso_enum(be, a, b):
         return False
     budget = Budget("is_iso_enum")
     for mats in _all_homs(be, a, b, budget):
-        if all(rank(mat) == mat.rows for mat in mats):
+        if all(row_rank(mat, be.p) == len(mat) for mat in mats):
             return True
     return False
 

@@ -1,22 +1,43 @@
-"""Reference constructions only the tests use: the transpose and product
-of F_p matrices, and the direct sum of two representations."""
+"""Reference constructions only the tests use: the transpose, product and
+null space of F_p matrices (tuples of row tuples, as in `hallforge.fq`),
+and the direct sum of two representations."""
 
 from hallforge.backend import Rep
-from hallforge.fq import FpMatrix
+from hallforge.fq import rref
 
 
-def transpose(m):
-    return FpMatrix(m.p, m.cols, m.rows, tuple(zip(*m.entries))
-                    if m.rows else ((),) * m.cols)
+def identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def mat_mul(a, b):
-    """The product a b over F_p."""
-    assert a.p == b.p and a.cols == b.rows
-    bt = transpose(b).entries
-    return FpMatrix(a.p, a.rows, b.cols,
-                    [tuple(sum(x * y for x, y in zip(r, c)) % a.p for c in bt)
-                     for r in a.entries])
+def transpose(m, cols):
+    """The transpose of m, a matrix with `cols` columns (a matrix with no
+    rows does not carry its column count)."""
+    return tuple(zip(*m)) if m else ((),) * cols
+
+
+def mat_mul(a, b, p, cols):
+    """The product a b over F_p, with `cols` the column count of b."""
+    assert all(len(r) == len(b) for r in a)
+    bt = transpose(b, cols)
+    return tuple(tuple(sum(x * y for x, y in zip(r, c)) % p for c in bt)
+                 for r in a)
+
+
+def solve_nullspace(m, p, cols):
+    """Canonical RREF basis of {x : m x = 0}, one row per basis vector,
+    for m with `cols` columns."""
+    red, rk, pivots = rref(m, p)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [0] * cols
+        vec[f] = 1
+        for i, pc in enumerate(pivots):
+            vec[pc] = (-red[i][f]) % p
+        basis.append(tuple(vec))
+    # independent by construction; one more reduction makes the basis canonical
+    return rref(basis, p)[0]
 
 
 def direct_sum(be, a, b):
@@ -25,7 +46,7 @@ def direct_sum(be, a, b):
     maps = []
     for idx, (s, t) in enumerate(be.quiver.arrows):
         ma, mb = a.maps[idx], b.maps[idx]
-        rows = [tuple(r) + (0,) * mb.cols for r in ma.entries]
-        rows += [(0,) * ma.cols + tuple(r) for r in mb.entries]
-        maps.append(FpMatrix.from_rows(be.p, rows, cols=dims[s]))
+        rows = [tuple(r) + (0,) * b.dims[s] for r in ma]
+        rows += [(0,) * a.dims[s] + tuple(r) for r in mb]
+        maps.append(tuple(rows))
     return Rep(be.quiver, be.p, dims, tuple(maps))

@@ -1,5 +1,8 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +11,11 @@ from hallforge import backend
 from hallforge.backend import (A1ClosedFormBackend, EnumerationError,
                                QuiverBackend, Rep)
 from hallforge.caps import Budget, CapExceeded
-from hallforge.fq import FpMatrix, gaussian_binomial, gl_order, rank, rref
+from hallforge.fq import gaussian_binomial, gl_order, row_rank, rref
 from hallforge.quiver import Quiver, load_quiver, preset
 
 from enum_oracles import aut_count_enum, filtration_count, is_iso_enum
-from matrix_oracles import direct_sum, mat_mul
+from matrix_oracles import direct_sum, identity, mat_mul
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +249,53 @@ def test_rep_json_roundtrip(a2):
         a2.rep_from_json({"dims": {"1": 1, "2": 1}, "p": 3})
 
 
+# extra matrix, 1x2 on a 1x1 arrow, no matrix, 2x1 on a 1x1 arrow, a dimvec
+# of the wrong length, a negative dimension
+BAD_REPS = [((1, 1), [[[1]], [[1]]]), ((1, 1), [[[1, 1]]]), ((1, 1), []),
+            ((1, 1), [[[1], [1]]]), ((1,), [[[1]]]), ((1, -1), [[]])]
+
+
+def test_rep_refuses_a_wrong_shape(a2):
+    for dims, maps in BAD_REPS:
+        with pytest.raises(ValueError):
+            a2.rep(dims, maps)
+    # entries are reduced mod p where they enter
+    assert a2.rep((1, 1), [[[3]]]).key == ((1, 1), (((1,),),))
+    assert a2.rep((1, 1), [[[-2]]]) == a2.rep((1, 1), [[[0]]])
+
+
+def test_rep_refuses_a_wrong_shape_under_optimize():
+    # the checks are raises, so python -O, which strips assert statements,
+    # keeps them
+    script = "\n".join([
+        "import sys",
+        "from hallforge.backend import QuiverBackend",
+        "from hallforge.quiver import preset",
+        "if not sys.flags.optimize:",
+        "    sys.exit('not optimized')",
+        "be = QuiverBackend(preset('a2'), 2)",
+        "for dims, maps in %r:" % (BAD_REPS,),
+        "    try:",
+        "        be.rep(dims, maps)",
+        "    except ValueError:",
+        "        continue",
+        "    sys.exit('accepted %r' % ((dims, maps),))",
+    ])
+    src = os.path.dirname(os.path.dirname(backend.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_field_size_must_be_prime():
+    for p in (4, 1, 0, -3):
+        for make in (lambda: QuiverBackend(preset("a2"), p),
+                     lambda: A1ClosedFormBackend(p)):
+            with pytest.raises(ValueError, match="must be prime"):
+                make()
+
+
 def test_cap_guard():
     be = QuiverBackend(preset("kronecker"), 5)
     import os
@@ -442,12 +492,12 @@ def _root_partitions(dimvec, roots):
         taken += (root,)
 
 
-def _inverse(m):
-    n, p = m.rows, m.p
-    aug = FpMatrix(p, n, 2 * n, [row + tuple(int(i == j) for j in range(n))
-                                 for i, row in enumerate(m.entries)])
-    red, _, _ = rref(aug)
-    return FpMatrix(p, n, n, [row[n:] for row in red.entries])
+def _inverse(m, p):
+    n = len(m)
+    aug = tuple(row + tuple(int(i == j) for j in range(n))
+                for i, row in enumerate(m))
+    red, _, _ = rref(aug, p)
+    return tuple(row[n:] for row in red)
 
 
 @st.composite
@@ -472,9 +522,10 @@ def rep_pairs(draw):
     def change_basis(rep):
         base = []
         for d in dims:
-            g = FpMatrix(p, d, d, matrix(d, d))
-            base.append(g if rank(g) == d else FpMatrix.identity(p, d))
-        maps = [mat_mul(mat_mul(base[t], f), _inverse(base[s]))
+            g = tuple(map(tuple, matrix(d, d)))
+            base.append(g if row_rank(g, p) == d else identity(d))
+        maps = [mat_mul(mat_mul(base[t], f, p, dims[s]), _inverse(base[s], p),
+                        p, dims[s])
                 for (s, t), f in zip(arrows, rep.maps)]
         return Rep(be.quiver, p, dims, maps)
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import hallforge
+from hallforge import suites
 from hallforge.cli import main
 from hallforge.suites import RunConfig, SUITES, exit_code, run_suite
 
@@ -114,6 +115,34 @@ def test_hallnum(capsys):
     for argv in bad:
         for rc, out, err in (run(capsys, *argv), run_optimized(*argv)):
             assert rc == 2 and out == "" and "unknown object" in err, argv
+
+
+@pytest.mark.parametrize("q", ["4", "1", "0", "-3"])
+def test_field_size_that_is_not_prime_is_refused(capsys, q):
+    # refused by a raise, not an assert statement: under python -O the
+    # commands used to count over Z/4
+    commands = [
+        ("classes", "--q", q, "--dimvec", "1,1"),
+        ("verify", "--suite", "green", "--q", q, "--max-dim", "1"),
+        ("verify", "--suite", "backend-oracle", "--quiver", "a1", "--q", q,
+         "--max-dim", "2"),
+        ("mult", "--algebra", "hd", "--q", q, "--expr", "mu+[S1] * mu-[S1]"),
+        ("hallnum", "--q", q, "--L", "X{1,1}#1", "--M", "S1", "--N", "S2"),
+    ]
+    for argv in commands:
+        for rc, out, err in (run(capsys, *argv), run_optimized(*argv)):
+            assert rc == 2 and out == "", argv
+            assert "error: field size must be prime, not %s" % q in err, argv
+
+
+def test_run_suite_refuses_a_field_size_before_forking(monkeypatch):
+    def no_fork(*args):
+        raise AssertionError("forked a shard")
+
+    monkeypatch.setattr(suites, "_fork_shard", no_fork)
+    for suite, quiver in (("green", "a2"), ("backend-oracle", "a1")):
+        with pytest.raises(ValueError, match="must be prime"):
+            run_suite(RunConfig(suite=suite, quiver=quiver, q=4, threads=2))
 
 
 def test_classes_table(capsys):

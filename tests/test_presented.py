@@ -18,9 +18,8 @@ from hallforge.presented import (Algebra, E, FreeElt, Kc, KcMinus, KcPlus,
                                  hd_cross_oracle, homogeneous_degree,
                                  is_torus, letter_mid, normal_form, pmult,
                                  relation_instance, tensor_mult, tensor_unit,
-                                 tensor_word,
-                                 twist_consistency_check, word_degree)
-from hallforge.quiver import preset
+                                 tensor_word, word_degree)
+from hallforge.quiver import neg_class, preset
 from hallforge.scalars import Lin, SqrtScalar, vpow
 
 BE = QuiverBackend(preset("a2"), 2)
@@ -603,6 +602,38 @@ def test_dhce_kz_cases():
     assert nf.terms == {(Kz((1, 0), 0), Zg(S1, 2)): vpow(-2, 2)}
     nf = normal_form(DHCE, w((Zg(S1, 3), Kz((1, 0), 0))))
     assert nf.terms == {(Kz((1, 0), 0), Zg(S1, 3)): vpow(2, 2)}
+
+
+def _twist_exponent(be, w):
+    letters = [l for l in w if l[0] == "Z"]
+    total = 0
+    for p in range(len(letters)):
+        dp = be.class_dim(letters[p][1])
+        if letters[p][2] % 2:
+            dp = neg_class(dp)
+        for r in range(p + 1, len(letters)):
+            dr = be.class_dim(letters[r][1])
+            if letters[r][2] % 2:
+                dr = neg_class(dr)
+            total += be.euler_form(dp, dr)
+    return total
+
+
+def twist_consistency_check(be, letters):
+    """The twisted product is the cocycle twist of the untwisted one.
+
+    For an input word w of Z-letters: NF_dhtw(w) must equal
+    v^{T(w)} * sum_u c_u v^{-T(u)} u  where NF_dh(w) = sum_u c_u u and
+    T counts the Euler pairing over letter pairs with sign (-1)^index.
+    """
+    letters = tuple(letters)
+    tw = normal_form(algebra("dhtw", be), FreeElt.word(be.p, letters))
+    un = normal_form(algebra("dh", be), FreeElt.word(be.p, letters))
+    pre = vpow(_twist_exponent(be, letters), be.p)
+    expect = {}
+    for w, c in un.terms.items():
+        expect[w] = c * pre * vpow(-_twist_exponent(be, w), be.p)
+    return tw.terms == {w: c for w, c in expect.items() if not c.is_zero()}
 
 
 def test_twist_consistency_window():
