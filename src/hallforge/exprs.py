@@ -13,7 +13,7 @@ Rationals render as p/r, v-powers as v^k; no decimals anywhere.
 
 from fractions import Fraction
 
-from .presented import FreeElt, algebra, is_torus
+from .presented import INDEXED, TWO_SIDED, FreeElt, algebra
 from .scalars import SqrtScalar, render_scalar, vpow
 
 
@@ -25,24 +25,16 @@ class ExprError(ValueError):
         self.position = position
 
 
-# name -> (letter kind, sign or None, takes torus class, takes index)
+# name -> (letter kind, sign or None, takes torus class, takes index), read
+# off the presentations' rows: a two-sided kind takes a sign suffix
 _ATOMS = {
-    "mu+": ("mu", 1, False, False),
-    "mu-": ("mu", -1, False, False),
-    "K+": ("K", 1, True, False),
-    "K-": ("K", -1, True, False),
-    "nu+": ("nu", 1, False, False),
-    "nu-": ("nu", -1, False, False),
-    "Kc+": ("Kc", 1, True, False),
-    "Kc-": ("Kc", -1, True, False),
-    "e": ("e", None, False, True),
-    "k": ("k", None, True, True),
-    "Z": ("Z", None, False, True),
-    "KZ": ("KZ", None, True, True),
-    "om+": ("om", 1, False, False),
-    "om-": ("om", -1, False, False),
-    "KD+": ("KD", 1, True, False),
-    "KD-": ("KD", -1, True, False),
+    **{kind + mark: (kind, s, torus, False)
+       for row in TWO_SIDED.values()
+       for kind, torus in ((row.module, False), (row.torus, True))
+       for mark, s in (("+", 1), ("-", -1))},
+    **{kind: (kind, None, torus, True)
+       for row in INDEXED.values()
+       for kind, torus in ((row.module, False), (row.torus, True)) if kind},
 }
 
 # atom names, longest first so the tokenizer can scan greedily
@@ -260,18 +252,23 @@ def parse_expr(text, alg, be=None):
 # ---------------------------------------------------------------------------
 # rendering
 
+# letter kind -> (takes torus class, takes index)
+_KINDS = {kind: (torus, indexed)
+          for kind, _, torus, indexed in _ATOMS.values()}
+
+
 def render_letter(be, letter):
-    kind = letter[0]
-    if kind in ("e", "Z"):
-        return "%s[%s;%d]" % (kind, be.class_name(letter[1]), letter[2])
-    if kind in ("k", "KZ"):
-        return "%s[(%s);%d]" % (kind, ",".join(str(x) for x in letter[1]),
-                                letter[2])
-    if is_torus(letter):
-        name = kind + ("+" if letter[1] > 0 else "-")
-        return "%s[(%s)]" % (name, ",".join(str(x) for x in letter[2]))
-    name = kind + ("+" if letter[1] > 0 else "-")
-    return "%s[%s]" % (name, be.class_name(letter[2]))
+    kind, x, y = letter
+    torus, indexed = _KINDS[kind]
+    if indexed:  # (kind, class, index)
+        name, arg, tail = kind, x, ";%d" % y
+    else:  # (kind, sign, class)
+        name, arg, tail = kind + ("+" if x > 0 else "-"), y, ""
+    if torus:
+        text = "(%s)" % ",".join(str(c) for c in arg)
+    else:
+        text = be.class_name(arg)
+    return "%s[%s%s]" % (name, text, tail)
 
 
 def render_word(be, word):

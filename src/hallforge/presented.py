@@ -10,9 +10,15 @@ share five relation shapes and differ only in their letter kinds, one torus
 exponent, the two torus-module cross exponents and the crossing: one
 `TWO_SIDED` row each.  The indexed presentations dhm (4.1-4.5), dh
 (4.6-4.8), dhtw (4.15-4.17) and dhce (4.10-4.17) have one `INDEXED` row
-each: letter kinds, twist, cross builder and swap exponents.
+each: letter kinds, twist, cross builder and swap exponents.  The letter
+kinds the rest of the package tells apart are read off these rows.
 `_two_sided_side` and `_indexed_side` read a letter pair's right side off
-its row, for both the family's one pair rule and `relation_instance`.  The
+its row, for both the family's one pair rule and `relation_instance`.
+`RELATIONS` states each relation's left side once, as letter templates
+per variant filled from the row, and `DOMAINS` the index pairs where it
+is not stated everywhere: `relation_instance` fills one instance's
+letters from it, and `relation_window` runs over the instances of a
+window, the stream the suites check.  The
 crossing sum v^<L, X-Y> gamma(M, N, X, Y) over letters of L, X and Y, or
 its mirror, is one function, `_crossing_terms`, given their letters by the
 hd and hhd crossings, 4.4 and both sides of 2.18.
@@ -130,29 +136,6 @@ def KdMinus(alpha):
     return ("KD", -1, tuple(alpha))
 
 
-_TORUS_KINDS = frozenset(("K", "Kc", "KD", "k", "KZ"))
-
-
-def is_torus(letter):
-    return letter[0] in _TORUS_KINDS
-
-
-def letter_class(letter):
-    """The K-class argument of a torus letter."""
-    return letter[1] if letter[0] in ("k", "KZ") else letter[2]
-
-
-def letter_mid(letter):
-    """The IsoClassId of a module letter."""
-    return letter[1] if letter[0] in ("e", "Z") else letter[2]
-
-
-def _is_unit(letter):
-    if is_torus(letter):
-        return not any(letter_class(letter))
-    return letter_mid(letter) == 0
-
-
 class Algebra:
     """A presented algebra: tag + quiver backend (+ modulus for dhm)."""
 
@@ -194,9 +177,13 @@ class Algebra:
         if kind not in _FAMILY_KINDS[self.family]:
             raise ValueError("symbol %r does not belong to algebra %s"
                              % (kind, self.tag))
-        if self.family == "dhm" and self.m:
-            return (kind, letter[1], letter[2] % self.m)
+        if self.m:
+            return (kind, letter[1], self.residue(letter[2]))
         return letter
+
+    def residue(self, i):
+        """Index i as the algebra reads it: mod m on dhm:<m>, m > 0."""
+        return i % self.m if self.m else i
 
     def __eq__(self, other):
         # one algebra per (tag, backend), however many objects name it
@@ -299,7 +286,7 @@ def _crossing_terms(alg, M, N, letters, mirrored=False):
 
 def _e_cross_terms(alg, M, N, lo):
     # e_{M,lo+1} e_{N,lo} -> sum v^<L,X-Y> gamma (k_{L,lo}, e_{Y,lo}, e_{X,lo+1})
-    hi = (lo + 1) % alg.m if alg.m else lo + 1
+    hi = alg.residue(lo + 1)
     return _crossing_terms(alg, M, N,
                            lambda L, X, Y: (Kc(L, lo), E(Y, lo), E(X, hi)))
 
@@ -317,16 +304,15 @@ def _z_cross_terms(alg, M, N, lo):
     return out
 
 
-class TwoSided(namedtuple("TwoSided", "module torus relations f "
-                                      "cross_variants crossing")):
+class TwoSided(namedtuple("TwoSided", "module torus relations f g "
+                                      "crossing")):
     """One two-sided presentation, with X the module and T the torus kind:
 
     - relations: its five ids, in the order merge (X^s X^s), torus-module
       (T^s X^s), torus-torus (T^s T^s merge, T+ T- cross), torus-module
-      cross (T^t X^-t) and crossing;
+      cross (T^t X^-t) and crossing; `RELATIONS` states their left sides;
     - f: T+_a T-_b = v^{f (a,b)} T-_b T+_a;
-    - cross_variants: (name, t, g), each T^t_a X^-t_M = v^{g (a,M)}
-      X^-t_M T^t_a; the second is the default instance;
+    - g: {t: g}, T^t_a X^-t_M = v^{g (a,M)} X^-t_M T^t_a;
     - crossing: (t, letters, mirrored), or None where the crossing is not
       oriented: X^t X^-t, with (M, N) the objects of its plus and minus
       letter, is `_crossing_terms(M, N, letters, mirrored)`.
@@ -339,21 +325,16 @@ class TwoSided(namedtuple("TwoSided", "module torus relations f "
 
 TWO_SIDED = {
     "hd": TwoSided("mu", "K", ("2.3", "2.4", "2.5", "2.6", "2.7"), 1,
-                   (("K-mu+", -1, -1), ("K+mu-", 1, 0)),
+                   {-1: -1, 1: 0},
                    (1, lambda L, X, Y: (KMinus(L), MuMinus(Y), MuPlus(X)),
                     False)),
     "hhd": TwoSided("nu", "Kc", ("2.8", "2.9", "2.10", "2.11", "2.12"), -1,
-                    (("Kc+nu-", 1, -1), ("Kc-nu+", -1, 0)),
+                    {1: -1, -1: 0},
                     (-1, lambda L, X, Y: (KcPlus(L), NuPlus(X), NuMinus(Y)),
                      True)),
     "d": TwoSided("om", "KD", ("2.14", "2.15", "2.16", "2.17", "2.18"), 0,
-                  (("K-om+", -1, -1), ("K+om-", 1, -1)), None),
+                  {-1: -1, 1: -1}, None),
 }
-
-# relation id -> (row, shape index) for the five shapes, the crossing only
-# where it is oriented
-_SHAPES = {rid: (row, k) for row in TWO_SIDED.values()
-           for k, rid in enumerate(row.relations[:5 if row.crossing else 4])}
 
 
 def _two_sided_exponent(alg, row, a, b):
@@ -364,8 +345,7 @@ def _two_sided_exponent(alg, row, a, b):
         return -_two_sided_exponent(alg, row, b, a)
     if b[0] == row.torus:
         return row.f * be.sym_euler(a[2], b[2])
-    g = 1 if a[1] == b[1] else next(
-        g for _, t, g in row.cross_variants if t == a[1])
+    g = 1 if a[1] == b[1] else row.g[a[1]]
     return g * be.sym_euler(a[2], be.class_dim(b[2]))
 
 
@@ -467,9 +447,25 @@ _ROWS = {**TWO_SIDED, **INDEXED}
 _FAMILY_KINDS = {fam: frozenset(k for k in (row.torus, row.module) if k)
                  for fam, row in _ROWS.items()}
 
-# family -> the relation ids relation_instance builds on its algebras
-_OWNED = {fam: frozenset(row.relations) for fam, row in _ROWS.items()}
-_OWNED["d"] |= {"2.13", "2.18r"}
+# letter kinds read off the rows: the torus kinds, and the kinds of the
+# indexed presentations, whose letters are (kind, class, index)
+_TORUS_KINDS = frozenset(row.torus for row in _ROWS.values() if row.torus)
+_INDEXED_KINDS = frozenset().union(*(_FAMILY_KINDS[fam] for fam in INDEXED))
+
+
+def is_torus(letter):
+    return letter[0] in _TORUS_KINDS
+
+
+def letter_mid(letter):
+    """The class argument of a letter: the IsoClassId of a module letter,
+    the K-class of a torus letter."""
+    return letter[1] if letter[0] in _INDEXED_KINDS else letter[2]
+
+
+def _is_unit(letter):
+    arg = letter_mid(letter)
+    return not any(arg) if is_torus(letter) else arg == 0
 
 
 def _swap_exponent(alg, row, a, b):
@@ -524,6 +520,8 @@ def _reduce_indexed(alg, a, b):
 
 _REDUCERS = {fam: _reduce_two_sided if fam in TWO_SIDED else _reduce_indexed
              for fam in _ROWS}
+_SIDES = {fam: _two_sided_side if fam in TWO_SIDED else _indexed_side
+          for fam in _ROWS}
 
 
 # ---------------------------------------------------------------------------
@@ -731,21 +729,7 @@ def tensor_word(algs, left_letters, right_letters, coeff=None):
 
 
 # ---------------------------------------------------------------------------
-# Heisenberg cross products and their bialgebra oracle
-
-def hd_cross(be, side, M, N):
-    """Closed-form normal ordering of the crossing product.
-
-    side HD:  mu+_M mu-_N ;  side HHD:  nu-_N nu+_M.
-    """
-    tag = side.lower()
-    if tag not in ("hd", "hhd"):
-        raise ValueError("side must be HD or HHD, got %r" % (side,))
-    alg = algebra(tag, be)
-    _, letters, mirrored = TWO_SIDED[tag].crossing
-    free = _free_sum(alg, _crossing_terms(alg, M, N, letters, mirrored))
-    return Lin(alg.q, free.terms, alg)
-
+# the Heisenberg crossings' bialgebra oracle
 
 def _pairing_sum(be, a, b, module, torus, s):
     """sum phi(a_(2), b_(1)) X^s_(a_(1)) T^s X^-s_(b_(2)) T^-s, a free
@@ -769,7 +753,8 @@ def _pairing_sum(be, a, b, module, torus, s):
 
 
 def hd_cross_oracle(be, side, M, N):
-    """The same crossing computed from comult and green_pairing alone.
+    """The normal form of mu+_M mu-_N (side HD, relation 2.7) or nu-_N
+    nu+_M (side HHD, 2.12), computed from comult and green_pairing alone.
 
     b * a = sum phi(a_(2), b_(1)) a_(1) * b_(2), with the minus copy acting
     as the coalgebra leg carrier on the HD side and roles mirrored for HHD.
@@ -791,16 +776,15 @@ def hd_cross_oracle(be, side, M, N):
 
 def letter_degree(alg, letter):
     be = alg.be
-    kind = letter[0]
-    if kind in ("mu", "nu", "om"):
+    if is_torus(letter):
+        return be.quiver.zero_class()
+    if letter[0] not in _INDEXED_KINDS:
         d = be.class_dim(letter[2])
         return d if letter[1] > 0 else neg_class(d)
-    if kind in ("e", "Z"):
-        if kind == "e" and alg.m and alg.m % 2:
-            raise ValueError("no signed grading for odd cyclic modulus")
-        d = be.class_dim(letter[1])
-        return d if letter[2] % 2 == 0 else neg_class(d)
-    return alg.be.quiver.zero_class()
+    if alg.m and alg.m % 2:
+        raise ValueError("no signed grading for odd cyclic modulus")
+    d = be.class_dim(letter[1])
+    return d if letter[2] % 2 == 0 else neg_class(d)
 
 
 def word_degree(alg, w):
@@ -865,108 +849,7 @@ def _free_sum(alg, summands):
     return Lin.owned(alg.q, out)
 
 
-def _variant(rel_id, variant, names, default):
-    """The variant an instance of rel_id selects: `default` for None."""
-    if variant is None:
-        return default
-    if variant not in names:
-        raise ValueError("relation %s has no variant %r (one of %s)"
-                         % (rel_id, variant, ", ".join(names)))
-    return variant
-
-
-# 4.1-4.17: relation id -> its left side, two letters (kind, class, index)
-# with kind X the row's module and T its torus kind, class a param and
-# index i plus an offset or j; 4.10 has one per variant, KZ the default.
-# The right side is the left side's `_indexed_side`.
-_MERGE = (("X", "M", 0), ("X", "N", 0))
-_CROSS = (("X", "M", 1), ("X", "N", 0))
-_FAR = (("X", "M", 0), ("X", "N", "j"))
-_TT = (("T", "alpha", 0), ("T", "beta", "j"))
-_TX = (("T", "alpha", 0), ("X", "M", "j"))
-_INDEXED_LEFT = {
-    "4.1": _TT, "4.2": _TX, "4.3": _MERGE, "4.4": _CROSS, "4.5": _FAR,
-    "4.6": _MERGE, "4.7": _CROSS, "4.8": _FAR,
-    "4.10": {"KZ": (("T", "alpha", 0), ("X", "M", 0)),
-             "KK": (("T", "alpha", 0), ("T", "beta", 0))},
-    "4.11": _TT, "4.12": (("T", "alpha", 0), ("X", "M", 1)),
-    "4.13": (("T", "alpha", 0), ("X", "M", -1)), "4.14": _TX,
-    "4.15": _MERGE, "4.16": _CROSS, "4.17": _FAR,
-}
-
-# relation id -> the index pairs (i, j) it is stated for, where not all
-DOMAINS = {"4.5": _apart, "4.8": _apart, "4.14": _apart, "4.17": _apart,
-           "4.11": lambda alg, i, j:
-               _cyc_succ(alg, i, j) or _apart(alg, i, j)}
-
-
-def relation_instance(alg, rel_id, params):
-    """Both sides of one defining relation, coefficients fully evaluated.
-
-    params maps M, N to IsoClassIds, alpha, beta to integer tuples, i, j to
-    indices, and sign, variant to selectors.  A relation id outside alg's
-    family, or indices outside the relation's domain, raise ValueError.
-    """
-    if rel_id not in _OWNED[alg.family]:
-        raise ValueError("relation %r does not belong to algebra %s"
-                         % (rel_id, alg.tag))
-    q = alg.q
-    p = dict(params)
-    M, N = p.get("M"), p.get("N")
-    alpha = tuple(p["alpha"]) if "alpha" in p else None
-    beta = tuple(p["beta"]) if "beta" in p else None
-    i, j = p.get("i"), p.get("j")
-    sign = _pm(p.get("sign", 1))
-    variant = p.get("variant")
-    word = lambda *letters, c=None: FreeElt.word(q, letters, c)
-
-    # 2.3-2.12 and 2.14-2.17: a shape's left side filled in from a
-    # TWO_SIDED row; the right side is the left side's `_two_sided_side`
-    shape = _SHAPES.get(rel_id)
-    if shape is not None:
-        row, k = shape
-        X, T = row.module, row.torus
-        if k == 0:
-            a, b = (X, sign, M), (X, sign, N)
-        elif k == 1:
-            a, b = (T, sign, alpha), (X, sign, M)
-        elif k == 2:
-            if _variant(rel_id, variant, ("merge", "cross"), "cross") \
-                    == "merge":
-                a, b = (T, sign, alpha), (T, sign, beta)
-            else:
-                a, b = (T, 1, alpha), (T, -1, beta)
-        elif k == 3:
-            signs = {name: t for name, t, _ in row.cross_variants}
-            t = signs[_variant(rel_id, variant, signs,
-                               row.cross_variants[1][0])]
-            a, b = (T, t, alpha), (X, -t, M)
-        else:
-            t = row.crossing[0]
-            a, b = (X, t, M if t == 1 else N), (X, -t, N if t == 1 else M)
-        return word(a, b), _free_sum(alg, _two_sided_side(alg, a, b))
-    if rel_id == "2.13":
-        return _drinfeld_instance(alg.be, M, N)
-    if rel_id == "2.18":
-        return _double_cross_instance(alg, M, N)
-    if rel_id == "2.18r":
-        return _double_cross_expanded(alg, M, N)
-
-    left = _INDEXED_LEFT[rel_id]
-    if isinstance(left, dict):
-        left = left[_variant(rel_id, variant, left, next(iter(left)))]
-    row = INDEXED[alg.family]
-    cls = {"M": M, "N": N, "alpha": alpha, "beta": beta}
-    a, b = (alg.canon_letter((row.torus if k == "T" else row.module,
-                              cls[key], j if at == "j" else i + at))
-            for k, key, at in left)
-    if rel_id in DOMAINS and not DOMAINS[rel_id](alg, a[2], b[2]):
-        raise ValueError("relation %s is not stated at i=%r, j=%r"
-                         % (rel_id, i, j))
-    return word(a, b), _free_sum(alg, _indexed_side(alg, a, b))
-
-
-def _drinfeld_instance(be, M, N):
+def _drinfeld_instance(alg, M, N):
     """The abstract double relation on ([M]+, [N]-) via comult and pairing.
 
     lhs: sum phi(a1, b2) b1 a2;  rhs: sum phi(a2, b1) a1 b2, with
@@ -974,8 +857,8 @@ def _drinfeld_instance(be, M, N):
     symmetric, so lhs is the pairing sum with the roles of a and b
     exchanged.
     """
-    return (_pairing_sum(be, M, N, "om", "KD", 1),
-            _pairing_sum(be, N, M, "om", "KD", -1))
+    return (_pairing_sum(alg.be, M, N, "om", "KD", 1),
+            _pairing_sum(alg.be, N, M, "om", "KD", -1))
 
 
 def _double_cross_instance(alg, M, N):
@@ -1015,3 +898,177 @@ def _double_cross_expanded(alg, M, N):
                 accumulate(rhs, _strip((KdPlus(lh), OmPlus(X), OmMinus(Y))),
                            c2)
     return Lin(q, lhs), Lin(q, rhs)
+
+
+class Relation(namedtuple("Relation", "default variants")):
+    """The left side of a defining relation: `variants` maps each variant
+    name, in window order, to two letter templates, and `default` names
+    the variant an instance without one selects.  A relation without
+    variants has the one variant None.
+
+    A template spells a letter in its family's layout, (kind, sign, class)
+    on hd, hhd and d and (kind, class, index) on the indexed families, one
+    slot name per field: X and T are the row's module and torus kind,
+    `sign` the sign parameter, + and - a fixed sign, i or j plus an
+    optional offset (i+1) an index, and alpha, beta, M and N a class
+    parameter.
+    """
+
+    __slots__ = ()
+
+
+def _one(a, b):
+    return Relation(None, {None: (a, b)})
+
+
+# relation id -> its Relation, or, for 2.13, 2.18 and 2.18r, the function
+# of (alg, M, N) that gives both sides.  The right side of any other
+# relation is its left side's `_two_sided_side` or `_indexed_side`.
+RELATIONS = {rid: rel for ids, rel in (
+    (("2.3", "2.8", "2.14"), _one("X sign M", "X sign N")),
+    (("2.4", "2.9", "2.15"), _one("T sign alpha", "X sign M")),
+    (("2.5", "2.10", "2.16"), Relation("cross", {
+        "merge": ("T sign alpha", "T sign beta"),
+        "cross": ("T + alpha", "T - beta")})),
+    (("2.6",), Relation("K+mu-", {"K-mu+": ("T - alpha", "X + M"),
+                                  "K+mu-": ("T + alpha", "X - M")})),
+    (("2.11",), Relation("Kc-nu+", {"Kc+nu-": ("T + alpha", "X - M"),
+                                    "Kc-nu+": ("T - alpha", "X + M")})),
+    (("2.17",), Relation("K+om-", {"K-om+": ("T - alpha", "X + M"),
+                                   "K+om-": ("T + alpha", "X - M")})),
+    (("2.7",), _one("X + M", "X - N")),
+    (("2.12",), _one("X - N", "X + M")),
+    (("2.13",), _drinfeld_instance),
+    (("2.18",), _double_cross_instance),
+    (("2.18r",), _double_cross_expanded),
+    (("4.1", "4.11"), _one("T alpha i", "T beta j")),
+    (("4.2", "4.14"), _one("T alpha i", "X M j")),
+    (("4.3", "4.6", "4.15"), _one("X M i", "X N i")),
+    (("4.4", "4.7", "4.16"), _one("X M i+1", "X N i")),
+    (("4.5", "4.8", "4.17"), _one("X M i", "X N j")),
+    (("4.10",), Relation("KZ", {"KK": ("T alpha i", "T beta i"),
+                                "KZ": ("T alpha i", "X M i")})),
+    (("4.12",), _one("T alpha i", "X M i+1")),
+    (("4.13",), _one("T alpha i", "X M i-1")),
+) for rid in ids}
+
+# relation id -> the index pairs (i, j) it is stated for, where not all
+DOMAINS = {"4.5": _apart, "4.8": _apart, "4.14": _apart, "4.17": _apart,
+           "4.11": lambda alg, i, j:
+               _cyc_succ(alg, i, j) or _apart(alg, i, j)}
+
+
+def _reader(slot):
+    """The function that reads a template slot's value off params."""
+    if slot[0] in "ij":
+        key, at = slot[0], int(slot[1:] or 0)
+        return lambda p: p[key] + at
+    if slot == "sign":
+        return lambda p: _pm(p.get("sign", 1))
+    if slot in ("+", "-"):
+        sign = _pm(slot)
+        return lambda p: sign
+    if slot in ("alpha", "beta"):
+        return lambda p: tuple(p[slot])
+    return lambda p: p[slot]
+
+
+def _resolve(rel, row):
+    """rel read on the row: each variant becomes (letters, reads), its
+    templates as (kind, reader, reader) with X and T the row's kinds, and
+    the set of params they read.  A function relation becomes the one
+    variant (function, {M, N})."""
+    if not isinstance(rel, Relation):
+        return Relation(None, {None: (rel, {"M", "N"})})
+    kinds = {"X": row.module, "T": row.torus}
+    variants = {}
+    for name, left in rel.variants.items():
+        slots = [t.split() for t in left]
+        letters = tuple((kinds[k], _reader(x), _reader(y))
+                        for k, x, y in slots)
+        reads = {s[0] if s[0] in "ij" else s for _, *xy in slots for s in xy}
+        variants[name] = letters, reads
+    return rel._replace(variants=variants)
+
+
+# (family, relation id) -> the relation resolved on the family's row, for
+# each relation its algebras have: the row's own, and 2.13 and 2.18r on d
+_LEFT = {(fam, rid): _resolve(RELATIONS[rid], row)
+         for fam, row in _ROWS.items()
+         for rid in row.relations + (("2.13", "2.18r") if fam == "d" else ())}
+
+
+def _left_side(rel_id, rel, variant):
+    """The resolved variant an instance of rel_id selects: the default for
+    None, and the only one where there is one."""
+    if variant is None or rel.default is None:
+        return rel.variants[rel.default]
+    if variant not in rel.variants:
+        raise ValueError("relation %s has no variant %r (one of %s)"
+                         % (rel_id, variant, ", ".join(rel.variants)))
+    return rel.variants[variant]
+
+
+def _stated(alg, rel_id, i, j):
+    """Whether rel_id is stated at the (canonical) letter indices i, j."""
+    return rel_id not in DOMAINS or DOMAINS[rel_id](alg, i, j)
+
+
+def relation_instance(alg, rel_id, params):
+    """Both sides of one defining relation, coefficients fully evaluated.
+
+    params maps M, N to IsoClassIds, alpha, beta to integer tuples, i, j to
+    indices, and sign, variant to selectors.  A relation id outside alg's
+    family, an unknown variant, or indices outside the relation's domain
+    raise ValueError.
+    """
+    rel = _LEFT.get((alg.family, rel_id))
+    if rel is None:
+        raise ValueError("relation %r does not belong to algebra %s"
+                         % (rel_id, alg.tag))
+    letters, _ = _left_side(rel_id, rel, params.get("variant"))
+    if callable(letters):  # 2.13, 2.18 and 2.18r
+        return letters(alg, params.get("M"), params.get("N"))
+    (ka, xa, ya), (kb, xb, yb) = letters
+    a = alg.canon_letter((ka, xa(params), ya(params)))
+    b = alg.canon_letter((kb, xb(params), yb(params)))
+    if not _stated(alg, rel_id, a[2], b[2]):
+        raise ValueError("relation %s is not stated at i=%r, j=%r"
+                         % (rel_id, params.get("i"), params.get("j")))
+    return (FreeElt.word(alg.q, (a, b)),
+            _free_sum(alg, _SIDES[alg.family](alg, a, b)))
+
+
+def relation_window(alg, objs, alphas, w=0):
+    """(relation id, params) over the instances of alg's defining relations
+    with M, N in objs, alpha, beta in alphas and every letter index in
+    -w..w: the window the suites check.
+
+    Relation by relation in row order, it runs over the index assignments
+    (i, or (i, j) in product order) at which the relation is stated, then
+    the variants in window order, then the signs 1 and -1 where a template
+    reads `sign`, then the classes in the order alpha, beta, M, N (2.18
+    reads M and N).  The params keys come in the order variant (where
+    the relation has variants), sign, alpha, beta, M, N, i, j.
+    """
+    from itertools import product  # here, to keep module loading lean
+
+    pools = {"sign": (1, -1), "alpha": alphas, "beta": alphas,
+             "M": objs, "N": objs}
+    for rel_id in _ROWS[alg.family].relations:
+        rel = _LEFT[alg.family, rel_id]
+        keys = sorted({"i", "j"} & set().union(
+            *(reads for _, reads in rel.variants.values())))
+        for at in product(range(-w, w + 1), repeat=len(keys)):
+            index = dict(zip(keys, at))
+            for variant, (letters, reads) in rel.variants.items():
+                if index:
+                    i, j = (y(index) for _, _, y in letters)
+                    if max(abs(i), abs(j)) > w or not _stated(
+                            alg, rel_id, alg.residue(i), alg.residue(j)):
+                        continue
+                head = {} if rel.default is None else {"variant": variant}
+                ranged = [p for p in pools if p in reads]
+                for combo in product(*(pools[p] for p in ranged)):
+                    yield rel_id, {**head, **dict(zip(ranged, combo)),
+                                   **index}

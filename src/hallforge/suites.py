@@ -6,6 +6,11 @@ check)` triples, where `params` is the JSON-ready dict the report shows
 and `check()` returns `(ok, lhs, rhs)` with the compared values
 unrendered (an element, a scalar, an int, or None for checks without
 sides); a failing check may add a fourth value, a note saying why.
+The builders that check defining relations (kashaev, kappa, psi,
+bridgeland-derived, varphi, gradings) take their relation instances from
+`presented.relation_window`, which reads them off the one relation table.
+A window is at least 0 wide: `run_suite` refuses a negative max_dim or
+idx_window, which would pass with no instance.
 `_run_one` runs one instance: it is the one place that catches a cap
 hit and renders the sides, only for a failure.
 `RunConfig.threads` (the CLI's `--threads`) is the shard count, capped at
@@ -41,10 +46,10 @@ from .hall import (basis, bialgebra_check, coassoc_check,
                    pairing_product_check)
 from .morphisms import (apply_hom, build_hom, check_relation,
                         double_monomials, rank_independence, tensor_apply)
-from .presented import (DOMAINS, INDEXED, TWO_SIDED, E, FreeElt, Kc, Kz,
-                        Zg, algebra, d_quasi, grading_check, hd_cross,
-                        hd_cross_oracle, is_torus, letter_mid, normal_form,
-                        pmult, relation_instance)
+from .presented import (INDEXED, TWO_SIDED, E, FreeElt, Kc, Kz, Zg,
+                        algebra, d_quasi, grading_check, hd_cross_oracle,
+                        is_torus, letter_mid, normal_form, pmult,
+                        relation_instance, relation_window)
 from .quiver import add_class, neg_class, quiver_from_arg
 
 DEFAULT_SEED = 1729
@@ -97,72 +102,6 @@ def _named(be, prm):
         else:
             out[k] = val
     return out
-
-
-def _family_relation_params(objs, alphas, family):
-    row = TWO_SIDED[family]
-    merge, kmod, ktor, kcross, cross = row.relations
-    for sign in (1, -1):
-        for m, n in itertools.product(objs, repeat=2):
-            yield merge, {"sign": sign, "M": m, "N": n}
-    for sign in (1, -1):
-        for a in alphas:
-            for m in objs:
-                yield kmod, {"sign": sign, "alpha": a, "M": m}
-    for sign in (1, -1):
-        for a, b in itertools.product(alphas, repeat=2):
-            yield ktor, {"variant": "merge", "sign": sign,
-                         "alpha": a, "beta": b}
-    for a, b in itertools.product(alphas, repeat=2):
-        yield ktor, {"variant": "cross", "alpha": a, "beta": b}
-    for var, _, _ in row.cross_variants:
-        for a in alphas:
-            for m in objs:
-                yield kcross, {"variant": var, "alpha": a, "M": m}
-    for m, n in itertools.product(objs, repeat=2):
-        yield cross, {"M": m, "N": n}
-
-
-def _dhce_relation_params(be, objs, alphas, w):
-    # index pairs outside a relation's stated domain (`DOMAINS`, on dhce)
-    # are not instances of it, so the window enumerates only those inside
-    idxs = list(range(-w, w + 1))
-    dhce = algebra("dhce", be)
-
-    def pairs(rel):
-        return [(i, j) for i, j in itertools.product(idxs, repeat=2)
-                if DOMAINS[rel](dhce, i, j)]
-
-    for i in idxs:
-        for a, b in itertools.product(alphas, repeat=2):
-            yield "4.10", {"variant": "KK", "alpha": a, "beta": b, "i": i}
-        for a in alphas:
-            for m in objs:
-                yield "4.10", {"variant": "KZ", "alpha": a, "M": m, "i": i}
-    for i, j in pairs("4.11"):
-        for a, b in itertools.product(alphas, repeat=2):
-            yield "4.11", {"alpha": a, "beta": b, "i": i, "j": j}
-    for i in range(-w, w):
-        for a in alphas:
-            for m in objs:
-                yield "4.12", {"alpha": a, "M": m, "i": i}
-    for i in range(-w + 1, w + 1):
-        for a in alphas:
-            for m in objs:
-                yield "4.13", {"alpha": a, "M": m, "i": i}
-    for i, j in pairs("4.14"):
-        for a in alphas:
-            for m in objs:
-                yield "4.14", {"alpha": a, "M": m, "i": i, "j": j}
-    for i in idxs:
-        for m, n in itertools.product(objs, repeat=2):
-            yield "4.15", {"M": m, "N": n, "i": i}
-    for i in range(-w, w):
-        for m, n in itertools.product(objs, repeat=2):
-            yield "4.16", {"M": m, "N": n, "i": i}
-    for i, j in pairs("4.17"):
-        for m, n in itertools.product(objs, repeat=2):
-            yield "4.17", {"M": m, "N": n, "i": i, "j": j}
 
 
 def _morph_insts(be, h, pairs, extra=None):
@@ -227,16 +166,18 @@ def _build_pairing(be, cfg):
 
 def _build_heis_oracle(be, cfg):
     objs = _objs(be, cfg.max_dim)
-    for side, rel in (("hd", "2.7-oracle"), ("hhd", "2.12-oracle")):
+    for side, rel in (("hd", "2.7"), ("hhd", "2.12")):
+        alg = algebra(side, be)
         for m, n in itertools.product(objs, repeat=2):
             named = _named(be, {"M": m, "N": n, "side": side})
 
-            def fn(side=side, m=m, n=n):
-                got = hd_cross(be, side, m, n)
-                want = hd_cross_oracle(be, side, m, n)
+            def fn(alg=alg, rel=rel, m=m, n=n):
+                got = normal_form(alg, relation_instance(
+                    alg, rel, {"M": m, "N": n})[1])
+                want = hd_cross_oracle(be, alg.tag, m, n)
                 return got == want, got, want
 
-            yield rel, named, fn
+            yield rel + "-oracle", named, fn
     dd = algebra("d", be)
     for m, n in itertools.product(objs, repeat=2):
         named = _named(be, {"M": m, "N": n})
@@ -257,9 +198,8 @@ def _build_kashaev(be, cfg):
     objs = _objs(be, cfg.max_dim)
     alphas = _alphas(be)
     hom = build_hom(be, "I")
-    yield from _morph_insts(be, hom,
-                            _family_relation_params(objs, alphas, "d"))
-    dd = algebra("d", be)
+    yield from _morph_insts(be, hom, relation_window(hom.source, objs, alphas))
+    dd = hom.source
     for m, n in itertools.product(objs, repeat=2):
         named = _named(be, {"M": m, "N": n})
 
@@ -297,7 +237,7 @@ def _build_kappa(be, cfg):
     for i in _index_window(cfg):
         for name in ("kappa", "kappaCheck"):
             hom = build_hom(be, name, i=i, m=cfg.m)
-            pairs = _family_relation_params(objs, alphas, hom.source.family)
+            pairs = relation_window(hom.source, objs, alphas)
             yield from _morph_insts(be, hom, pairs,
                                     extra={"map": "%s(%d,%d)"
                                            % (name, cfg.m, i)})
@@ -308,7 +248,7 @@ def _build_psi(be, cfg):
     alphas = _alphas(be)
     for i in _index_window(cfg):
         hom = build_hom(be, "psi", i=i, m=cfg.m)
-        pairs = _family_relation_params(objs, alphas, "d")
+        pairs = relation_window(hom.source, objs, alphas)
         yield from _morph_insts(be, hom, pairs,
                                 extra={"map": "psi(%d,%d)" % (cfg.m, i)})
 
@@ -320,8 +260,8 @@ def _build_bridgeland(be, cfg):
     hom = build_hom(be, "phi")
     inv = build_hom(be, "phiInv")
     yield from _morph_insts(be, hom,
-                            _dhce_relation_params(be, objs, alphas, w))
-    dhce = algebra("dhce", be)
+                            relation_window(hom.source, objs, alphas, w))
+    dhce = hom.source
     dhm0 = algebra("dhm:0", be)
     objs_nz = [c for c in objs if sum(be.class_dim(c)) > 0]
 
@@ -353,7 +293,7 @@ def _build_varphi(be, cfg):
     inv = build_hom(be, "phiInv")
     for i in idxs:
         hom = build_hom(be, "varphi", i=i)
-        pairs = _family_relation_params(objs, alphas, "d")
+        pairs = relation_window(hom.source, objs, alphas)
         yield from _morph_insts(be, hom, pairs,
                                 extra={"map": "varphi(%d)" % i})
         psi = build_hom(be, "psi", i=i, m=0)
@@ -379,13 +319,9 @@ def _build_varphi(be, cfg):
 def _build_gradings(be, cfg):
     objs = _objs(be, cfg.max_dim)
     alphas = _alphas(be)
-    batches = [(fam, _family_relation_params(objs, alphas, fam))
-               for fam in TWO_SIDED]
-    batches.append(("dhce", _dhce_relation_params(be, objs, alphas,
-                                                  cfg.idx_window)))
-    for fam, pairs in batches:
+    for fam in (*TWO_SIDED, "dhce"):
         alg = algebra(fam, be)
-        for rel, prm in pairs:
+        for rel, prm in relation_window(alg, objs, alphas, cfg.idx_window):
             named = _named(be, dict(prm, algebra=fam))
 
             def fn(alg=alg, rel=rel, prm=prm):
@@ -443,6 +379,8 @@ def _build_rewrite_sanity(be, cfg):
         alg = algebra(tag, be)
         fam = alg.family
         pool = _module_pool(objs_nz, fam) + _torus_pool(alphas_nz, fam)
+        if not pool:  # no letters at max_dim 0 on dh and dhtw: no triples
+            continue
         # one-letter words are never mutated, so the triples share them
         singles = [FreeElt.word(be.p, (a,)) for a in pool]
         for idx, (x, y, z) in enumerate(
@@ -647,15 +585,18 @@ def run_suite(cfg):
     if cfg.suite not in SUITES:
         raise ValueError("unknown suite %r (choose from %s)"
                          % (cfg.suite, ", ".join(SUITES)))
+    if cfg.max_dim is None:
+        default_dim = 4 if cfg.suite == "backend-oracle" else 2
+        cfg = dataclasses.replace(cfg, max_dim=default_dim)
+    if cfg.max_dim < 0 or cfg.idx_window < 0:
+        raise ValueError("max_dim and idx_window must be at least 0, not "
+                         "%r and %r" % (cfg.max_dim, cfg.idx_window))
     n = _shard_count(cfg.threads)
     t0 = time.monotonic()
     # one read of the cap for the whole run, before any child is forked
     outer = caps.fix_limit(caps.max_enum())
     try:
         be = make_backend(quiver_from_arg(cfg.quiver), cfg.q)
-        if cfg.max_dim is None:
-            default_dim = 4 if cfg.suite == "backend-oracle" else 2
-            cfg = dataclasses.replace(cfg, max_dim=default_dim)
         count, failures = _run_shards(be, _BUILDERS[cfg.suite](be, cfg), n)
     finally:
         caps.fix_limit(outer)

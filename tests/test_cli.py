@@ -225,6 +225,21 @@ def test_verify_refuses_fewer_than_one_thread(capsys):
         assert "threads must be at least 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--suite", "green", "--max-dim", "-1"),
+    ("--suite", "bridgeland-derived", "--idx-window", "-2", "--max-dim", "1"),
+], ids=["max-dim", "idx-window"])
+def test_verify_refuses_a_negative_window(monkeypatch, capsys, argv):
+    # a negative window has no instances, so it would pass vacuously
+    def no_fork(*args):
+        raise AssertionError("forked a shard")
+
+    monkeypatch.setattr(suites, "_fork_shard", no_fork)
+    rc, out, err = run(capsys, "verify", "--threads", "2", *argv)
+    assert rc == 2 and out == ""
+    assert "max_dim and idx_window must be at least 0" in err
+
+
 @pytest.mark.parametrize("argv, cap", [
     (("--suite", "heis-oracle"), None),
     # 24 cap hits: 20 printed with their sides and notes, then a count

@@ -14,10 +14,10 @@ from hallforge.presented import (Algebra, E, FreeElt, Kc, KcMinus, KcPlus,
                                  KMinus, KPlus, Kz, MuMinus,
                                  MuPlus, NuMinus, NuPlus,
                                  OmPlus, Zg, algebra, d_quasi,
-                                 grading_check, hd_cross,
-                                 hd_cross_oracle, homogeneous_degree,
-                                 is_torus, letter_mid, normal_form, pmult,
-                                 relation_instance, tensor_mult, tensor_unit,
+                                 grading_check, hd_cross_oracle,
+                                 homogeneous_degree, is_torus, letter_mid,
+                                 normal_form, pmult, relation_instance,
+                                 relation_window, tensor_mult, tensor_unit,
                                  tensor_word, word_degree)
 from hallforge.quiver import neg_class, preset
 from hallforge.scalars import Lin, SqrtScalar, vpow
@@ -62,24 +62,31 @@ def test_unit_letters_drop():
     assert normal_form(HD, FreeElt.unit(2)).terms == {(): ONE}
 
 
+def _crossing(alg, m, n):
+    """The normal-ordered right side of alg's crossing relation, 2.7 on hd
+    and 2.12 on hhd, at (M, N)."""
+    rel = "2.7" if alg.tag == "hd" else "2.12"
+    return normal_form(alg, relation_instance(alg, rel, {"M": m, "N": n})[1])
+
+
 def test_hd_cross_frozen():
-    got = hd_cross(BE, "HD", S1, S1)
+    got = _crossing(HD, S1, S1)
     want = {(MuMinus(S1), MuPlus(S1)): ONE, (KMinus((1, 0)),): ONE}
     assert got.terms == want
     nf = normal_form(HD, w((MuPlus(S1), MuMinus(S1))))
     assert nf.terms == want
-    got = hd_cross(BE, "HHD", S1, S1)
+    got = _crossing(HHD, S1, S1)
     want = {(NuPlus(S1), NuMinus(S1)): ONE, (KcPlus((1, 0)),): ONE}
     assert got.terms == want
     # one-sided zero object: nothing to cross
-    got = hd_cross(BE, "HD", S1, 0)
+    got = _crossing(HD, S1, 0)
     assert got.terms == {(MuPlus(S1),): ONE}
 
 
 def test_hd_cross_oracle_equivalence():
-    for side in ("HD", "HHD"):
+    for alg in (HD, HHD):
         for m, n in itertools.product(WINDOW, repeat=2):
-            assert hd_cross(BE, side, m, n) == hd_cross_oracle(BE, side, m, n)
+            assert _crossing(alg, m, n) == hd_cross_oracle(BE, alg.tag, m, n)
 
 
 def test_kk_swap_frozen():
@@ -440,7 +447,7 @@ def _indexed_instances(objs, alphas, w):
             for i, j in pairs:
                 if _apart(0, i, j):
                     yield tag, far, {"M": n, "N": k, "i": i, "j": j}
-    for rel, prm in suites._dhce_relation_params(BE, objs, alphas, w):
+    for rel, prm in relation_window(algebra("dhce", BE), objs, alphas, w):
         yield "dhce", rel, prm
 
 
@@ -448,7 +455,7 @@ def _two_sided_instances(objs, alphas):
     """(tag, relation, params) over the hd and hhd windows of the suites:
     2.3-2.7 and 2.8-2.12, every variant and sign."""
     for tag in ("hd", "hhd"):
-        for rel, prm in suites._family_relation_params(objs, alphas, tag):
+        for rel, prm in relation_window(algebra(tag, BE), objs, alphas):
             yield tag, rel, prm
 
 

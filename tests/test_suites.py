@@ -1,4 +1,6 @@
+import hashlib
 import inspect
+import json
 import os
 import threading
 import time
@@ -304,3 +306,42 @@ def test_shards_that_see_different_streams_fail_loudly(monkeypatch):
     parent = os.getpid()
     with pytest.raises(RuntimeError, match=r"lengths \[3, 4\]"):
         _shard_run(monkeypatch, build)
+
+
+# each relation-window builder at its gate configuration: the length and
+# the sha256 of its instance stream [(relation, list(params.items()))],
+# dumped as JSON.  The gate's report pins see no order, as their reports
+# list no failures.
+@pytest.mark.parametrize("suite, kw, count, digest", [
+    ("kashaev", {}, 412,
+     "84d9b6f5cc6f888ca471ba8c9eabe4fec24d88c9f133c98221707f7e4c74beea"),
+    ("kappa", {"m": 0}, 2172,
+     "75e08ccd64aed361b23c8073ecba41678a0bcdf93ae468992da3e9eb948a0e6c"),
+    ("kappa", {"m": 4}, 1448,
+     "b76b038366aa3a7d4fcae06f31b7c0d001cc552855654cdadeca2c5abb4b0000"),
+    ("psi", {"m": 0}, 1086,
+     "a97324b4bdf31d3008c0d6f3e9c2aac7f2a295c4e548b263e9d0224177f129b8"),
+    ("psi", {"m": 4, "i": 1}, 362,
+     "75e7fc3a1ac5f70ef6eec02eab2d680e536051aae221dda224b2dd1170f74aa3"),
+    ("bridgeland-derived", {}, 5051,
+     "d1aa69594f0b39d52a23f9aab3e0447c87c36398fc34f40c98f58ae0f3a0cd05"),
+    ("varphi", {}, 1544,
+     "5680009bc1d0f0aca9110bab3a87e3e461710cc405b602e4297e1d23929f9ba6"),
+    ("gradings", {}, 5983,
+     "ac31227634326d58efddb10d6d5f601657f8cc0011a8e9e76bd436042250f1f2"),
+], ids=["kashaev", "kappa-m0", "kappa-m4", "psi-m0", "psi-m4-i1",
+        "bridgeland-derived", "varphi", "gradings"])
+def test_window_builder_streams_are_pinned(suite, kw, count, digest):
+    cfg = RunConfig(suite=suite, max_dim=2, **kw)
+    stream = [(rel, list(prm.items()))
+              for rel, prm, _ in _BUILDERS[suite](make_backend("a2", 2), cfg)]
+    assert len(stream) == count
+    assert hashlib.sha256(json.dumps(stream).encode()).hexdigest() == digest
+
+
+def test_rewrite_sanity_with_no_module_letters():
+    # at max_dim 0 dh and dhtw have no letter to draw; the five other tags
+    # draw 8 torus letters: 8^3 one-letter triples and 1,000 random ones
+    rep = run_suite(RunConfig(suite="rewrite-sanity", max_dim=0))
+    assert (rep["instances"], rep["passes"]) == (7560, 7560)
+    assert exit_code(rep) == 0
