@@ -160,6 +160,8 @@ class QuiverBackend:
         self._euler = {}
         # presented algebras over this backend by tag, see presented.algebra
         self.algebras = {}
+        # L id -> the terms of Delta([L]), see hall.comult
+        self.coproduct_rows = {}
         self._register(self.zero_rep())
 
     # -- construction -------------------------------------------------

@@ -6,6 +6,7 @@ parse errors, 3 resource cap exceeded.
 
 import argparse
 import json
+import os
 import sys
 
 from .backend import make_backend
@@ -22,15 +23,29 @@ def _backend(args):
     return make_backend(quiver_from_arg(args.quiver), args.q)
 
 
+def _check_out(path):
+    """Refuse a report path that cannot be written, before the run."""
+    if os.path.isdir(path):
+        raise ValueError("cannot write report %r (is a directory)" % path)
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ValueError("cannot write report %r (no such directory)" % path)
+
+
 def _cmd_verify(args):
     cfg = RunConfig(suite=args.suite, quiver=args.quiver, q=args.q,
                     m=args.m, i=args.i, max_dim=args.max_dim,
                     idx_window=args.idx_window, threads=args.threads,
                     seed=args.seed)
+    if args.out:
+        _check_out(args.out)
     report = run_suite(cfg)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise ValueError("cannot write report %r (%s)"
+                             % (args.out, exc.strerror or exc))
     print("%s on %s (q=%d): %d/%d passed, %d cap hits, %d ms"
           % (report["suite"], report["quiver"], report["q"],
              report["passes"], report["instances"], report["cap_hits"],

@@ -55,19 +55,32 @@ def hmult(x, y):
     return Lin.owned(be.q, out, be)
 
 
+def _coproduct_row(be, lid):
+    """The terms (M, N, N^, v^{<M,N>} (a_M a_N / a_L) g^L_{MN}) of
+    Delta([L]), in L's subobject table order: built once per class and
+    held in `be.coproduct_rows`."""
+    row = be.coproduct_rows.get(lid)
+    if row is None:
+        a_l = be.aut_count(lid)
+        terms = []
+        for (mid, nid), g in be.subobject_table(lid).items():
+            mhat, nhat = be.class_dim(mid), be.class_dim(nid)
+            weight = Fraction(g * be.aut_count(mid) * be.aut_count(nid), a_l)
+            terms.append((mid, nid, nhat,
+                          _vp(be, be.euler_form(mhat, nhat)) * weight))
+        row = be.coproduct_rows[lid] = tuple(terms)
+    return row
+
+
 def comult(x):
     """Delta([L]K_a) = sum v^{<M,N>} (a_M a_N / a_L) g^L_{MN}
     [M]K_{N+a} (x) [N]K_a, one term per (M, N) in L's subobject table."""
     be = x.label
     out = {}
     for (lid, alpha), c in x.terms.items():
-        c_over_a_l = c / be.aut_count(lid)
-        for (mid, nid), g in be.subobject_table(lid).items():
-            mhat, nhat = be.class_dim(mid), be.class_dim(nid)
-            coeff = c_over_a_l * _vp(be, be.euler_form(mhat, nhat)) \
-                * (g * be.aut_count(mid) * be.aut_count(nid))
+        for mid, nid, nhat, coeff in _coproduct_row(be, lid):
             accumulate(out, ((mid, add_class(nhat, alpha)), (nid, alpha)),
-                       coeff)
+                       c * coeff)
     return Lin.owned(be.q, out, (be, be))
 
 

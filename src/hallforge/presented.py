@@ -201,7 +201,10 @@ class Algebra:
 def algebra(tag, be):
     """The Algebra with this tag over `be`, one per (tag, backend): built
     on first use and held in `be.algebras`, so its pair-rule table fills
-    once for every caller."""
+    once for every caller.  The Algebra holds `be` in turn: whoever made
+    the backend breaks that cycle by clearing `be.algebras` when done
+    (`suites.run_suite` does, as each run returns), else the two live
+    until a full garbage collection."""
     alg = be.algebras.get(tag)
     if alg is None:
         alg = be.algebras[tag] = Algebra(tag, be)

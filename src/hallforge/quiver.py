@@ -100,9 +100,14 @@ PRESETS = ("a1", "a2", "a3", "kronecker")
 
 
 def load_quiver(path):
-    """Read {"vertices": [...], "arrows": [{"from":..,"to":..}]} from JSON."""
-    with open(path) as fh:
-        data = json.load(fh)
+    """Read {"vertices": [...], "arrows": [{"from":..,"to":..}]} from JSON.
+    Raises ValueError for a file that cannot be read or is not JSON."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ValueError("cannot read quiver file %r (%s)"
+                         % (path, exc.strerror or exc))
     arrows = [(a["from"], a["to"]) for a in data.get("arrows", [])]
     return Quiver(data["vertices"], arrows, name=str(path))
 

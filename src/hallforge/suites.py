@@ -19,13 +19,18 @@ first and runs shard 0 itself; every process pulls the whole instance
 stream one instance at a time, runs those whose stream index is its shard
 mod the shard count, and holds no list of instances.  The children send
 their counts and failures back through pipes, and the failures are merged
-in stream order.  Each process has its own backend, so no backend is
-shared.  A run forks nothing where the platform has no fork or the
-calling process runs another thread.  It reads HALLFORGE_MAX_ENUM once,
-before it forks, and every operation of the run, in every shard, is
-capped by that value (see `caps`).  Two runs of one configuration
-produce the same report up to the timestamp and elapsed_ms fields,
-whatever `threads` says.
+in stream order.  Each process works on its own copy of the run's
+backend, which a child inherits at the fork, so no backend is shared.
+A run frees its backend when it returns or raises: every `Algebra`
+holds its backend and the backend's `algebras` table holds the Algebras,
+and `run_suite` clears that table in its `finally`, which breaks the
+cycle, so reference counting frees the backend, its algebras and their
+tables at once, not at a later full collection.  A run forks nothing
+where the platform has no fork or the calling process runs another
+thread.  It reads HALLFORGE_MAX_ENUM once, before it forks, and every
+operation of the run, in every shard, is capped by that value (see
+`caps`).  Two runs of one configuration produce the same report up to
+the timestamp and elapsed_ms fields, whatever `threads` says.
 """
 
 import dataclasses
@@ -595,11 +600,16 @@ def run_suite(cfg):
     t0 = time.monotonic()
     # one read of the cap for the whole run, before any child is forked
     outer = caps.fix_limit(caps.max_enum())
+    be = None
     try:
         be = make_backend(quiver_from_arg(cfg.quiver), cfg.q)
         count, failures = _run_shards(be, _BUILDERS[cfg.suite](be, cfg), n)
     finally:
         caps.fix_limit(outer)
+        if be is not None:
+            # each Algebra holds `be`: breaking the cycle here lets
+            # reference counting free the run's tables as it returns
+            be.algebras.clear()
     params = {"max_dim": cfg.max_dim, "m": cfg.m, "i": cfg.i,
               "idx_window": cfg.idx_window, "seed": cfg.seed}
     return {

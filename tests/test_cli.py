@@ -240,6 +240,42 @@ def test_verify_refuses_a_negative_window(monkeypatch, capsys, argv):
     assert "max_dim and idx_window must be at least 0" in err
 
 
+def test_a_missing_quiver_file_is_a_usage_error(tmp_path, capsys):
+    # exit 1 means verification failures; an unreadable file is a usage
+    # error, reported in one line and not by a traceback
+    missing = str(tmp_path / "missing.json")
+    commands = [
+        ("verify", "--suite", "green", "--max-dim", "1"),
+        ("classes", "--dimvec", "1,1"),
+        ("mult", "--algebra", "hd", "--expr", "mu+[S1]"),
+        ("hallnum", "--L", "S1", "--M", "S1", "--N", "X{0,0}#0"),
+    ]
+    for argv in commands:
+        argv += ("--quiver", missing)
+        for rc, out, err in (run(capsys, *argv), run_optimized(*argv)):
+            assert rc == 2 and out == "", argv
+            assert err == ("error: cannot read quiver file %r (No such file "
+                           "or directory)\n" % missing), argv
+
+
+@pytest.mark.parametrize("where, why", [
+    ("no/such/dir/r.json", "no such directory"),
+    (".", "is a directory"),
+], ids=["missing-dir", "directory"])
+def test_verify_refuses_an_unwritable_out_before_running(
+        monkeypatch, tmp_path, capsys, where, why):
+    def never(*args):
+        raise AssertionError("ran an instance or forked a shard")
+
+    monkeypatch.setattr(suites, "_run_one", never)
+    monkeypatch.setattr(suites, "_fork_shard", never)
+    out = str(tmp_path / where)
+    argv = ("verify", "--suite", "green", "--threads", "2", "--out", out)
+    for rc, text, err in (run(capsys, *argv), run_optimized(*argv)):
+        assert rc == 2 and text == ""
+        assert err == "error: cannot write report %r (%s)\n" % (out, why)
+
+
 @pytest.mark.parametrize("argv, cap", [
     (("--suite", "heis-oracle"), None),
     # 24 cap hits: 20 printed with their sides and notes, then a count

@@ -1,9 +1,12 @@
+import dataclasses
+import gc
 import hashlib
 import inspect
 import json
 import os
 import threading
 import time
+import weakref
 from functools import partial
 
 import pytest
@@ -345,3 +348,79 @@ def test_rewrite_sanity_with_no_module_letters():
     rep = run_suite(RunConfig(suite="rewrite-sanity", max_dim=0))
     assert (rep["instances"], rep["passes"]) == (7560, 7560)
     assert exit_code(rep) == 0
+
+
+# every Algebra holds its backend and the backend's `algebras` table holds
+# the Algebras; run_suite breaks that cycle as it returns or raises, so the
+# run's tables are freed by reference counting, not left for the collector
+def _kashaev_doubling_2_18r(monkeypatch):
+    real = suites.relation_instance
+
+    def doubled(alg, rel, prm):
+        lhs, rhs = real(alg, rel, prm)
+        return (lhs, rhs.scale(2)) if rel == "2.18r" else (lhs, rhs)
+
+    monkeypatch.setattr(suites, "relation_instance", doubled)
+    return RunConfig(suite="kashaev", max_dim=1), 9
+
+
+def _kappa_capped(monkeypatch):
+    monkeypatch.setenv("HALLFORGE_MAX_ENUM", "8")
+    return RunConfig(suite="kappa", max_dim=1), 24
+
+
+def _kashaev_raising(monkeypatch):
+    real = _BUILDERS["kashaev"]
+
+    def build(be, cfg):
+        for k, inst in enumerate(real(be, cfg)):
+            if k == 101:  # in every process, after the algebras are built
+                raise ZeroDivisionError("builder broke")
+            yield inst
+
+    monkeypatch.setitem(_BUILDERS, "kashaev", build)
+    return RunConfig(suite="kashaev", max_dim=1), ZeroDivisionError
+
+
+_CASES = {suite: lambda monkeypatch, suite=suite: (
+              RunConfig(suite=suite, max_dim=1), 0)
+          for suite in suites.SUITES}
+_CASES.update({"failing-check": _kashaev_doubling_2_18r,
+               "cap-hit": _kappa_capped, "raising-builder": _kashaev_raising})
+
+
+@pytest.mark.parametrize("case, threads", [
+    (case, threads) for case in _CASES for threads in (1, 2)
+    # the slowest suite, about 1.4 s, runs at the thread count that forks
+    if (case, threads) != ("rewrite-sanity", 1)])
+def test_a_run_frees_its_backend_as_it_returns(monkeypatch, case, threads):
+    # a forking run imports pickle on first use, and an import leaves
+    # cyclic garbage of its own: import it before the count starts
+    import pickle  # noqa: F401
+
+    made = []
+
+    def tracked(*args):
+        be = make_backend(*args)
+        made.append(weakref.ref(be))
+        return be
+
+    monkeypatch.setattr(suites, "make_backend", tracked)
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
+    cfg, outcome = _CASES[case](monkeypatch)
+    cfg = dataclasses.replace(cfg, threads=threads)
+    gc.collect()
+    gc.disable()
+    try:
+        if isinstance(outcome, int):
+            rep = run_suite(cfg)
+            assert rep["instances"] > 0
+            assert len(rep["failures"]) == outcome
+        else:
+            with pytest.raises(outcome):
+                run_suite(cfg)
+        # backend-oracle builds a second backend to compare with
+        assert made and all(ref() is None for ref in made)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
