@@ -10,18 +10,25 @@ automorphism counts always come from the sieve.  The subobjects of a
 class representative are enumerated as combos of per-vertex subspaces.
 On a path quiver the classes of each subobject and its quotient are read
 off the combo as rank keys, with no Rep built for either; on any other
-quiver both are built as Reps (`subobject_pairs`) and classified.  Once
-classified, an object is a class id, and a_M, the subobject table
-{(M, N): g^L_{MN}} of each class L, the product terms (L, g^L_{MN}) of
-each pair (M, N) and the Euler form of each dimvec pair are computed once
-and read by id from then on.  A suite run shards its instances over
-forked processes (`--threads` is the shard count), each with its own copy
-of the backend, so nothing in the package calls a backend from more than
-one thread and the memo tables are plain dicts with no lock.
+quiver both are built as Reps (`subobject_pairs`) and classified.
+
+Once classified, an object is a class id, and every table is keyed by
+class ids: a_M, hom dimensions and injection counts of class pairs, the
+subobject table {(M, N): g^L_{MN}} of each class L, the product terms
+(L, g^L_{MN}) of each pair (M, N) and the Euler form of each dimvec pair
+are computed once and read by id from then on.  A Rep that is not a
+registered class representative (a scan candidate, a quotient being
+classified, an argument from outside) gets its counts computed and
+nothing stored; only its class id is remembered, on a quiver that is not
+a path quiver.  A suite run shards its instances over forked processes
+(`--threads` is the shard count), each with its own copy of the backend,
+so nothing in the package calls a backend from more than one thread and
+the memo tables are plain dicts with no lock.
 """
 
 import itertools
 import json
+from collections import namedtuple
 
 from .caps import Budget
 from .fq import (apply, enumerate_subspaces, gaussian_binomial, gl_order,
@@ -30,45 +37,22 @@ from .quiver import add_class, preset
 from .scalars import is_prime
 
 
-class Rep:
+class Rep(namedtuple("Rep", "dims maps")):
     """A representation: one F_p space per vertex, one matrix per arrow.
 
-    maps[a] is the matrix of arrow a: s -> t, a tuple of dims[t] row tuples
-    of length dims[s] with entries reduced mod p, acting on column vectors
-    (see `fq`); key is (dims, maps).  Rep itself checks nothing: build a
-    Rep from outside input with `QuiverBackend.rep` or `rep_from_json`,
-    which reduce the entries and raise ValueError for a wrong shape.
+    dims is a tuple of ints, and maps[a] is the matrix of arrow a: s -> t,
+    a tuple of dims[t] row tuples of length dims[s] with entries reduced
+    mod p, acting on column vectors (see `fq`).  A Rep is its own key: two
+    are equal exactly when their dims and matrices are.  Rep itself checks
+    nothing: build a Rep from outside input with `QuiverBackend.rep` or
+    `rep_from_json`, which reduce the entries and raise ValueError for a
+    wrong shape.
     """
 
-    __slots__ = ("quiver", "p", "dims", "maps", "key")
-
-    def __init__(self, quiver, p, dims, maps):
-        dims, maps = tuple(dims), tuple(maps)
-        object.__setattr__(self, "quiver", quiver)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "key", (dims, maps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Rep is immutable")
-
-    @property
-    def total_dim(self):
-        return sum(self.dims)
+    __slots__ = ()
 
     def is_zero(self):
-        return self.total_dim == 0
-
-    def __eq__(self, other):
-        return (isinstance(other, Rep) and self.quiver == other.quiver
-                and self.p == other.p and self.key == other.key)
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __repr__(self):
-        return f"Rep(dims={self.dims}, p={self.p})"
+        return not any(self.dims)
 
 
 def _zero_maps(quiver, dims):
@@ -131,9 +115,11 @@ class QuiverBackend:
     classified first.  Global integer ids are handed out as classes are
     registered, across dimvecs, in whatever order the computation asks
     for them; their numbering is not stable across versions, and nothing
-    sorts or renders by raw id.  Memo tables fill lazily without
-    locking: not safe to share across threads.  A field size p that is not
-    prime raises ValueError.
+    sorts or renders by raw id.  Every memo table is keyed by class ids
+    (or dimvecs); a Rep that is not registered is counted but never
+    stored, except as a key of the classification memo.  Memo tables fill
+    lazily without locking: not safe to share across threads.  A field
+    size p that is not prime raises ValueError.
     """
 
     def __init__(self, quiver, p):
@@ -142,19 +128,20 @@ class QuiverBackend:
         self.p = p
         self.q = p
         self._classes = []
+        # Rep -> id: each registered representative and, on a quiver that
+        # is not a path quiver, each Rep classified
         self._key_to_id = {}
         self._dimvec_classes = {}
         # id -> S<k> or X{d}#j, one entry per class of an enumerated dimvec
         self._names = {}
-        self._hom = {}
-        self._inj = {}
-        self._subs = {}
         self._chains = path_chains(quiver)
         # class-id tables: (dims, rank invariant) -> id on a path quiver,
-        # id -> a_M, L id -> {(M id, N id): g^L_{MN}}, (M id, N id) ->
-        # ((L id, g^L_{MN}), ...), and (x, y) -> <x, y> by dimvec pair
+        # (M id, N id) -> dim Hom(M, N) and #Inj(M, N), L id ->
+        # {(M id, N id): g^L_{MN}}, (M id, N id) -> ((L id, g^L_{MN}), ...),
+        # and (x, y) -> <x, y> by dimvec pair
         self._rank_to_id = {}
-        self._aut = {}
+        self._hom = {}
+        self._inj = {}
         self._sub_tables = {}
         self._products = {}
         self._euler = {}
@@ -168,11 +155,11 @@ class QuiverBackend:
 
     def zero_rep(self):
         dims = (0,) * self.quiver.n
-        return Rep(self.quiver, self.p, dims, _zero_maps(self.quiver, dims))
+        return Rep(dims, _zero_maps(self.quiver, dims))
 
     def simple_rep(self, k):
         dims = self.quiver.simple_class(k)
-        return Rep(self.quiver, self.p, dims, _zero_maps(self.quiver, dims))
+        return Rep(dims, _zero_maps(self.quiver, dims))
 
     def rep(self, dims, maps):
         """The Rep with dimension vector dims and one matrix per arrow in
@@ -196,7 +183,7 @@ class QuiverBackend:
                 raise ValueError("arrow %d needs a %dx%d matrix"
                                  % (a, dims[t], dims[s]))
             reduced.append(m)
-        return Rep(self.quiver, self.p, dims, reduced)
+        return Rep(dims, tuple(reduced))
 
     def rep_from_json(self, data):
         """{"dims": {"1":1,"2":1}, "maps": {"0": [[1]]}, "p": 2}
@@ -252,19 +239,10 @@ class QuiverBackend:
     def _register(self, rep):
         cid = len(self._classes)
         self._classes.append(rep)
-        self._key_to_id[rep.key] = cid
+        self._key_to_id[rep] = cid
         if self._chains is not None:
-            self._rank_to_id[self._rank_key(rep.key)] = cid
+            self._rank_to_id[self._rank_key(rep)] = cid
         return cid
-
-    def _forget(self, rep, cids):
-        """Drop the memo entries keyed by an unregistered rep's own key that
-        testing it against the classes cids left behind."""
-        self._subs.pop(rep.key, None)
-        for cid in cids:
-            pair = (rep.key, self._classes[cid].key)
-            self._inj.pop(pair, None)
-            self._hom.pop(pair, None)
 
     def iso_classes(self, dimvec):
         """All isoclass ids of the given dimension vector, fixed order.
@@ -273,9 +251,9 @@ class QuiverBackend:
         `itertools.product` order and keeps each one not isomorphic to a
         class already found.  On a path quiver a candidate is one rank
         key, looked up in the (dims, ranks) -> id table, and no Rep is
-        built for a rejected one; on any other quiver it is tested against
-        each class found with `is_iso`, the injection-count sieve, whose
-        memo entries for a rejected candidate are dropped.  By orbit
+        built for a rejected one; on any other quiver its quotient classes
+        are counted once and it is sieved against each class found (see
+        `_sieve_class`), with nothing stored for it.  By orbit
         counting, the classes M at d satisfy sum_M |GL_d| / a_M = p^N with
         |GL_d| = prod_i |GL_{d_i}(F_p)|, so the scan stops as soon as the
         orbits found cover the space: the classes and their order are
@@ -283,8 +261,8 @@ class QuiverBackend:
         or orbits that overshoot p^N or fall short of it after a full
         scan, raise EnumerationError.
 
-        Calling aut_count during the scan classifies the quotients (and,
-        on a path quiver, the subobjects) of each new class, which can
+        Calling aut_count during the scan builds the subobject table of
+        each new class, classifying its subobjects and quotients, which can
         enumerate smaller dimvecs earlier than a scan without it would;
         that changes the global ids, never the order within a dimvec.
         A dimvec of wrong length or with a negative entry raises ValueError.
@@ -316,19 +294,15 @@ class QuiverBackend:
                 pos += n_ent
                 maps.append(tuple(chunk[r * dimvec[s]:(r + 1) * dimvec[s]]
                                   for r in range(dimvec[t])))
-            maps = tuple(maps)
-            key = (dimvec, maps)
+            cand = Rep(dimvec, tuple(maps))
             if self._chains is not None:
-                if self._rank_to_id.get(self._rank_key(key)) in found:
+                if self._rank_to_id.get(self._rank_key(cand)) in found:
                     continue
-            else:
-                cand = Rep(quiver, p, dimvec, maps)
-                if any(self.is_iso(cand, self._classes[cid]) for cid in found):
-                    self._forget(cand, found)
-                    continue
-            cid = self._key_to_id.get(key)
+            elif found and self._sieve_class(cand, found) is not None:
+                continue
+            cid = self._key_to_id.get(cand)
             if cid is None:
-                cid = self._register(Rep(quiver, p, dimvec, maps))
+                cid = self._register(cand)
             found.append(cid)
             if space == 1:
                 # one assignment, one class: its orbit is the whole space
@@ -361,25 +335,21 @@ class QuiverBackend:
         The classes of rep's dimvec are enumerated first if needed.  On a
         path quiver the id is then a lookup of rep's rank invariant in a
         (dims, ranks) -> id table with one entry per registered class, so
-        nothing is stored for rep.  On any other quiver the classes are
-        tested in turn with the injection-count sieve, and the answer is
-        remembered under rep's key (the sieve's own entries for rep are
-        dropped)."""
+        nothing is stored for rep.  On any other quiver rep is sieved
+        against the classes in turn (see `_sieve_class`), and only the
+        answer is remembered, in the Rep -> id classification memo."""
         if isinstance(rep, int):
             return rep
-        cid = self._key_to_id.get(rep.key)
+        cid = self._key_to_id.get(rep)
         if cid is not None:
             return cid
         if self._chains is not None:
-            return self._rank_class(self._rank_key(rep.key))
-        tested = []
-        for candidate in self.iso_classes(rep.dims):
-            tested.append(candidate)
-            if self.is_iso(rep, self._classes[candidate]):
-                self._key_to_id[rep.key] = candidate
-                self._forget(rep, tested)
-                return candidate
-        raise AssertionError("enumeration missed a class")  # unreachable
+            return self._rank_class(self._rank_key(rep))
+        cid = self._sieve_class(rep, self.iso_classes(rep.dims))
+        if cid is None:
+            raise AssertionError("enumeration missed a class")  # unreachable
+        self._key_to_id[rep] = cid
+        return cid
 
     def _rank_class(self, rank_key):
         """The class id of a (dims, ranks) key on a path quiver, the classes
@@ -444,6 +414,11 @@ class QuiverBackend:
     def _coerce_rep(self, x):
         return self.class_rep(x) if isinstance(x, int) else x
 
+    def _class_of(self, x):
+        """x's class id, for a class id or a Rep in the Rep -> id table;
+        the Rep x itself otherwise."""
+        return x if isinstance(x, int) else self._key_to_id.get(x, x)
+
     def euler_form(self, x, y):
         """<x, y> for dimvec tuples x, y, memoized by the pair."""
         got = self._euler.get((x, y))
@@ -480,14 +455,17 @@ class QuiverBackend:
         return total, rows
 
     def hom_dim(self, a, b):
-        a, b = self._coerce_rep(a), self._coerce_rep(b)
-        memo_key = (a.key, b.key)
-        got = self._hom.get(memo_key)
-        if got is not None:
-            return got
-        total, rows = self._hom_system(a, b)
-        dim = self._hom[memo_key] = total - row_rank(rows, self.p)
-        return dim
+        """dim Hom(a, b), memoized by (id, id) when both classes are known."""
+        a, b = self._class_of(a), self._class_of(b)
+        known = isinstance(a, int) and isinstance(b, int)
+        got = self._hom.get((a, b)) if known else None
+        if got is None:
+            total, rows = self._hom_system(self._coerce_rep(a),
+                                           self._coerce_rep(b))
+            got = total - row_rank(rows, self.p)
+            if known:
+                self._hom[(a, b)] = got
+        return got
 
     def ext_dim(self, a, b):
         a, b = self._coerce_rep(a), self._coerce_rep(b)
@@ -523,22 +501,17 @@ class QuiverBackend:
         return per_vertex, closed()
 
     def subobject_pairs(self, rep):
-        """All (sub, quotient) pairs of subrepresentations, canonical bases,
-        as Reps, memoized by rep's key.  Used by the quotient sieve and the
-        subobject tables on quivers that are not path quivers; a path
-        quiver reads its subobjects' classes off rank keys instead (see
-        `_rank_key_table`) and calls this only when asked directly or for
-        `inj_count` of an unregistered rep."""
+        """All (sub, quotient) pairs of subrepresentations of rep, a class
+        id or a Rep, with canonical bases, as Reps in subobject order;
+        nothing is stored.  The subobject tables call it on quivers that
+        are not path quivers, and the sieve of a Rep whose class is not
+        known on any quiver; a path quiver's tables read their subobjects'
+        classes off rank keys instead (see `_rank_key_table`)."""
         rep = self._coerce_rep(rep)
-        got = self._subs.get(rep.key)
-        if got is not None:
-            return got
         per_vertex, combos = self._subobject_combos(rep)
-        pairs = [self._make_sub_quot(rep, [per_vertex[v][i]
-                                           for v, i in enumerate(combo)])
-                 for combo in combos]
-        self._subs[rep.key] = pairs
-        return pairs
+        return [self._make_sub_quot(rep, [per_vertex[v][i]
+                                          for v, i in enumerate(combo)])
+                for combo in combos]
 
     def _make_sub_quot(self, rep, combo):
         quiver, p = self.quiver, self.p
@@ -560,60 +533,74 @@ class QuiverBackend:
                 red = reduce_against(tuple(r[c] for r in f), combo[t], p)
                 qcols.append(tuple(red[j] for j in nonpiv[t]))
             quot_maps.append(tuple(zip(*qcols)) if qcols else ((),) * quot_dims[t])
-        return (Rep(quiver, p, sub_dims, sub_maps),
-                Rep(quiver, p, quot_dims, quot_maps))
+        return Rep(sub_dims, tuple(sub_maps)), Rep(quot_dims, tuple(quot_maps))
 
     # -- counting -----------------------------------------------------
 
     def inj_count(self, a, b):
-        """Number of injective homomorphisms a -> b, by the quotient sieve:
-        #Inj(a,b) = p^hom(a,b) - sum over nonzero subobjects K of a
-        of #Inj(a/K, b).  On a path quiver, when a is a registered
-        representative, the subobjects are read from its subobject table,
-        sum over (Q, N) with N nonzero of g^a_{QN} #Inj(rep Q, b), so no
-        Rep is built per subobject; otherwise they are `subobject_pairs`."""
-        a, b = self._coerce_rep(a), self._coerce_rep(b)
-        memo_key = (a.key, b.key)
-        got = self._inj.get(memo_key)
+        """Number of injective homomorphisms a -> b, by the quotient sieve
+        (see `_sieve`).  Memoized by (id, id) when both classes are known;
+        for a Rep whose class is not known, computed and not stored."""
+        # a_M and the sieve's own recursion pass two class ids: one lookup
+        got = self._inj.get((a, b))
         if got is not None:
             return got
-        if any(x > y for x, y in zip(a.dims, b.dims)):
-            self._inj[memo_key] = 0
-            return 0
+        a, b = self._class_of(a), self._class_of(b)
+        known = isinstance(a, int) and isinstance(b, int)
+        got = self._inj.get((a, b)) if known else None
+        if got is None:
+            if any(x > y for x, y in zip(self._coerce_rep(a).dims,
+                                         self._coerce_rep(b).dims)):
+                got = 0
+            else:
+                got = self._sieve(a, self._quotients(a), b)
+            if known:
+                self._inj[(a, b)] = got
+        return got
+
+    def _sieve(self, a, quots, b):
+        """#Inj(a, b) = p^hom(a,b) - sum over nonzero subobjects K of a of
+        #Inj(a/K, b), with quots = `_quotients(a)`."""
         total = self.p ** self.hom_dim(a, b)
-        aid = self._key_to_id.get(a.key) if self._chains is not None else None
-        if aid is not None:
-            for (qid, nid), g in self.subobject_table(aid).items():
-                if not self._classes[nid].is_zero():
-                    total -= g * self.inj_count(self._classes[qid], b)
-        else:
-            for sub, quot in self.subobject_pairs(a):
-                if sub.is_zero():
-                    continue
-                # quot has strictly smaller total dim than a, so classifying
-                # here cannot re-enter an in-progress iso_classes(a.dims);
-                # recursing on the registered representative collapses the
-                # memo key space to one key per isoclass.
-                total -= self.inj_count(self.class_rep(self.classify(quot)), b)
-        self._inj[memo_key] = total
+        for qid, g in quots.items():
+            total -= g * self.inj_count(qid, b)
         return total
 
+    def _quotients(self, a):
+        """{Q id: the number of nonzero subobjects K of a with a/K in Q},
+        read from the subobject table of a class id a; for a Rep a,
+        counted over `subobject_pairs(a)` with each quotient classified (a
+        quotient has smaller total dim than a, so this never re-enters an
+        in-progress iso_classes(a.dims))."""
+        if isinstance(a, int):
+            terms = ((qid, g) for (qid, nid), g in self.subobject_table(a).items()
+                     if not self._classes[nid].is_zero())
+        else:
+            terms = ((self.classify(quot), 1)
+                     for sub, quot in self.subobject_pairs(a) if not sub.is_zero())
+        quots = {}
+        for qid, g in terms:
+            quots[qid] = quots.get(qid, 0) + g
+        return quots
+
+    def _sieve_class(self, rep, cids):
+        """The first of the classes cids, all of the Rep rep's dims, that
+        rep has an injective homomorphism to, or None.  rep's quotient
+        classes are counted once for all of cids; nothing is stored for rep."""
+        quots = self._quotients(rep)
+        return next((cid for cid in cids if self._sieve(rep, quots, cid) > 0),
+                    None)
+
     def aut_count(self, m):
-        """a_M = #Inj(M, M) by the quotient sieve, memoized by class id."""
-        if not isinstance(m, int):
-            return self.inj_count(m, m)
-        got = self._aut.get(m)
-        if got is None:
-            rep = self._classes[m]
-            got = self._aut[m] = self.inj_count(rep, rep)
-        return got
+        """a_M = #Inj(M, M) by the quotient sieve."""
+        return self.inj_count(m, m)
 
     def _composites(self, maps):
         """(s, t, rows) for each composite f_j ... f_i of consecutive arrows
         along each path of a path quiver (see `path_chains`), from the
         source s of f_i to the target t of f_j, in a fixed order.  maps
-        holds one matrix per arrow as a tuple of rows (a Rep key's second
-        part), and so does rows."""
+        holds one matrix per arrow as a tuple of rows (a Rep's maps), and so
+        does rows."""
         p, arrows = self.p, self.quiver.arrows
         out = []
         for chain in self._chains:
@@ -632,21 +619,15 @@ class QuiverBackend:
         """Ranks of the `_composites` of maps, in their order."""
         return tuple(row_rank(rows, self.p) for _, _, rows in self._composites(maps))
 
-    def _rank_key(self, key):
-        """(dims, rank invariant) of a Rep key on a path quiver."""
-        return key[0], self._rank_invariant(key[1])
+    def _rank_key(self, rep):
+        """(dims, rank invariant) of a Rep on a path quiver."""
+        return rep.dims, self._rank_invariant(rep.maps)
 
     def is_iso(self, a, b):
-        """Equal dims and, on a path quiver, equal rank invariants; on any
-        other quiver, an injective homomorphism a -> b (inj_count > 0)."""
+        """Whether a and b, class ids or Reps, have equal dims and the same
+        class (see `classify`)."""
         a, b = self._coerce_rep(a), self._coerce_rep(b)
-        if a.dims != b.dims:
-            return False
-        if a.key == b.key:
-            return True
-        if self._chains is not None:
-            return self._rank_key(a.key) == self._rank_key(b.key)
-        return self.inj_count(a, b) > 0
+        return a.dims == b.dims and self.classify(a) == self.classify(b)
 
     def subobject_table(self, big):
         """{(M id, N id): g^L_{MN}} for the class L of big, one entry per
@@ -679,7 +660,7 @@ class QuiverBackend:
         per_vertex, combos = self._subobject_combos(rep)
         # per composite: its vertex and the rank at each subspace there
         subs, quots = [], []
-        for s, t, rows in self._composites(rep.key[1]):
+        for s, t, rows in self._composites(rep.maps):
             cols = tuple(zip(*rows))
             subs.append((s, [row_rank([tuple(sum(x * y for x, y in zip(r, u)) % p
                                              for r in rows) for u in b], p)

@@ -101,15 +101,31 @@ PRESETS = ("a1", "a2", "a3", "kronecker")
 
 def load_quiver(path):
     """Read {"vertices": [...], "arrows": [{"from":..,"to":..}]} from JSON.
-    Raises ValueError for a file that cannot be read or is not JSON."""
+    The vertices are unique strings or integers, and each arrow is an
+    object whose "from" and "to" are vertices; "arrows" may be left out.
+    Raises ValueError for a file that cannot be read, is not JSON or has
+    another shape."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ValueError("cannot read quiver file %r (%s)"
                          % (path, exc.strerror or exc))
-    arrows = [(a["from"], a["to"]) for a in data.get("arrows", [])]
-    return Quiver(data["vertices"], arrows, name=str(path))
+    if not isinstance(data, dict) or not isinstance(data.get("vertices"), list):
+        raise ValueError("quiver file %r must hold an object with a "
+                         "\"vertices\" list" % (path,))
+    arrows = data.get("arrows", [])
+    if not (isinstance(arrows, list) and all(
+            isinstance(a, dict) and "from" in a and "to" in a for a in arrows)):
+        raise ValueError("quiver file %r: \"arrows\" must be a list of "
+                         "objects with \"from\" and \"to\"" % (path,))
+    ends = [a[k] for a in arrows for k in ("from", "to")]
+    if any(isinstance(v, bool) or not isinstance(v, (str, int))
+           for v in data["vertices"] + ends):
+        raise ValueError("quiver file %r: every vertex must be a string or "
+                         "an integer" % (path,))
+    return Quiver(data["vertices"], [(a["from"], a["to"]) for a in arrows],
+                  name=str(path))
 
 
 def quiver_from_arg(spec_str):

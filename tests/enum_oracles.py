@@ -82,7 +82,7 @@ def is_iso_enum(be, a, b):
     return False
 
 
-# backend -> {(rep key, part ids): count}
+# backend -> {(rep, part ids): count}
 _FILT = weakref.WeakKeyDictionary()
 
 
@@ -92,7 +92,7 @@ def filtration_count(be, big, parts):
     big = _rep(be, big)
     part_ids = tuple(be.classify(x) for x in parts)
     memo = _FILT.setdefault(be, {})
-    memo_key = (big.key, part_ids)
+    memo_key = (big, part_ids)
     got = memo.get(memo_key)
     if got is not None:
         return got

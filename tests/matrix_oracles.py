@@ -49,4 +49,4 @@ def direct_sum(be, a, b):
         rows = [tuple(r) + (0,) * b.dims[s] for r in ma]
         rows += [(0,) * a.dims[s] + tuple(r) for r in mb]
         maps.append(tuple(rows))
-    return Rep(be.quiver, be.p, dims, tuple(maps))
+    return Rep(dims, tuple(maps))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import os
@@ -5,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hallforge import backend
 from hallforge.backend import (A1ClosedFormBackend, EnumerationError,
@@ -15,7 +16,7 @@ from hallforge.fq import gaussian_binomial, gl_order, row_rank, rref
 from hallforge.quiver import Quiver, load_quiver, preset
 
 from enum_oracles import aut_count_enum, filtration_count, is_iso_enum
-from matrix_oracles import direct_sum, identity, mat_mul
+from matrix_oracles import direct_sum, mat_mul
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +138,7 @@ def test_subobjects_frozen(a2):
     assert len(a2.subobject_pairs(split)) == 4
     # the socle of P is S2: exactly one 1-dim subobject, no S1 inside
     mids = [a2.classify(sub) for sub, _ in a2.subobject_pairs(proj(a2))
-            if sub.total_dim == 1]
+            if sum(sub.dims) == 1]
     assert mids == [a2.classify(s2(a2))]
 
 
@@ -260,7 +261,7 @@ def test_rep_refuses_a_wrong_shape(a2):
         with pytest.raises(ValueError):
             a2.rep(dims, maps)
     # entries are reduced mod p where they enter
-    assert a2.rep((1, 1), [[[3]]]).key == ((1, 1), (((1,),),))
+    assert a2.rep((1, 1), [[[3]]]) == ((1, 1), (((1,),),))
     assert a2.rep((1, 1), [[[-2]]]) == a2.rep((1, 1), [[[0]]])
 
 
@@ -324,8 +325,8 @@ def test_cap_reports_budget_spent(monkeypatch):
 
 def full_scan_reps(be, dimvec):
     """Class representatives at dimvec from a scan of every arrow
-    assignment, keeping each one not isomorphic to an earlier keeper:
-    the enumeration without the orbit-counting stop."""
+    assignment, keeping each one with no injective homomorphism to an
+    earlier keeper: the enumeration without the orbit-counting stop."""
     arrows = be.quiver.arrows
     slots = [dimvec[t] * dimvec[s] for s, t in arrows]
     reps = []
@@ -337,7 +338,7 @@ def full_scan_reps(be, dimvec):
             entries.append([chunk[r * dimvec[s]:(r + 1) * dimvec[s]]
                             for r in range(dimvec[t])])
         cand = be.rep(dimvec, entries)
-        if not any(be.is_iso(cand, rep) for rep in reps):
+        if not any(be.inj_count(cand, rep) > 0 for rep in reps):
             reps.append(cand)
     return reps
 
@@ -350,7 +351,7 @@ def test_iso_classes_match_full_scan(tag, p, dimvec):
     ids = be.iso_classes(dimvec)
     ref_be = QuiverBackend(preset(tag), p)
     ref = full_scan_reps(ref_be, dimvec)
-    assert [be.class_rep(c).key for c in ids] == [r.key for r in ref]
+    assert [be.class_rep(c) for c in ids] == ref
     name = "X{" + ",".join(map(str, dimvec)) + "}#"
     assert [be.class_name(c) for c in ids] == [name + str(j) for j in range(len(ref))]
     auts = [ref_be.aut_count(r) for r in ref]
@@ -390,9 +391,10 @@ def test_iso_classes_raise_when_classes_merge(monkeypatch):
 
 
 def test_iso_classes_raise_when_classes_merge_on_the_sieve(monkeypatch):
-    # kronecker's scan tests candidates with is_iso: the zero pair at (1, 1)
-    # (orbit 1) swallows the other 3 assignments
-    monkeypatch.setattr(QuiverBackend, "is_iso", lambda self, a, b: True)
+    # kronecker's scan sieves candidates against the classes found: a sieve
+    # that sees an injection everywhere lets the zero pair at (1, 1) (orbit
+    # 1) swallow the other 3 assignments
+    monkeypatch.setattr(QuiverBackend, "_sieve", lambda self, a, quots, b: 1)
     be = QuiverBackend(preset("kronecker"), 2)
     with pytest.raises(EnumerationError, match="cover 1 of 4"):
         be.iso_classes((1, 1))
@@ -500,6 +502,24 @@ def _inverse(m, p):
     return tuple(row[n:] for row in red)
 
 
+@functools.lru_cache(maxsize=None)
+def invertible(d, p):
+    """Every invertible d x d matrix over F_p, as a tuple of row tuples."""
+    rows = list(itertools.product(range(p), repeat=d))
+    return [m for m in itertools.product(rows, repeat=d)
+            if row_rank(m, p) == d]
+
+
+def change_basis(draw, be, rep):
+    """rep after a random change of basis at every vertex."""
+    p, dims = be.p, rep.dims
+    base = [draw(st.sampled_from(invertible(d, p))) for d in dims]
+    maps = [mat_mul(mat_mul(base[t], f, p, dims[s]), _inverse(base[s], p),
+                    p, dims[s])
+            for (s, t), f in zip(be.quiver.arrows, rep.maps)]
+    return Rep(dims, tuple(maps))
+
+
 @st.composite
 def rep_pairs(draw):
     """Two reps of one small dimvec on a path quiver.  Each is random
@@ -519,16 +539,6 @@ def rep_pairs(draw):
                                       max_size=cols),
                              min_size=rows, max_size=rows))
 
-    def change_basis(rep):
-        base = []
-        for d in dims:
-            g = tuple(map(tuple, matrix(d, d)))
-            base.append(g if row_rank(g, p) == d else identity(d))
-        maps = [mat_mul(mat_mul(base[t], f, p, dims[s]), _inverse(base[s], p),
-                        p, dims[s])
-                for (s, t), f in zip(arrows, rep.maps)]
-        return Rep(be.quiver, p, dims, maps)
-
     def draw_rep():
         if draw(st.booleans()):
             return be.rep(dims, [matrix(dims[t], dims[s]) for s, t in arrows])
@@ -537,10 +547,10 @@ def rep_pairs(draw):
             rep = direct_sum(be, rep, be.rep(root, [
                 [[int(root[s] and root[t])] * root[s]] * root[t]
                 for s, t in arrows]))
-        return change_basis(rep)
+        return change_basis(draw, be, rep)
 
     a = draw_rep()
-    b = change_basis(a) if draw(st.booleans()) else draw_rep()
+    b = change_basis(draw, be, a) if draw(st.booleans()) else draw_rep()
     return be, a, b
 
 
@@ -552,6 +562,56 @@ def test_rank_key_is_iso_matches_sieve_and_enumeration(pair):
     got = be.is_iso(a, b)
     assert got == (be.inj_count(a, b) > 0) == is_iso_enum(be, a, b)
     assert be.is_iso(b, a) == got
+
+
+def assert_memos_keyed_by_class_pairs(be):
+    """Every key of the hom and injection memos is a pair of class ids."""
+    ids = range(len(be._classes))
+    for memo in (be._hom, be._inj):
+        assert all(type(a) is int and type(b) is int and a in ids and b in ids
+                   for a, b in memo)
+
+
+# a backend at q=2 and the dimvecs drawn on it, each with a space of
+# dimension 2 for a change of basis to move
+UNREGISTERED_CASES = {
+    "kronecker": (QuiverBackend(preset("kronecker"), 2),
+                  [(2, 1), (1, 2), (2, 2)]),
+    "a3": (QuiverBackend(preset("a3"), 2), [(2, 1, 1), (1, 2, 1), (2, 2, 1)]),
+    "1>2<3": (QuiverBackend(Quiver(("1", "2", "3"),
+                                   (("1", "2"), ("3", "2"))), 2),
+              [(1, 2, 1), (2, 1, 1), (1, 2, 2)]),
+}
+
+
+@st.composite
+def class_and_conjugate(draw):
+    """A backend, a class id M and M's representative after a random change
+    of basis that moves it to a Rep whose class is not known yet."""
+    be, dimvecs = UNREGISTERED_CASES[draw(st.sampled_from(
+        sorted(UNREGISTERED_CASES)))]
+    mid = draw(st.sampled_from(be.iso_classes(draw(st.sampled_from(dimvecs)))))
+    rep = change_basis(draw, be, be.class_rep(mid))
+    assume(rep not in be._key_to_id)
+    return be, mid, rep
+
+
+@settings(max_examples=40, deadline=None)
+@given(class_and_conjugate())
+def test_an_unregistered_rep_counts_like_its_class(case):
+    # the counts of a Rep whose class is not known are computed and not
+    # stored; they must be those of its class
+    be, mid, rep = case
+    for cid in be.iso_classes(rep.dims):
+        assert be.hom_dim(rep, cid) == be.hom_dim(mid, cid)
+        assert be.hom_dim(cid, rep) == be.hom_dim(cid, mid)
+        assert be.inj_count(rep, cid) == be.inj_count(mid, cid)
+        assert be.inj_count(cid, rep) == be.inj_count(cid, mid)
+    for cid in be.iso_classes(rep.dims):
+        got = be.is_iso(rep, cid)
+        assert got == be.is_iso(mid, cid) == (cid == mid)
+        assert got == is_iso_enum(be, rep, cid)
+    assert_memos_keyed_by_class_pairs(be)
 
 
 @pytest.mark.parametrize("tag,dimvec,count", [
@@ -569,29 +629,26 @@ def test_class_count_is_the_kostant_partition_count(tag, dimvec, count, p):
 def test_rejected_candidates_leave_no_memo_entries():
     be = QuiverBackend(preset("a2"), 2)
     assert len(be.iso_classes((3, 3))) == 4
-    reps = {rep.key for rep in be._classes}
-    assert set(be._subs) <= reps
-    assert all(a in reps and b in reps for a, b in be._inj)
-    assert all(a in reps and b in reps for a, b in be._hom)
+    assert set(be._key_to_id) == set(be._classes)
+    assert_memos_keyed_by_class_pairs(be)
 
 
 def test_rejected_candidates_leave_no_memo_entries_on_the_sieve():
-    # kronecker is not a path quiver: its scan and classify test candidates
-    # with inj_count, whose entries for a rejected rep are dropped
+    # kronecker is not a path quiver: its scan sieves each candidate against
+    # the classes found, and nothing is stored for a rejected one
     be = QuiverBackend(preset("kronecker"), 2)
     assert be._chains is None
-    assert len(be.iso_classes((2, 2))) == 16
+    top = be.iso_classes((2, 2))
+    assert len(top) == 16
     assert len(be._classes) == 35
-    reps = {rep.key for rep in be._classes}
-    assert set(be._subs) <= reps
-    assert {a for a, _ in be._inj} <= reps
-    assert {a for a, _ in be._hom} <= reps
+    assert_memos_keyed_by_class_pairs(be)
+    # the classification memo holds quotients and subobjects, all of
+    # smaller dims: the only Reps of the scanned dims are the classes
+    assert {rep for rep in be._key_to_id if rep.dims == (2, 2)} == {
+        be.class_rep(c) for c in top}
     for cid in be.classes_within((1, 1)):
         be.subobject_table(cid)  # classifies every sub and quotient
-    reps = {rep.key for rep in be._classes}
-    assert set(be._subs) <= reps
-    assert {a for a, _ in be._inj} <= reps
-    assert {a for a, _ in be._hom} <= reps
+    assert_memos_keyed_by_class_pairs(be)
 
 
 # -- class-id tables against the per-triple algorithms they replace -------
@@ -670,8 +727,8 @@ def test_rank_key_classify_matches_the_sieve(pair):
     be, a, b = pair
     for rep in (a, b):
         assert be.classify(rep) == sieve_classify(be, rep)
-    # a path quiver classifies without storing the classified rep's key
-    assert set(be._key_to_id) == {rep.key for rep in be._classes}
+    # a path quiver classifies without storing the classified rep
+    assert set(be._key_to_id) == set(be._classes)
     assert len(be._rank_to_id) == len(be._classes)
 
 
@@ -688,13 +745,14 @@ def test_bialgebra_run_keys_registered_reps_only(monkeypatch):
     assert report["instances"] == report["passes"] == 1260
     (be,) = made
     assert be._chains is not None
-    assert set(be._key_to_id) == {rep.key for rep in be._classes}
+    assert set(be._key_to_id) == set(be._classes)
+    assert_memos_keyed_by_class_pairs(be)
 
 
 def test_aut_count_and_euler_form_memos(a2):
     ss = a2.classify(direct_sum(a2, s1(a2), s1(a2)))
     assert a2.aut_count(ss) == a2.aut_count(a2.class_rep(ss)) == 6
-    assert a2._aut[ss] == 6
+    assert a2._inj[(ss, ss)] == 6
     assert a2.euler_form((1, 1), (1, 1)) == a2._euler[((1, 1), (1, 1))] == 1
     with pytest.raises(ValueError):
         a2.euler_form((1,), (1, 0))
@@ -738,26 +796,40 @@ def test_rank_key_table_matches_the_subobject_reps(case, p, box, tmp_path):
     assert checked >= len(be.classes_within(box)) // 2
 
 
+def count_sub_quot_reps(monkeypatch):
+    """A list that gets one entry per (sub, quotient) Rep pair built."""
+    made = []
+    build = QuiverBackend._make_sub_quot
+
+    def counting(self, rep, combo):
+        made.append(rep.dims)
+        return build(self, rep, combo)
+
+    monkeypatch.setattr(QuiverBackend, "_make_sub_quot", counting)
+    return made
+
+
 @pytest.mark.parametrize("tag,p,dimvec", [
     ("a2", 2, (4, 3)), ("a2", 3, (3, 3)), ("a3", 2, (2, 2, 2))])
-def test_path_quiver_tables_build_no_subobject_reps(tag, p, dimvec):
+def test_path_quiver_tables_build_no_subobject_reps(monkeypatch, tag, p,
+                                                   dimvec):
+    made = count_sub_quot_reps(monkeypatch)
     be = QuiverBackend(preset(tag), p)
     for lid in be.iso_classes(dimvec):
         be.aut_count(lid)
     for lid in be.classes_within(dimvec):
         be.subobject_table(lid)
-    assert be._subs == {}
-    reps = {rep.key for rep in be._classes}
-    assert {a for a, _ in be._inj} <= reps
-    assert {a for a, _ in be._hom} <= reps
+    assert made == []
+    assert_memos_keyed_by_class_pairs(be)
 
 
-def test_sieve_quiver_tables_still_build_subobject_reps():
+def test_sieve_quiver_tables_still_build_subobject_reps(monkeypatch):
+    made = count_sub_quot_reps(monkeypatch)
     be = QuiverBackend(preset("kronecker"), 2)
     for lid in be.iso_classes((2, 2)):
         be.aut_count(lid)
-    reps = {rep.key for rep in be._classes}
-    assert be._subs and set(be._subs) <= reps
+    assert made
+    assert_memos_keyed_by_class_pairs(be)
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +855,7 @@ def test_class_names_are_places_in_the_class_list(tag, p, dimvec):
 
 def test_class_names_do_not_move_when_larger_dimvecs_are_enumerated():
     def names_by_key(be, cids):
-        return {be.class_rep(c).key: be.class_name(c) for c in cids}
+        return {be.class_rep(c): be.class_name(c) for c in cids}
 
     early = QuiverBackend(preset("a2"), 2)
     small = early.classes_within((2, 1))
@@ -793,7 +865,7 @@ def test_class_names_do_not_move_when_larger_dimvecs_are_enumerated():
     late = QuiverBackend(preset("a2"), 2)
     late.classes_within((3, 3))
     assert names_by_key(late, late.classes_within((2, 1))) == before
-    assert before[early.simple_rep(0).key] == "S1"
+    assert before[early.simple_rep(0)] == "S1"
     assert len(early._names) == len(early._classes)
     assert len(late._names) == len(late._classes)
 

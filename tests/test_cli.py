@@ -258,6 +258,23 @@ def test_a_missing_quiver_file_is_a_usage_error(tmp_path, capsys):
                            "or directory)\n" % missing), argv
 
 
+@pytest.mark.parametrize("data,why", [
+    ([1], 'must hold an object with a "vertices" list'),
+    ({"vertices": ["1", "2"], "arrows": [{"from": "1"}]},
+     '"arrows" must be a list of objects with "from" and "to"'),
+    ({"vertices": [["1"], "2"], "arrows": []},
+     "every vertex must be a string or an integer"),
+], ids=["top-level-array", "arrow-without-to", "list-vertex"])
+def test_a_malformed_quiver_file_is_a_usage_error(tmp_path, capsys, data, why):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    argv = ("classes", "--dimvec", "1,1", "--quiver", str(path))
+    for rc, out, err in (run(capsys, *argv), run_optimized(*argv)):
+        assert rc == 2 and out == ""
+        assert err == "error: quiver file %r%s%s\n" % (
+            str(path), " " if why.startswith("must") else ": ", why)
+
+
 @pytest.mark.parametrize("where, why", [
     ("no/such/dir/r.json", "no such directory"),
     (".", "is a directory"),

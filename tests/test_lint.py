@@ -19,3 +19,53 @@ def test_package_has_no_assert_statements():
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+
+# private attributes a module may read without defining them
+FOREIGN_PRIVATE_OK = {"os._exit", "_replace", "_make"}
+
+
+def private_attribute_reads(tree):
+    """"line owner._name" for each read of a private attribute (not a
+    dunder) that the module does not define: no def or class of that name,
+    no assignment to an attribute of that name, no `__slots__` entry."""
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx,
+                                                                ast.Load):
+            defined.add(node.attr)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                      for t in node.targets)):
+            defined.update(c.value for c in ast.walk(node.value)
+                           if isinstance(c, ast.Constant))
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr.startswith("_") and not node.attr.endswith("__")
+                and node.attr not in defined):
+            owner = node.value.id if isinstance(node.value, ast.Name) else "?"
+            read = "%s.%s" % (owner, node.attr)
+            if read not in FOREIGN_PRIVATE_OK and (
+                    node.attr not in FOREIGN_PRIVATE_OK):
+                found.append("%d %s" % (node.lineno, read))
+    return found
+
+
+def test_no_module_reads_another_modules_private_attributes():
+    # the backend's tables, and every other module's internals, stay behind
+    # the module that defines them
+    root = Path(hallforge.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += ["%s:%s" % (path.name, read)
+                  for read in private_attribute_reads(tree)]
+    assert found == []
+    # the check sees hall.py reading the backend's class list
+    assert private_attribute_reads(ast.parse("n = len(be._classes)")) == [
+        "1 be._classes"]
