@@ -147,8 +147,10 @@ class QuiverBackend:
         self._euler = {}
         # presented algebras over this backend by tag, see presented.algebra
         self.algebras = {}
-        # L id -> the terms of Delta([L]), see hall.comult
-        self.coproduct_rows = {}
+        # the class-level rows of the Hall sums, keyed ("product", M id,
+        # N id), ("coproduct", L id) and ("gamma", M id, N id, mirrored):
+        # at most 3 C^2 + C rows over C classes, see the hall module
+        self.hall_rows = {}
         self._register(self.zero_rep())
 
     # -- construction -------------------------------------------------
@@ -540,30 +542,45 @@ class QuiverBackend:
     def inj_count(self, a, b):
         """Number of injective homomorphisms a -> b, by the quotient sieve
         (see `_sieve`).  Memoized by (id, id) when both classes are known;
-        for a Rep whose class is not known, computed and not stored."""
+        for a Rep whose class is not known, computed and not stored.  When
+        b is such a Rep, the counts into b of the quotient classes the
+        sieve recurses into are kept for this call alone, so each class
+        is counted once per call."""
         # a_M and the sieve's own recursion pass two class ids: one lookup
         got = self._inj.get((a, b))
         if got is not None:
             return got
         a, b = self._class_of(a), self._class_of(b)
-        known = isinstance(a, int) and isinstance(b, int)
-        got = self._inj.get((a, b)) if known else None
+        if not isinstance(b, int):
+            return self._count_inj(a, b, {})
+        got = self._inj.get((a, b))
         if got is None:
-            if any(x > y for x, y in zip(self._coerce_rep(a).dims,
-                                         self._coerce_rep(b).dims)):
-                got = 0
-            else:
-                got = self._sieve(a, self._quotients(a), b)
-            if known:
+            got = self._count_inj(a, b)
+            if isinstance(a, int):
                 self._inj[(a, b)] = got
         return got
 
-    def _sieve(self, a, quots, b):
+    def _count_inj(self, a, b, memo=None):
+        """#Inj(a, b) by the sieve, with `memo` as in `_sieve`."""
+        if any(x > y for x, y in zip(self._coerce_rep(a).dims,
+                                     self._coerce_rep(b).dims)):
+            return 0
+        return self._sieve(a, self._quotients(a), b, memo)
+
+    def _sieve(self, a, quots, b, memo=None):
         """#Inj(a, b) = p^hom(a,b) - sum over nonzero subobjects K of a of
-        #Inj(a/K, b), with quots = `_quotients(a)`."""
+        #Inj(a/K, b), with quots = `_quotients(a)`.  The counts #Inj(Q, b)
+        come from `inj_count`, or, given a dict memo for a b whose class
+        is not known, from memo, keyed by Q id and filled here."""
         total = self.p ** self.hom_dim(a, b)
         for qid, g in quots.items():
-            total -= g * self.inj_count(qid, b)
+            if memo is None:
+                n = self.inj_count(qid, b)
+            else:
+                n = memo.get(qid)
+                if n is None:
+                    n = memo[qid] = self._count_inj(qid, b, memo)
+            total -= g * n
         return total
 
     def _quotients(self, a):

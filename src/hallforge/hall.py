@@ -3,7 +3,22 @@ comultiplication, Green's pairing, gamma coefficients, Green's formula.
 
 An element is a `Lin` of basis symbols (mid, alpha) for [M]K_alpha,
 labelled by its backend; its coproduct is a `Lin` of symbol pairs labelled
-(backend, backend)."""
+(backend, backend).
+
+Three class-level Hall sums feed every product, coproduct and crossing the
+package forms, and each is built once per class pair as a row of the
+backend's table `be.hall_rows`, freed with the backend:
+
+- `product_row(M, N)`: (L, v^<M^,N^> g^L_{MN}), the twisted product
+  [M][N]; `hmult` and the twisted Hall merge of the presented algebras
+  read it;
+- `coproduct_row(L)`: the terms of Delta([L]); `comult` and the maps out
+  of the double (`morphisms._double_map`) read it;
+- `gamma_row(M, N, mirrored)`: the nonzero gamma^{XY}_{MN} over
+  `cross_support(M, N)`, or their mirrors gamma^{YX}_{NM}, behind every
+  crossing relation of the presented algebras.
+
+The table holds at most 3 C^2 + C rows over C classes."""
 
 from fractions import Fraction
 
@@ -31,16 +46,27 @@ def unit(be):
     return basis(be, 0)
 
 
+def product_row(be, mid, nid):
+    """The terms (L, v^{<M^,N^>} g^L_{MN}) of the twisted product [M][N],
+    in `product_terms` order: built once per class pair and held in
+    `be.hall_rows`."""
+    key = ("product", mid, nid)
+    row = be.hall_rows.get(key)
+    if row is None:
+        v = _vp(be, be.euler_form(be.class_dim(mid), be.class_dim(nid)))
+        row = be.hall_rows[key] = tuple(
+            (lid, v * g) for lid, g in be.product_terms(mid, nid))
+    return row
+
+
 def _symbol_product(be, out, left, right, c):
     """out += c [M]K_a [N]K_b, for the symbols left = (M, a), right =
     (N, b), one key per class L; `out` is a dict of terms."""
     (mid, alpha), (nid, beta) = left, right
-    nhat = be.class_dim(nid)
-    base = c * _vp(be, be.sym_euler(alpha, nhat)
-                   + be.euler_form(be.class_dim(mid), nhat))
+    base = c * _vp(be, be.sym_euler(alpha, be.class_dim(nid)))
     gamma_cls = add_class(alpha, beta)
-    for lid, g in be.product_terms(mid, nid):
-        accumulate(out, (lid, gamma_cls), base * g)
+    for lid, coeff in product_row(be, mid, nid):
+        accumulate(out, (lid, gamma_cls), base * coeff)
 
 
 def hmult(x, y):
@@ -55,11 +81,12 @@ def hmult(x, y):
     return Lin.owned(be.q, out, be)
 
 
-def _coproduct_row(be, lid):
+def coproduct_row(be, lid):
     """The terms (M, N, N^, v^{<M,N>} (a_M a_N / a_L) g^L_{MN}) of
     Delta([L]), in L's subobject table order: built once per class and
-    held in `be.coproduct_rows`."""
-    row = be.coproduct_rows.get(lid)
+    held in `be.hall_rows`."""
+    key = ("coproduct", lid)
+    row = be.hall_rows.get(key)
     if row is None:
         a_l = be.aut_count(lid)
         terms = []
@@ -68,7 +95,7 @@ def _coproduct_row(be, lid):
             weight = Fraction(g * be.aut_count(mid) * be.aut_count(nid), a_l)
             terms.append((mid, nid, nhat,
                           _vp(be, be.euler_form(mhat, nhat)) * weight))
-        row = be.coproduct_rows[lid] = tuple(terms)
+        row = be.hall_rows[key] = tuple(terms)
     return row
 
 
@@ -78,7 +105,7 @@ def comult(x):
     be = x.label
     out = {}
     for (lid, alpha), c in x.terms.items():
-        for mid, nid, nhat, coeff in _coproduct_row(be, lid):
+        for mid, nid, nhat, coeff in coproduct_row(be, lid):
             accumulate(out, ((mid, add_class(nhat, alpha)), (nid, alpha)),
                        c * coeff)
     return Lin.owned(be.q, out, (be, be))
@@ -115,6 +142,36 @@ def gamma(be, m, n, x, y):
     return SqrtScalar.of(
         Fraction(acc * be.aut_count(x) * be.aut_count(y),
                  be.aut_count(m) * be.aut_count(n)), be.q)
+
+
+def cross_support(be, M, N):
+    """(X, Y, X^, Y^, L^) with L^ = M^ - X^ = N^ - Y^ over nonneg dimvecs."""
+    mh, nh = be.class_dim(M), be.class_dim(N)
+    for X in be.classes_within(mh):
+        xh = be.class_dim(X)
+        lh = sub_class(mh, xh)
+        yh = sub_class(nh, lh)
+        if any(c < 0 for c in yh):
+            continue
+        for Y in be.iso_classes(yh):
+            yield X, Y, xh, yh, lh
+
+
+def gamma_row(be, M, N, mirrored=False):
+    """The terms (gamma, X, Y, X^, Y^, L^) over `cross_support(M, N)`, in
+    its order, where gamma is nonzero: gamma(M, N, X, Y), or gamma(N, M,
+    Y, X) when mirrored.  Built once per (M, N, mirrored) and held in
+    `be.hall_rows`."""
+    key = ("gamma", M, N, mirrored)
+    row = be.hall_rows.get(key)
+    if row is None:
+        terms = []
+        for X, Y, xh, yh, lh in cross_support(be, M, N):
+            gam = gamma(be, N, M, Y, X) if mirrored else gamma(be, M, N, X, Y)
+            if not gam.is_zero():
+                terms.append((gam, X, Y, xh, yh, lh))
+        row = be.hall_rows[key] = tuple(terms)
+    return row
 
 
 def green_formula_check(be, m, n, mp, np_):

@@ -13,8 +13,10 @@ square.
 
 Each shape of map has one construction.  `_double_map` builds the maps
 out of the double d into a tensor square (I, psi, varphi): KD^s_a goes to
-a pair of torus words and om^s_M to a sum over M's subobject table.  I
-supplies its word pairs.  `_kappa_letter` is the letter map of both
+a pair of torus words and om^s_M to a sum over the terms of Delta([M]),
+read off the backend's coproduct row of M (`hall.coproduct_row`), so the
+Hall-number weight of each split is built once per class, not once per
+map.  I supplies its word pairs.  `_kappa_letter` is the letter map of both
 index-shift maps, kappa from hd and kappaCheck from hhd, reading the
 letter kinds off the source's TWO_SIDED row; psi is I's word pairs with
 each leg's letters sent through it, (kappa (x) kappaCheck) o I.  varphi
@@ -23,8 +25,8 @@ i >= 0, whose minus side is the plus side mirrored.
 """
 
 import itertools
-from fractions import Fraction
 
+from .hall import coproduct_row
 from .presented import (TWO_SIDED, E, FreeElt, Kc, KMinus, KPlus, KcMinus,
                         KcPlus, KdMinus, KdPlus, Kz, MuMinus, MuPlus, NuMinus,
                         NuPlus, OmMinus, OmPlus, Zg, algebra, normal_form,
@@ -129,28 +131,26 @@ def _double_map(be, name, algs, torus_words, module_words, exponent=None,
     """A map out of the double d into the tensor square of `algs`.
 
     KD^s_a goes to the word pair torus_words(s, a).  om^s_M goes to a sum
-    over M's subobject table, one term per (quotient, sub) split with
-    Hall number g: v^e (g a_M1 a_M2 / a_M) times the word pair
+    over the terms of Delta([M]), one per (quotient, sub) split with Hall
+    number g: v^e (g a_M1 a_M2 / a_M) times the word pair
     module_words(s, M1, M2, M1^, M2^), where (M1, M2) is (quotient, sub)
     on the plus side and (sub, quotient) on the minus side.  The exponent
     e = exponent(quotient^, sub^) is the same on both sides; it defaults
-    to <quotient^, sub^>.
+    to <quotient^, sub^>, the exponent of M's coproduct row, and any other
+    multiplies the row's coefficient by v^{e - <quotient^, sub^>}.
     """
-    if exponent is None:
-        exponent = be.euler_form
-
     def image(letter):
         kind, s, x = letter
         if kind == "KD":
             return tensor_word(algs, *torus_words(s, x))
-        aM = be.aut_count(x)
         out = {}
-        for (quot, sub), g in be.subobject_table(x).items():
-            dq, ds = be.class_dim(quot), be.class_dim(sub)
+        for quot, sub, ds, coeff in coproduct_row(be, x):
+            dq = be.class_dim(quot)
+            if exponent is not None:
+                coeff = coeff * vpow(exponent(dq, ds) - be.euler_form(dq, ds),
+                                     be.p)
             m1, m2, d1, d2 = ((quot, sub, dq, ds) if s > 0
                               else (sub, quot, ds, dq))
-            rat = Fraction(g * be.aut_count(m1) * be.aut_count(m2), aM)
-            coeff = vpow(exponent(dq, ds), be.p) * SqrtScalar.of(rat, be.p)
             split = tensor_word(algs, *module_words(s, m1, m2, d1, d2),
                                 coeff=coeff)
             for key, c in split.terms.items():

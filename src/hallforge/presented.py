@@ -20,8 +20,12 @@ is not stated everywhere: `relation_instance` fills one instance's
 letters from it, and `relation_window` runs over the instances of a
 window, the stream the suites check.  The
 crossing sum v^<L, X-Y> gamma(M, N, X, Y) over letters of L, X and Y, or
-its mirror, is one function, `_crossing_terms`, given their letters by the
-hd and hhd crossings, 4.4 and both sides of 2.18.
+its mirror, is `_crossing_terms`, given their letters by the hd and hhd
+crossings, 4.4 and both sides of 2.18; it and the Z crossing of 4.7 and
+4.16 (`_z_cross_terms`) read their gamma terms off the backend's gamma row of
+(M, N), and the twisted Hall merge reads the product row of (M, N) (see
+`hall`), so each of these sums is built once per class pair, not once per
+letter pair or index.
 The comultiplication-pairing sum, sum phi(a_(2), b_(1)) a_(1) b_(2), is
 one function, `_pairing_sum`: the 2.7/2.12 oracles normal-order it, and
 it is both sides of the abstract double relation 2.13.
@@ -37,10 +41,12 @@ each word for its leftmost redex from `start` on:
 
 Either way the search finds the redex a search from 0 would find, so every
 word goes through the same rewrites and counts the same visits.
-Each Algebra remembers its rules' answers, as tuples, keyed by the pair of
-letters: the table holds one entry per distinct adjacent pair the algebra
-has looked at and lives as long as the Algebra.  A rule that raises (a cap
-hit in the backend) leaves no entry.  Words enter the rewriter through a
+Each Algebra remembers its rules' answers, as tuples, in a two-level table
+looked up letter by letter, `_pair_rules[a][b]` for the pair a b: it holds
+one inner entry per distinct adjacent pair the algebra has looked at, no
+pair tuple is built for a lookup, and it lives as long as the Algebra.  A
+rule that raises (a cap hit in the backend) leaves no entry, not even an
+empty inner table.  Words enter the rewriter through a
 second table per Algebra, raw letter -> canonical letter (None for a unit
 letter), one entry per distinct letter of the family; a letter outside the
 family raises on every call and is never stored.
@@ -66,7 +72,8 @@ import warnings
 from collections import namedtuple
 
 from .caps import CapExceeded, current_limit
-from .hall import basis, comult, gamma, green_pairing
+from .hall import (basis, comult, cross_support, gamma_row, green_pairing,
+                   product_row)
 from .quiver import add_class, neg_class, sub_class
 from .scalars import Lin, SqrtScalar, accumulate, vpow
 
@@ -155,8 +162,9 @@ class Algebra:
             raise ValueError("unknown algebra tag %r" % (tag,))
         self.tag = tag
         self.be = be
-        # (a, b) -> the family rule's answer: None, or a tuple of
-        # (scalar, letters); one entry per distinct adjacent pair looked at
+        # a -> {b -> the family rule's answer for the pair a b: None, or a
+        # tuple of (scalar, letters)}; one inner entry per distinct
+        # adjacent pair looked at
         self._pair_rules = {}
         # raw letter -> its canonical letter, or None for a unit letter;
         # one entry per distinct letter of the family looked at
@@ -237,52 +245,26 @@ def tensor_unit(algs):
 
 def _hall_merge(alg, M, N, rebuild, twisted=True):
     """Merge two same-kind module letters of objects M, N through the Hall
-    product: (coeff, letters) summands, the unit letter dropped."""
-    be = alg.be
-    mh, nh = be.class_dim(M), be.class_dim(N)
-    ex = be.euler_form(mh, nh)
-    out = []
-    for lid, g in be.product_terms(M, N):
-        c = SqrtScalar.of(g, alg.q)
-        if twisted:
-            c = c * alg.v(ex)
-        letters = () if lid == 0 else (rebuild(lid),)
-        out.append((c, letters))
-    return out
-
-
-def _cross_support(be, M, N):
-    """(X, Y, Xh, Yh, Lh) with Lh = M^ - X^ = N^ - Y^ over nonneg dimvecs."""
-    mh, nh = be.class_dim(M), be.class_dim(N)
-    for X in be.classes_within(mh):
-        xh = be.class_dim(X)
-        lh = sub_class(mh, xh)
-        yh = sub_class(nh, lh)
-        if any(c < 0 for c in yh):
-            continue
-        for Y in be.iso_classes(yh):
-            yield X, Y, xh, yh, lh
+    product, twisted (`hall.product_row`) or not: (coeff, letters)
+    summands, the unit letter dropped."""
+    if twisted:
+        terms = product_row(alg.be, M, N)
+    else:
+        terms = ((lid, SqrtScalar.of(g, alg.q))
+                 for lid, g in alg.be.product_terms(M, N))
+    return [(c, () if lid == 0 else (rebuild(lid),)) for lid, c in terms]
 
 
 def _strip(letters):
     return tuple(l for l in letters if not _is_unit(l))
 
 
-def _gamma_terms(be, M, N, mirrored=False):
-    """(gamma, X, Y, X^, Y^, L^) over `_cross_support(M, N)` where gamma is
-    nonzero: gamma(M, N, X, Y), or gamma(N, M, Y, X) when mirrored."""
-    for X, Y, xh, yh, lh in _cross_support(be, M, N):
-        gam = gamma(be, N, M, Y, X) if mirrored else gamma(be, M, N, X, Y)
-        if not gam.is_zero():
-            yield gam, X, Y, xh, yh, lh
-
-
 def _crossing_terms(alg, M, N, letters, mirrored=False):
-    """The crossing sum over `_gamma_terms(M, N)`: the summands
+    """The crossing sum over `hall.gamma_row(M, N, mirrored)`: the summands
     v^<L^, X^ - Y^> gamma(M, N, X, Y) letters(L^, X, Y), or, mirrored,
     v^<L^, Y^ - X^> gamma(N, M, Y, X) letters(L^, X, Y)."""
     be = alg.be
-    for gam, X, Y, xh, yh, lh in _gamma_terms(be, M, N, mirrored):
+    for gam, X, Y, xh, yh, lh in gamma_row(be, M, N, mirrored):
         d = sub_class(yh, xh) if mirrored else sub_class(xh, yh)
         yield gam * alg.v(be.euler_form(lh, d)), _strip(letters(lh, X, Y))
 
@@ -300,7 +282,7 @@ def _z_cross_terms(alg, M, N, lo):
     twisted = INDEXED[alg.family].twisted
     exmn = be.euler_form(be.class_dim(M), be.class_dim(N))
     out = []
-    for gam, X, Y, xh, yh, lh in _gamma_terms(be, M, N):
+    for gam, X, Y, xh, yh, lh in gamma_row(be, M, N):
         eyx = be.euler_form(yh, xh)
         n = -exmn - eyx if twisted else -2 * eyx
         out.append((gam * alg.v(n), _strip((Zg(Y, lo), Zg(X, lo + 1)))))
@@ -561,7 +543,8 @@ def _rewrite(alg, stack, op, limit, spent=0):
     w is spelled in canonical non-unit letters and holds no redex at a pair
     left of `start`.  Each step rewrites the leftmost redex, at pair i; the
     words it produces keep the pairs left of i - 1, so they resume there.
-    Pair-rule answers come from the algebra's table, filled on first use.
+    Pair-rule answers come from the algebra's table, looked up letter by
+    letter and filled on first use; a rule that raises stores nothing.
     Every word popped off the stack is one visit, counted on from `spent`
     in a local: past `limit` the rewrite raises CapExceeded(op, limit,
     visits).  Returns ({word: coefficient}, visits), where words whose
@@ -577,13 +560,16 @@ def _rewrite(alg, stack, op, limit, spent=0):
             raise CapExceeded(op, limit, spent)
         last = len(w) - 1
         while i < last:
-            pair = w[i:i + 2]
-            res = rules.get(pair, _UNSEEN)
+            a, b = w[i], w[i + 1]
+            row = rules.get(a)
+            res = _UNSEEN if row is None else row.get(b, _UNSEEN)
             if res is _UNSEEN:
-                res = reduce_pair(alg, w[i], w[i + 1])
+                res = reduce_pair(alg, a, b)
                 if res is not None:
                     res = tuple(res)
-                rules[pair] = res
+                if row is None:
+                    row = rules[a] = {}
+                row[b] = res
             if res is not None:
                 break
             i += 1
@@ -604,8 +590,8 @@ def _normalize_terms(alg, terms, op, limit, spent=0):
 
 
 def _word_canonical(alg, w):
-    if alg.family != "dhm" or not alg.m:
-        return True
+    """Whether w, a word of dhm:<m> with m > 2, is inside the two-residue
+    contract: its e letters sit at one residue or at two adjacent ones."""
     res = sorted({l[2] for l in w if l[0] == "e"})
     if len(res) <= 1:
         return True
@@ -616,9 +602,11 @@ def _word_canonical(alg, w):
 
 
 def _normal_elt(alg, terms):
-    """The normal form of alg whose terms are the rewrite result `terms`."""
+    """The normal form of alg whose terms are the rewrite result `terms`.
+    Only dhm:<m> with m > 2, the one algebra with a nonzero `m`, has the
+    two-residue contract, and only its words are checked against it."""
     x = Lin.owned(alg.q, terms, alg)
-    if not all(_word_canonical(alg, w) for w in x.terms):
+    if alg.m and not all(_word_canonical(alg, w) for w in x.terms):
         x.canonical = False
         warnings.warn("normal_form(%s): word outside the two-residue contract;"
                       " result is a deterministic reduct, not a canonical form"
@@ -882,7 +870,7 @@ def _double_cross_expanded(alg, M, N):
     q = alg.q
     mh, nh = be.class_dim(M), be.class_dim(N)
     lhs, rhs = {}, {}
-    for X, Y, xh, yh, lh in _cross_support(be, M, N):
+    for X, Y, xh, yh, lh in cross_support(be, M, N):
         for L in be.iso_classes(lh):
             aaa = SqrtScalar.of(be.aut_count(X) * be.aut_count(Y)
                                 * be.aut_count(L), q)

@@ -14,7 +14,8 @@ computed under it is the fold one.
 from fractions import Fraction
 
 from hallforge import morphisms, presented
-from hallforge.hall import _elt, _vp, basis, comult, green_pairing
+from hallforge.hall import (_elt, _vp, basis, comult, cross_support,
+                            green_pairing)
 from hallforge.morphisms import GenMap
 from hallforge.presented import (FreeElt, KdMinus, KdPlus, OmMinus, OmPlus,
                                  algebra, tensor_mult, pmult, tensor_word)
@@ -94,7 +95,7 @@ def double_cross_expanded(alg, M, N):
     mh, nh = be.class_dim(M), be.class_dim(N)
     lhs = Lin(q)
     rhs = Lin(q)
-    for X, Y, xh, yh, lh in presented._cross_support(be, M, N):
+    for X, Y, xh, yh, lh in cross_support(be, M, N):
         for L in be.iso_classes(lh):
             aaa = SqrtScalar.of(be.aut_count(X) * be.aut_count(Y)
                                 * be.aut_count(L), q)

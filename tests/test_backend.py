@@ -394,7 +394,8 @@ def test_iso_classes_raise_when_classes_merge_on_the_sieve(monkeypatch):
     # kronecker's scan sieves candidates against the classes found: a sieve
     # that sees an injection everywhere lets the zero pair at (1, 1) (orbit
     # 1) swallow the other 3 assignments
-    monkeypatch.setattr(QuiverBackend, "_sieve", lambda self, a, quots, b: 1)
+    monkeypatch.setattr(QuiverBackend, "_sieve",
+                        lambda self, a, quots, b, memo=None: 1)
     be = QuiverBackend(preset("kronecker"), 2)
     with pytest.raises(EnumerationError, match="cover 1 of 4"):
         be.iso_classes((1, 1))
@@ -649,6 +650,33 @@ def test_rejected_candidates_leave_no_memo_entries_on_the_sieve():
     for cid in be.classes_within((1, 1)):
         be.subobject_table(cid)  # classifies every sub and quotient
     assert_memos_keyed_by_class_pairs(be)
+
+
+def test_inj_count_into_an_unregistered_rep_counts_each_class_once(
+        monkeypatch):
+    # the sieve of #Inj(x, b) recurses into x's quotient classes, and theirs;
+    # for a Rep b whose class is not known each class is counted once per
+    # call, and nothing is stored on the backend
+    be = QuiverBackend(preset("kronecker"), 2)
+    top = be.iso_classes((2, 2))
+    b = next(cand for cand in (
+        be.rep((2, 2), (((a, b_), (c, d)), ((1, 0), (0, 1))))
+        for a, b_, c, d in itertools.product(range(2), repeat=4))
+        if cand not in be._key_to_id)
+    ref = QuiverBackend(preset("kronecker"), 2)
+    ref_b = ref.classify(b)
+    sizes = [len(t) for t in (be._inj, be._hom, be._key_to_id)]
+    calls = []
+    real = be._quotients
+    monkeypatch.setattr(be, "_quotients",
+                        lambda a: calls.append(a) or real(a))
+    for x in top:
+        calls.clear()
+        got = be.inj_count(x, b)
+        assert got == ref.inj_count(ref.classify(be.class_rep(x)), ref_b)
+        assert calls and len(calls) == len(set(calls))
+    assert any(be.inj_count(x, b) for x in top)
+    assert [len(t) for t in (be._inj, be._hom, be._key_to_id)] == sizes
 
 
 # -- class-id tables against the per-triple algorithms they replace -------

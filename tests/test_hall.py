@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from hallforge.backend import QuiverBackend
 from hallforge.hall import (basis, bialgebra_check, coassoc_check, comult,
-                            gamma, green_formula_check, green_pairing, hmult,
+                            cross_support, gamma, gamma_row,
+                            green_formula_check, green_pairing, hmult,
                             pairing_coproduct_check, pairing_product_check,
-                            tensor_hmult, unit)
+                            product_row, tensor_hmult, unit)
 from hallforge.quiver import Quiver, preset
 from hallforge.scalars import Lin, SqrtScalar, vpow
 from hallforge.suites import _alphas, _objs
@@ -244,3 +245,36 @@ def test_comult_matches_the_per_subobject_loop(tag, p, top):
         got, want = comult(x).terms, _comult_per_subobject(x)
         assert got == want
         assert list(got) == list(want)
+
+
+# the four categories the class-row reference checks run on, each with its
+# classes of total dim <= 3
+ROW_CASES = [("a2", 2), ("a2", 3), ("a3", 2), ("kronecker", 2)]
+
+
+def classes_up_to(be, top):
+    return [c for d in itertools.product(range(top + 1), repeat=be.quiver.n)
+            if sum(d) <= top for c in be.iso_classes(d)]
+
+
+@pytest.mark.parametrize("tag, q", ROW_CASES)
+def test_class_rows_match_their_per_call_formulas(tag, q):
+    be = QuiverBackend(preset(tag), q)
+    classes = classes_up_to(be, 3)
+    for m, n in itertools.product(classes, repeat=2):
+        mh, nh = be.class_dim(m), be.class_dim(n)
+        if sum(mh) + sum(nh) <= 3:
+            want = [(lid, vpow(be.euler_form(mh, nh), q) * g)
+                    for lid, g in be.product_terms(m, n)]
+            assert list(product_row(be, m, n)) == want
+        for mirrored in (False, True):
+            want = []
+            for x, y, xh, yh, lh in cross_support(be, m, n):
+                g = (gamma(be, n, m, y, x) if mirrored
+                     else gamma(be, m, n, x, y))
+                if not g.is_zero():
+                    want.append((g, x, y, xh, yh, lh))
+            assert list(gamma_row(be, m, n, mirrored)) == want
+    # every row was built once and is read back as the same object
+    assert gamma_row(be, classes[-1], classes[-1]) \
+        is gamma_row(be, classes[-1], classes[-1])

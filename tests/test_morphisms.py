@@ -4,7 +4,7 @@ from functools import partial
 
 import pytest
 
-from hallforge import presented, scalars, suites
+from hallforge import morphisms, presented, scalars, suites
 from hallforge.backend import QuiverBackend
 from hallforge.exprs import render_any, render_letter
 from hallforge.morphisms import (GenMap, apply_hom, build_hom, check_relation,
@@ -495,12 +495,14 @@ def test_owned_terms_alias_no_shared_value(monkeypatch):
     assert zeros == []
     assert {h.name for h in maps} == {"kappa", "kappaCheck", "psi",
                                       "phiInv", "varphi"}
-    assert sum(len(alg._pair_rules) for alg in be.algebras.values()) > 100
+    assert sum(len(row) for alg in be.algebras.values()
+               for row in alg._pair_rules.values()) > 100
     for alg in be.algebras.values():
         reduce_pair = presented._REDUCERS[alg.family]
-        for (a, b), got in alg._pair_rules.items():
-            fresh = reduce_pair(alg, a, b)
-            assert got == (None if fresh is None else tuple(fresh))
+        for a, row in alg._pair_rules.items():
+            for b, got in row.items():
+                fresh = reduce_pair(alg, a, b)
+                assert got == (None if fresh is None else tuple(fresh))
     for h in maps:
         assert h._cache
         for letter, img in h._cache.items():
@@ -519,3 +521,25 @@ def test_public_lin_copies_and_owned_lin_takes_its_dict():
     y = Lin.owned(2, d)
     assert y.terms is d and d == {(MuPlus(S1),): one}
     assert y == Lin(2, {(MuPlus(S1),): one})
+
+
+@pytest.mark.parametrize("tag, q", [("a2", 2), ("a2", 3), ("a3", 2),
+                                    ("kronecker", 2)])
+def test_double_map_images_match_the_per_split_formula(monkeypatch, tag, q):
+    # om images read the coproduct row of their class; the fold builds each
+    # split's weight g a_M1 a_M2 / a_M and v^e from the subobject table
+    be = QuiverBackend(preset(tag), q)
+    classes = [c for d in itertools.product(range(4), repeat=be.quiver.n)
+               if sum(d) <= 3 for c in be.iso_classes(d)]
+    specs = [("I", {}), ("psi", {"m": 0, "i": 1}), ("varphi", {"i": -1}),
+             ("varphi", {"i": 1})]
+    maps = [build_hom(be, name, **kw) for name, kw in specs]
+    with monkeypatch.context() as mp:
+        mp.setattr(morphisms, "_double_map", fold_oracles.double_map)
+        refs = [build_hom(be, name, **kw) for name, kw in specs]
+    for h, ref in zip(maps, refs):
+        for c in classes:
+            for letter in (OmPlus(c), OmMinus(c)):
+                got, want = h.image(letter), ref.image(letter)
+                assert fold_oracles.same(got, want), (h, letter)
+                assert list(got.terms) == list(want.terms)

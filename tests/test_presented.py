@@ -911,23 +911,34 @@ def test_cap_inside_a_pair_rule_stores_nothing(monkeypatch):
     with pytest.raises(CapExceeded) as exc:
         normal_form(hd, word, budget=Budget("normal_form", 100))
     assert exc.value.op != "normal_form"
+    # no entry, and no empty inner row for the pair's left letter
     assert hd._pair_rules == {}
     monkeypatch.delenv("HALLFORGE_MAX_ENUM")
     got = normal_form(hd, word)
-    assert list(hd._pair_rules) == [(MuPlus(s1), MuPlus(s2))]
+    assert {a: list(row) for a, row in hd._pair_rules.items()} == \
+        {MuPlus(s1): [MuPlus(s2)]}
     assert got == normal_form(Algebra("hd", be), word)
+
+
+def _pair_entries(alg):
+    """The (a, b, answer) entries of alg's two-level pair table."""
+    return [(a, b, res) for a, row in alg._pair_rules.items()
+            for b, res in row.items()]
 
 
 def test_pair_table_holds_each_pair_once():
     alg = Algebra("hd", BE)
     x = w((MuPlus(S1), MuMinus(S1), MuPlus(S1), MuMinus(S1)))
     first = normal_form(alg, x)
-    size = len(alg._pair_rules)
-    assert size > 0
-    assert all(res is None or isinstance(res, tuple)
-               for res in alg._pair_rules.values())
+    entries = _pair_entries(alg)
+    assert entries
+    # keyed letter by letter: every key is one letter, never a pair
+    assert all(isinstance(a[0], str) and isinstance(b[0], str)
+               for a, b, _ in entries)
+    assert all(row for row in alg._pair_rules.values())
+    assert all(res is None or isinstance(res, tuple) for _, _, res in entries)
     assert normal_form(alg, x) == first
-    assert len(alg._pair_rules) == size
+    assert _pair_entries(alg) == entries
 
 
 def test_pmult_three_residues_not_canonical():
@@ -942,6 +953,21 @@ def test_pmult_three_residues_not_canonical():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert prod == normal_form(DH4, Lin(2, a.terms) * Lin(2, b.terms))
+
+
+def test_only_cyclic_moduli_above_two_check_the_two_residue_contract(
+        monkeypatch):
+    checked = []
+    real = presented._word_canonical
+    monkeypatch.setattr(presented, "_word_canonical",
+                        lambda alg, word: checked.append(alg.tag)
+                        or real(alg, word))
+    for alg, word in ((HD, (MuPlus(S1), MuMinus(S1))),
+                      (DH0, (E(S1, 1), E(S1, 0))),
+                      (DH, (Zg(S1, 1), Zg(S1, 0))),
+                      (DH4, (E(S1, 1), E(S1, 0)))):
+        assert normal_form(alg, w(word)).canonical
+    assert set(checked) == {"dhm:4"}
 
 
 def test_pmult_rejects_the_double():

@@ -424,3 +424,31 @@ def test_a_run_frees_its_backend_as_it_returns(monkeypatch, case, threads):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# the gate's window runs over a2 at q=2: every run but the a1 ones and
+# rewrite-sanity's random triples, which take four times as long as these
+_GATE_A2_RUNS = [
+    ("green", {}), ("bialgebra", {}), ("pairing", {}), ("heis-oracle", {}),
+    ("kashaev", {}), ("kappa", {"m": 0}), ("kappa", {"m": 4}),
+    ("psi", {"m": 0}), ("psi", {"m": 4, "i": 1}), ("bridgeland-derived", {}),
+    ("varphi", {}), ("gradings", {})]
+
+
+def test_hall_rows_are_bounded_by_the_classes():
+    # product, gamma and gamma-mirrored rows per class pair, and one
+    # coproduct row per class: at most 3 C^2 + C, however many letter
+    # pairs, indices and maps the window has
+    be = make_backend("a2", 2)
+    sizes = []
+    for _ in range(2):
+        for suite, kw in _GATE_A2_RUNS:
+            cfg = RunConfig(suite=suite, max_dim=2, **kw)
+            for _, _, check in _BUILDERS[suite](be, cfg):
+                assert check()[0]
+        sizes.append(len(be.hall_rows))
+    classes = len(be._classes)
+    assert {key[0] for key in be.hall_rows} == {"product", "coproduct",
+                                                "gamma"}
+    assert sizes[0] <= 3 * classes ** 2 + classes
+    assert sizes[1] == sizes[0]
