@@ -98,9 +98,6 @@ def _cmd_classes(args):
         dims = tuple(int(t) for t in args.dimvec.split(","))
     except ValueError:
         raise ValueError("bad dimension vector %r" % (args.dimvec,))
-    if len(dims) != be.quiver.n or any(d < 0 for d in dims):
-        raise ValueError("dimension vector needs %d nonnegative entries"
-                         % be.quiver.n)
     cids = sorted(be.classes_within(dims), key=be.class_sort_key)
     for cid in cids:
         d = be.class_dim(cid)

@@ -27,18 +27,18 @@ from .scalars import Lin, SqrtScalar, accumulate, vpow
 
 
 def _vp(be, n):
-    return vpow(n, be.q)
+    return vpow(n, be.p)
 
 
 def _elt(be, terms):
     """A Hall element: a Lin of (mid, alpha) symbols labelled by `be`."""
-    return Lin(be.q, terms, be)
+    return Lin(be.p, terms, be)
 
 
 def basis(be, mid, alpha=None, coeff=None):
     """coeff * [M]K_alpha, K_0 when alpha is None, coefficient 1 by default."""
     alpha = be.quiver.zero_class() if alpha is None else tuple(alpha)
-    coeff = SqrtScalar.one(be.q) if coeff is None else coeff
+    coeff = SqrtScalar.one(be.p) if coeff is None else coeff
     return _elt(be, {(mid, alpha): coeff})
 
 
@@ -78,7 +78,7 @@ def hmult(x, y):
     for left, cx in x.terms.items():
         for right, cy in y.terms.items():
             _symbol_product(be, out, left, right, cx * cy)
-    return Lin.owned(be.q, out, be)
+    return Lin.owned(be.p, out, be)
 
 
 def coproduct_row(be, lid):
@@ -108,13 +108,13 @@ def comult(x):
         for mid, nid, nhat, coeff in coproduct_row(be, lid):
             accumulate(out, ((mid, add_class(nhat, alpha)), (nid, alpha)),
                        c * coeff)
-    return Lin.owned(be.q, out, (be, be))
+    return Lin.owned(be.p, out, (be, be))
 
 
 def green_pairing(x, y):
     """phi_0([M]K_a, [N]K_b) = delta_{MN} v^{(a,b)} / a_M, bilinear."""
     be = x.label
-    total = SqrtScalar.zero(be.q)
+    total = SqrtScalar.zero(be.p)
     for (mid, alpha), cx in x.terms.items():
         for (nid, beta), cy in y.terms.items():
             if mid != nid:
@@ -129,9 +129,9 @@ def gamma(be, m, n, x, y):
     rational, zero unless the class of M-X equals that of N-Y."""
     diff = sub_class(be.class_dim(m), be.class_dim(x))
     if diff != sub_class(be.class_dim(n), be.class_dim(y)):
-        return SqrtScalar.zero(be.q)
+        return SqrtScalar.zero(be.p)
     if any(d < 0 for d in diff):
-        return SqrtScalar.zero(be.q)
+        return SqrtScalar.zero(be.p)
     acc = 0
     for (lid, sub), g1 in be.subobject_table(m).items():
         if sub != x:
@@ -141,7 +141,7 @@ def gamma(be, m, n, x, y):
             acc += be.aut_count(lid) * g1 * g2
     return SqrtScalar.of(
         Fraction(acc * be.aut_count(x) * be.aut_count(y),
-                 be.aut_count(m) * be.aut_count(n)), be.q)
+                 be.aut_count(m) * be.aut_count(n)), be.p)
 
 
 def cross_support(be, M, N):
@@ -179,8 +179,7 @@ def green_formula_check(be, m, n, mp, np_):
     lhs = a_M a_N a_M' a_N' sum_L g^L_{MN} g^L_{M'N'} / a_L,
     rhs = sum q^{-<A,B'>} g^M_{AA'} g^N_{BB'} g^{M'}_{AB} g^{N'}_{A'B'}
           a_A a_A' a_B a_B'."""
-    m, n, mp, np_ = (be.classify(z) for z in (m, n, mp, np_))
-    q = be.q
+    q = be.p
     total = add_class(be.class_dim(m), be.class_dim(n))
     lhs = SqrtScalar.zero(q)
     if total == add_class(be.class_dim(mp), be.class_dim(np_)):
@@ -218,7 +217,7 @@ def green_formula_check(be, m, n, mp, np_):
 def tensor_hmult(xt, yt):
     """Componentwise product on the tensor square."""
     be = xt.label[0]
-    one = SqrtScalar.one(be.q)
+    one = SqrtScalar.one(be.p)
     out = {}
     for (l1, l2), cx in xt.terms.items():
         for (r1, r2), cy in yt.terms.items():
@@ -228,7 +227,7 @@ def tensor_hmult(xt, yt):
             for k1, c1 in left.items():
                 for k2, c2 in right.items():
                     accumulate(out, (k1, k2), c1 * c2)
-    return Lin.owned(be.q, out, xt.label)
+    return Lin.owned(be.p, out, xt.label)
 
 
 def coassoc_check(x):
@@ -240,7 +239,7 @@ def coassoc_check(x):
             accumulate(left, (j1, j2, k2), d)
         for (j1, j2), d in comult(_elt(be, {k2: c})).terms.items():
             accumulate(right, (k1, j1, j2), d)
-    return Lin(be.q, left) == Lin(be.q, right)
+    return Lin(be.p, left) == Lin(be.p, right)
 
 
 def bialgebra_check(x, y):
@@ -252,7 +251,7 @@ def pairing_product_check(x, y, z):
     """phi_0(xy, z) = sum phi_0(x, z_(1)) phi_0(y, z_(2))."""
     be = x.label
     lhs = green_pairing(hmult(x, y), z)
-    rhs = SqrtScalar.zero(be.q)
+    rhs = SqrtScalar.zero(be.p)
     for (k1, k2), c in comult(z).terms.items():
         rhs = rhs + c * green_pairing(x, basis(be, *k1)) \
             * green_pairing(y, basis(be, *k2))
@@ -263,7 +262,7 @@ def pairing_coproduct_check(x, y, z):
     """phi_0(x, yz) = sum phi_0(x_(1), y) phi_0(x_(2), z)."""
     be = x.label
     lhs = green_pairing(x, hmult(y, z))
-    rhs = SqrtScalar.zero(be.q)
+    rhs = SqrtScalar.zero(be.p)
     for (k1, k2), c in comult(x).terms.items():
         rhs = rhs + c * green_pairing(basis(be, *k1), y) \
             * green_pairing(basis(be, *k2), z)

@@ -8,15 +8,18 @@ class Quiver:
 
     Arrows are stored as (source_index, target_index) pairs.  The
     constructor rejects directed cycles: the path algebra must be
-    finite-dimensional and hereditary for everything downstream.
+    finite-dimensional and hereditary for everything downstream.  It also
+    rejects vertex names whose string forms collide, such as 1 and "1": a
+    rep file names each vertex as a JSON object key, which is a string.
     """
 
     __slots__ = ("vertices", "arrows", "name")
 
     def __init__(self, vertices, arrows, name="custom"):
         vertices = tuple(vertices)
-        if len(set(vertices)) != len(vertices):
-            raise ValueError("vertex names must be unique")
+        if len({str(v) for v in vertices}) != len(vertices):
+            raise ValueError("vertex names must be unique as strings: %s"
+                             % ", ".join(map(repr, vertices)))
         index = {v: i for i, v in enumerate(vertices)}
         resolved = []
         for s, t in arrows:

@@ -87,10 +87,11 @@ _FILT = weakref.WeakKeyDictionary()
 
 
 def filtration_count(be, big, parts):
-    """g^M_{N1..Nt}: filtrations of big with successive quotients
-    N1, N2, ..., memoized per backend."""
+    """g^M_{N1..Nt}: filtrations of big, a class id or a Rep, with
+    successive quotients in the classes parts = (N1, N2, ...), memoized
+    per backend."""
     big = _rep(be, big)
-    part_ids = tuple(be.classify(x) for x in parts)
+    part_ids = tuple(parts)
     memo = _FILT.setdefault(be, {})
     memo_key = (big, part_ids)
     got = memo.get(memo_key)
@@ -99,10 +100,10 @@ def filtration_count(be, big, parts):
     if not part_ids:
         count = 1 if big.is_zero() else 0
     else:
-        head = be.class_rep(part_ids[0])
+        head = part_ids[0]
         count = 0
         for sub, quot in be.subobject_pairs(big):
-            if quot.dims == head.dims and be.is_iso(quot, head):
+            if quot.dims == be.class_dim(head) and be.classify(quot) == head:
                 count += filtration_count(be, sub, part_ids[1:])
     memo[memo_key] = count
     return count

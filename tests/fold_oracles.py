@@ -158,7 +158,7 @@ def tensor_hmult(xt, yt):
             for k1, c1 in left.terms.items():
                 for k2, c2 in right.terms.items():
                     accumulate(out, (k1, k2), c1 * c2)
-    return Lin(be.q, out, xt.label)
+    return Lin(be.p, out, xt.label)
 
 
 def install(mp):

@@ -62,34 +62,39 @@ def test_euler_form_frozen(a2):
     assert a2.sym_euler((1, 0), (1, 0)) == 2
 
 
+def ids_of(be, *reps):
+    """The class ids of reps, in order."""
+    return [be.classify(rep) for rep in reps]
+
+
 def test_hom_dim_frozen(a2):
-    p = proj(a2)
-    assert a2.hom_dim(p, s1(a2)) == 1
-    assert a2.hom_dim(p, s2(a2)) == 0
-    assert a2.hom_dim(p, a2.zero_rep()) == 0
-    assert a2.hom_dim(s2(a2), p) == 1
-    assert a2.hom_dim(s1(a2), s2(a2)) == 0
+    p, x, y, zero = ids_of(a2, proj(a2), s1(a2), s2(a2), a2.zero_rep())
+    assert a2.hom_dim(p, x) == 1
+    assert a2.hom_dim(p, y) == 0
+    assert a2.hom_dim(p, zero) == 0
+    assert a2.hom_dim(y, p) == 1
+    assert a2.hom_dim(x, y) == 0
 
 
 def test_hereditary_identity(a2):
     # hom - ext = euler with ext >= 0, and Ext^1(P,-) = 0 for the projective
-    p = proj(a2)
+    p = a2.classify(proj(a2))
     for cid in a2.classes_within((2, 2)):
-        rep = a2.class_rep(cid)
-        assert a2.ext_dim(p, rep) == 0
+        assert a2.ext_dim(p, cid) == 0
         for did in a2.classes_within((1, 1)):
-            other = a2.class_rep(did)
-            e = a2.ext_dim(rep, other)
+            e = a2.ext_dim(cid, did)
             assert e >= 0
-            assert a2.hom_dim(rep, other) - e == a2.euler_form(rep.dims, other.dims)
+            assert a2.hom_dim(cid, did) - e == a2.euler_form(
+                a2.class_dim(cid), a2.class_dim(did))
 
 
 def test_aut_count_frozen(a2):
-    ss = direct_sum(a2, s1(a2), s1(a2))
+    ss, p, zero, x = ids_of(a2, direct_sum(a2, s1(a2), s1(a2)), proj(a2),
+                            a2.zero_rep(), s1(a2))
     assert a2.aut_count(ss) == 6
-    assert a2.aut_count(proj(a2)) == 1
-    assert a2.aut_count(a2.zero_rep()) == 1
-    assert a2.aut_count(s1(a2)) == 1
+    assert a2.aut_count(p) == 1
+    assert a2.aut_count(zero) == 1
+    assert a2.aut_count(x) == 1
 
 
 def test_aut_count_matches_enumeration(a2, a1_3):
@@ -102,33 +107,37 @@ def test_aut_count_matches_enumeration(a2, a1_3):
 
 def test_is_iso(a2):
     p = proj(a2)
-    assert a2.is_iso(p, p)
-    assert not a2.is_iso(s1(a2), s2(a2))
+    assert a2.classify(p) == a2.classify(a2.rep((1, 1), [[[1]]]))
+    assert a2.classify(s1(a2)) != a2.classify(s2(a2))
     three = QuiverBackend(preset("a2"), 3)
     r1 = three.rep((1, 1), [[[1]]])
     r2 = three.rep((1, 1), [[[2]]])
-    assert three.is_iso(r1, r2)
+    assert three.classify(r1) == three.classify(r2)
     assert is_iso_enum(three, r1, r2)
-    assert not three.is_iso(r1, three.rep((1, 1), [[[0]]]))
+    assert three.classify(r1) != three.classify(three.rep((1, 1), [[[0]]]))
 
 
 def test_is_iso_matches_enumeration(a2):
     reps = [a2.class_rep(c) for c in a2.classes_within((2, 2))]
     for x in reps:
         for y in reps:
-            assert a2.is_iso(x, y) == is_iso_enum(a2, x, y)
+            assert (a2.classify(x) == a2.classify(y)) == is_iso_enum(a2, x, y)
 
 
 def test_is_iso_equivalence(a2):
     reps = [a2.class_rep(c) for c in a2.classes_within((1, 1))]
     reps.append(direct_sum(a2, s1(a2), s2(a2)))
+
+    def iso(x, y):
+        return a2.classify(x) == a2.classify(y)
+
     for x in reps:
-        assert a2.is_iso(x, x)
+        assert iso(x, x)
         for y in reps:
-            assert a2.is_iso(x, y) == a2.is_iso(y, x)
+            assert iso(x, y) == iso(y, x)
             for z in reps:
-                if a2.is_iso(x, y) and a2.is_iso(y, z):
-                    assert a2.is_iso(x, z)
+                if iso(x, y) and iso(y, z):
+                    assert iso(x, z)
 
 
 def test_subobjects_frozen(a2):
@@ -148,14 +157,14 @@ def test_subquotient_shapes(a2):
 
 
 def test_hall_number_frozen(a2):
-    p, x, y = proj(a2), s1(a2), s2(a2)
+    p, x, y, zero = ids_of(a2, proj(a2), s1(a2), s2(a2), a2.zero_rep())
     assert a2.hall_number(p, x, y) == 1
     assert a2.hall_number(p, y, x) == 0
-    assert a2.hall_number(p, p, a2.zero_rep()) == 1
-    assert a2.hall_number(p, a2.zero_rep(), p) == 1
-    ss = direct_sum(a2, x, x)
+    assert a2.hall_number(p, p, zero) == 1
+    assert a2.hall_number(p, zero, p) == 1
+    ss, split = ids_of(a2, direct_sum(a2, s1(a2), s1(a2)),
+                       direct_sum(a2, s1(a2), s2(a2)))
     assert a2.hall_number(ss, x, x) == 3
-    split = direct_sum(a2, x, y)
     assert a2.hall_number(split, x, y) == 1
     assert a2.hall_number(split, y, x) == 1
 
@@ -164,6 +173,15 @@ def test_hall_number_a1():
     be = QuiverBackend(preset("a1"), 2)
     two, one = be.iso_classes((2,))[0], be.iso_classes((1,))[0]
     assert be.hall_number(two, one, one) == 3
+
+
+@pytest.mark.parametrize("bound", [(-1, 2), (2,), (1, 1, 1)])
+def test_classes_within_refuses_a_bad_bound(a2, bound):
+    # as iso_classes does, not by returning no classes
+    with pytest.raises(ValueError, match="needs 2 nonnegative entries"):
+        a2.classes_within(bound)
+    with pytest.raises(ValueError, match="needs 2 nonnegative entries"):
+        a2.iso_classes(bound)
 
 
 def test_iso_classes_frozen(a2):
@@ -181,18 +199,18 @@ def test_iso_classes_frozen(a2):
 
 
 def test_middle_terms(a2):
-    split = a2.classify(direct_sum(a2, s1(a2), s2(a2)))
-    pid = a2.classify(proj(a2))
-    assert {lid for lid, _ in a2.product_terms(s1(a2), s2(a2))} == \
-        {split, pid}
-    assert {lid for lid, _ in a2.product_terms(s2(a2), s1(a2))} == {split}
+    split, pid, x, y = ids_of(a2, direct_sum(a2, s1(a2), s2(a2)), proj(a2),
+                              s1(a2), s2(a2))
+    assert {lid for lid, _ in a2.product_terms(x, y)} == {split, pid}
+    assert {lid for lid, _ in a2.product_terms(y, x)} == {split}
 
 
 def test_filtration_count(a2):
-    p, x, y = proj(a2), s1(a2), s2(a2)
+    p = proj(a2)
+    pid, x, y = ids_of(a2, p, s1(a2), s2(a2))
     assert filtration_count(a2, p, [x, y]) == 1
     assert filtration_count(a2, p, [y, x]) == 0
-    assert filtration_count(a2, p, [p]) == 1
+    assert filtration_count(a2, p, [pid]) == 1
     assert filtration_count(a2, a2.zero_rep(), []) == 1
     be1 = QuiverBackend(preset("a1"), 2)
     two = be1.iso_classes((2,))[0]
@@ -243,7 +261,7 @@ def test_registry_stability(a2):
 def test_rep_json_roundtrip(a2):
     data = {"dims": {"1": 1, "2": 1}, "maps": {"0": [[1]]}, "p": 2}
     rep = a2.rep_from_json(data)
-    assert a2.is_iso(rep, proj(a2))
+    assert a2.classify(rep) == a2.classify(proj(a2))
     missing = a2.rep_from_json({"dims": {"1": 1, "2": 1}, "p": 2})
     assert a2.classify(missing) == a2.classify(direct_sum(a2, s1(a2), s2(a2)))
     with pytest.raises(ValueError):
@@ -326,10 +344,12 @@ def test_cap_reports_budget_spent(monkeypatch):
 def full_scan_reps(be, dimvec):
     """Class representatives at dimvec from a scan of every arrow
     assignment, keeping each one with no injective homomorphism to an
-    earlier keeper: the enumeration without the orbit-counting stop."""
+    earlier keeper by the sieve: the enumeration without the
+    orbit-counting stop.  Each keeper is registered on be, so the sieve
+    can take it as a class id."""
     arrows = be.quiver.arrows
     slots = [dimvec[t] * dimvec[s] for s, t in arrows]
-    reps = []
+    keepers = []
     for assign in itertools.product(range(be.p), repeat=sum(slots)):
         entries, pos = [], 0
         for (s, t), n_ent in zip(arrows, slots):
@@ -338,9 +358,9 @@ def full_scan_reps(be, dimvec):
             entries.append([chunk[r * dimvec[s]:(r + 1) * dimvec[s]]
                             for r in range(dimvec[t])])
         cand = be.rep(dimvec, entries)
-        if not any(be.inj_count(cand, rep) > 0 for rep in reps):
-            reps.append(cand)
-    return reps
+        if be._sieve_class(cand, keepers) is None:
+            keepers.append(be._register(cand))
+    return [be.class_rep(c) for c in keepers]
 
 
 @pytest.mark.parametrize("tag,p,dimvec", [
@@ -354,7 +374,7 @@ def test_iso_classes_match_full_scan(tag, p, dimvec):
     assert [be.class_rep(c) for c in ids] == ref
     name = "X{" + ",".join(map(str, dimvec)) + "}#"
     assert [be.class_name(c) for c in ids] == [name + str(j) for j in range(len(ref))]
-    auts = [ref_be.aut_count(r) for r in ref]
+    auts = [ref_be.aut_count(ref_be.classify(r)) for r in ref]
     assert [be.aut_count(c) for c in ids] == auts
     # the orbits of the full scan's classes cover the space exactly
     group = 1
@@ -395,7 +415,7 @@ def test_iso_classes_raise_when_classes_merge_on_the_sieve(monkeypatch):
     # that sees an injection everywhere lets the zero pair at (1, 1) (orbit
     # 1) swallow the other 3 assignments
     monkeypatch.setattr(QuiverBackend, "_sieve",
-                        lambda self, a, quots, b, memo=None: 1)
+                        lambda self, hom, quots, b: 1)
     be = QuiverBackend(preset("kronecker"), 2)
     with pytest.raises(EnumerationError, match="cover 1 of 4"):
         be.iso_classes((1, 1))
@@ -432,7 +452,7 @@ def test_hall_symmetry_of_counts(pair):
     by_scan = 0
     for lid in be.iso_classes(total):
         for sub, quot in be.subobject_pairs(be.class_rep(lid)):
-            if be.is_iso(sub, be.class_rep(n)) and be.is_iso(quot, be.class_rep(m)):
+            if be.classify(sub) == n and be.classify(quot) == m:
                 by_scan += 1
     assert direct == by_scan
 
@@ -560,9 +580,11 @@ def rep_pairs(draw):
 def test_rank_key_is_iso_matches_sieve_and_enumeration(pair):
     be, a, b = pair
     assert be._chains is not None
-    got = be.is_iso(a, b)
-    assert got == (be.inj_count(a, b) > 0) == is_iso_enum(be, a, b)
-    assert be.is_iso(b, a) == got
+    aid, bid = be.classify(a), be.classify(b)
+    got = aid == bid
+    assert got == (be._sieve_class(a, [bid]) is not None) \
+        == is_iso_enum(be, a, b)
+    assert (be._sieve_class(b, [aid]) is not None) == got
 
 
 def assert_memos_keyed_by_class_pairs(be):
@@ -600,18 +622,16 @@ def class_and_conjugate(draw):
 @settings(max_examples=40, deadline=None)
 @given(class_and_conjugate())
 def test_an_unregistered_rep_counts_like_its_class(case):
-    # the counts of a Rep whose class is not known are computed and not
-    # stored; they must be those of its class
+    # a Rep whose class is not known is sieved against the classes of its
+    # dims with nothing stored for it: the sieve, classify and enumeration
+    # must all find its class
     be, mid, rep = case
-    for cid in be.iso_classes(rep.dims):
-        assert be.hom_dim(rep, cid) == be.hom_dim(mid, cid)
-        assert be.hom_dim(cid, rep) == be.hom_dim(cid, mid)
-        assert be.inj_count(rep, cid) == be.inj_count(mid, cid)
-        assert be.inj_count(cid, rep) == be.inj_count(cid, mid)
-    for cid in be.iso_classes(rep.dims):
-        got = be.is_iso(rep, cid)
-        assert got == be.is_iso(mid, cid) == (cid == mid)
-        assert got == is_iso_enum(be, rep, cid)
+    cids = be.iso_classes(rep.dims)
+    for cid in cids:
+        assert be._rep_hom_dim(rep, be.class_rep(cid)) == be.hom_dim(mid, cid)
+        assert be._rep_hom_dim(be.class_rep(cid), rep) == be.hom_dim(cid, mid)
+        assert is_iso_enum(be, rep, cid) == (cid == mid)
+    assert be._sieve_class(rep, cids) == be.classify(rep) == mid
     assert_memos_keyed_by_class_pairs(be)
 
 
@@ -652,33 +672,6 @@ def test_rejected_candidates_leave_no_memo_entries_on_the_sieve():
     assert_memos_keyed_by_class_pairs(be)
 
 
-def test_inj_count_into_an_unregistered_rep_counts_each_class_once(
-        monkeypatch):
-    # the sieve of #Inj(x, b) recurses into x's quotient classes, and theirs;
-    # for a Rep b whose class is not known each class is counted once per
-    # call, and nothing is stored on the backend
-    be = QuiverBackend(preset("kronecker"), 2)
-    top = be.iso_classes((2, 2))
-    b = next(cand for cand in (
-        be.rep((2, 2), (((a, b_), (c, d)), ((1, 0), (0, 1))))
-        for a, b_, c, d in itertools.product(range(2), repeat=4))
-        if cand not in be._key_to_id)
-    ref = QuiverBackend(preset("kronecker"), 2)
-    ref_b = ref.classify(b)
-    sizes = [len(t) for t in (be._inj, be._hom, be._key_to_id)]
-    calls = []
-    real = be._quotients
-    monkeypatch.setattr(be, "_quotients",
-                        lambda a: calls.append(a) or real(a))
-    for x in top:
-        calls.clear()
-        got = be.inj_count(x, b)
-        assert got == ref.inj_count(ref.classify(be.class_rep(x)), ref_b)
-        assert calls and len(calls) == len(set(calls))
-    assert any(be.inj_count(x, b) for x in top)
-    assert [len(t) for t in (be._inj, be._hom, be._key_to_id)] == sizes
-
-
 # -- class-id tables against the per-triple algorithms they replace -------
 
 CLASS_TABLE_CASES = {
@@ -707,7 +700,7 @@ def scan_hall_number(be, lid, mid, nid):
         return 0
     return sum(1 for sub, quot in be.subobject_pairs(lrep)
                if sub.dims == nrep.dims and quot.dims == mrep.dims
-               and be.is_iso(sub, nrep) and be.is_iso(quot, mrep))
+               and be.classify(sub) == nid and be.classify(quot) == mid)
 
 
 @pytest.mark.parametrize("case", sorted(CLASS_TABLE_CASES))
@@ -725,7 +718,8 @@ def test_hall_number_matches_the_subobject_scan(case):
                     assert all(m + n == t for m, n, t in zip(
                         be.class_dim(mid), be.class_dim(nid), top))
         assert be.subobject_table(lid) == table
-        assert sum(table.values()) == len(be.subobject_pairs(lid))
+        assert sum(table.values()) == len(be.subobject_pairs(
+            be.class_rep(lid)))
 
 
 @pytest.mark.parametrize("case", sorted(CLASS_TABLE_CASES))
@@ -745,8 +739,7 @@ def test_product_terms_match_the_hall_number_scan(case):
 
 def sieve_classify(be, rep):
     """The class of rep by the injection-count sieve."""
-    return next(cid for cid in be.iso_classes(rep.dims)
-                if be.inj_count(rep, be.class_rep(cid)) > 0)
+    return be._sieve_class(rep, be.iso_classes(rep.dims))
 
 
 @settings(max_examples=100, deadline=None)
@@ -779,7 +772,7 @@ def test_bialgebra_run_keys_registered_reps_only(monkeypatch):
 
 def test_aut_count_and_euler_form_memos(a2):
     ss = a2.classify(direct_sum(a2, s1(a2), s1(a2)))
-    assert a2.aut_count(ss) == a2.aut_count(a2.class_rep(ss)) == 6
+    assert a2.aut_count(ss) == aut_count_enum(a2, ss) == 6
     assert a2._inj[(ss, ss)] == 6
     assert a2.euler_form((1, 1), (1, 1)) == a2._euler[((1, 1), (1, 1))] == 1
     with pytest.raises(ValueError):

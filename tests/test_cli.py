@@ -152,6 +152,13 @@ def test_classes_table(capsys):
     assert names == ["X{0,0}#0", "S2", "S1", "X{1,1}#0", "X{1,1}#1"]
 
 
+@pytest.mark.parametrize("dimvec", ["1,-1", "1", "1,1,1"])
+def test_classes_refuses_a_bad_dimension_vector(capsys, dimvec):
+    rc, out, err = run(capsys, "classes", "--dimvec", dimvec)
+    assert rc == 2 and out == ""
+    assert "needs 2 nonnegative entries" in err
+
+
 def test_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "frobnicate"])
@@ -273,6 +280,32 @@ def test_a_malformed_quiver_file_is_a_usage_error(tmp_path, capsys, data, why):
         assert rc == 2 and out == ""
         assert err == "error: quiver file %r%s%s\n" % (
             str(path), " " if why.startswith("must") else ": ", why)
+
+
+def test_a_quiver_file_with_integer_vertices_loads_a_rep_file(tmp_path,
+                                                             capsys):
+    # a rep file names each vertex as a JSON object key, a string
+    spec = tmp_path / "q.json"
+    spec.write_text(json.dumps({"vertices": [1, 2],
+                                "arrows": [{"from": 1, "to": 2}]}))
+    rep = tmp_path / "r.json"
+    rep.write_text(json.dumps({"dims": {"1": 1, "2": 1}, "maps": {"0": [[1]]}}))
+    expr = "mu+[@%s]" % rep
+    for quiver in (str(spec), "a2"):
+        rc, out, err = run(capsys, "mult", "--algebra", "hd", "--quiver",
+                           quiver, "--expr", expr)
+        assert (rc, out, err) == (0, "mu+[X{1,1}#1]\n", ""), quiver
+
+
+def test_a_quiver_file_whose_vertex_names_collide_as_strings_is_refused(
+        tmp_path, capsys):
+    spec = tmp_path / "q.json"
+    spec.write_text(json.dumps({"vertices": [1, "1"], "arrows": []}))
+    argv = ("classes", "--dimvec", "1,1", "--quiver", str(spec))
+    for rc, out, err in (run(capsys, *argv), run_optimized(*argv)):
+        assert rc == 2 and out == ""
+        assert err == ("error: vertex names must be unique as strings: "
+                       "1, '1'\n")
 
 
 @pytest.mark.parametrize("where, why", [

@@ -50,7 +50,7 @@ def test_hmult_torus(be):
     assert hmult(ka, kb) == basis(be, 0, (1, 1))
     # K_a [M] = v^{(a,M)} [M] K_a
     lhs = hmult(ka, basis(be, s2))
-    assert lhs == Lin(be.q, {(s2, (1, 0)): vpow(be.sym_euler((1, 0), (0, 1)), 2)}, be)
+    assert lhs == Lin(be.p, {(s2, (1, 0)): vpow(be.sym_euler((1, 0), (0, 1)), 2)}, be)
     assert hmult(unit(be), ka) == ka
 
 
@@ -166,8 +166,8 @@ def test_tensor_mult_componentwise(be):
     s1, s2, split, p = ids(be)
     one = SqrtScalar.one(2)
     zero_cls = (0, 0)
-    xt = Lin(be.q, {((s1, zero_cls), (0, zero_cls)): one}, (be, be))
-    yt = Lin(be.q, {((0, zero_cls), (s2, zero_cls)): one}, (be, be))
+    xt = Lin(be.p, {((s1, zero_cls), (0, zero_cls)): one}, (be, be))
+    yt = Lin(be.p, {((0, zero_cls), (s2, zero_cls)): one}, (be, be))
     got = tensor_hmult(xt, yt)
     assert got.terms == {((s1, zero_cls), (s2, zero_cls)): one}
 
@@ -213,11 +213,11 @@ def _comult_per_subobject(x):
     out = {}
     for (lid, alpha), c in x.terms.items():
         c_over_a_l = c / be.aut_count(lid)
-        for sub, quot in be.subobject_pairs(lid):
+        for sub, quot in be.subobject_pairs(be.class_rep(lid)):
             mid = be.classify(quot)
             nid = be.classify(sub)
             mhat, nhat = be.class_dim(mid), be.class_dim(nid)
-            coeff = c_over_a_l * vpow(be.euler_form(mhat, nhat), be.q) \
+            coeff = c_over_a_l * vpow(be.euler_form(mhat, nhat), be.p) \
                 * (be.aut_count(mid) * be.aut_count(nid))
             key = ((mid, tuple(a + b for a, b in zip(nhat, alpha))),
                    (nid, alpha))
