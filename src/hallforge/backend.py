@@ -12,19 +12,28 @@ On a path quiver the classes of each subobject and its quotient are read
 off the combo as rank keys, with no Rep built for either; on any other
 quiver both are built as Reps (`subobject_pairs`) and classified.
 
-Every count takes class ids, and every table is keyed by them: a_M, hom
-dimensions and injection counts of class pairs, the subobject table
-{(M, N): g^L_{MN}} of each class L, the product terms (L, g^L_{MN}) of
-each pair (M, N) and the Euler form of each dimvec pair are computed once
-and read by id from then on.  A Rep enters only where it is made (`rep`,
-`rep_from_json`), classified (`classify`) or split into its subobjects
-(`subobject_pairs`).  Inside, the sieve that classifies a scan candidate
-or a quotient works on the Rep and stores nothing for it; only its class
-id is remembered, on a quiver that is not a path quiver.  A suite run
-shards its instances over forked processes (`--threads` is the shard
-count), each with its own copy of the backend, so nothing in the package
-calls a backend from more than one thread and the memo tables are plain
-dicts with no lock.
+Every count takes class ids, and each fact is held in one table, filled
+once and read by id from then on: the class of each class key (see
+`QuiverBackend._class_key`), the injection count of each class pair (a_M
+is #Inj(M, M)), the subobject table {(M, N): g^L_{MN}} of each class L,
+the product terms (L, g^L_{MN}) of each pair (M, N) and the Euler form of
+each dimvec pair.  A Hom dimension is computed where it is asked for.  A
+Rep enters only where it is made (`rep`, `rep_from_json`), classified
+(`classify`) or split into its subobjects (`subobject_pairs`).  Inside,
+the sieve that classifies a scan candidate or a quotient works on the
+Rep and stores nothing for it; only its class id is remembered, on a
+quiver that is not a path quiver.  A suite run shards its instances over
+forked processes (`--threads` is the shard count), each with its own copy
+of the backend, so nothing in the package calls a backend from more than
+one thread and the tables are plain dicts with no lock.
+
+The backend interface, the attributes the other modules of the package
+read off a backend, is `p`, `quiver`, `iso_classes`, `classes_within`,
+`classify`, `load_rep`, `class_dim`, `class_name`, `class_by_name`,
+`class_sort_key`, `euler_form`, `sym_euler`, `hom_dim`, `aut_count`,
+`hall_number`, `subobject_table`, `product_terms`, `hall_rows` (the rows
+of the hall module's sums) and `algebras` (the presented algebras over
+the backend by tag); tests/test_lint.py fails on a read of any other.
 """
 
 import itertools
@@ -120,7 +129,7 @@ class QuiverBackend:
     sorts or renders by raw id.  Every counting method takes class ids,
     and every memo table is keyed by them (or by dimvecs); a Rep is
     stored only as a registered representative or, on a quiver that is
-    not a path quiver, as a key of the classification memo.  Memo tables
+    not a path quiver, as a key of the classification table.  Tables
     fill lazily without locking: not safe to share across threads.  A
     field size p that is not prime raises ValueError.
     """
@@ -129,31 +138,32 @@ class QuiverBackend:
         _check_prime(p)
         self.quiver = quiver
         self.p = p
+        self._chains = path_chains(quiver)
+        # id -> representative, one entry per class
         self._classes = []
-        # Rep -> id: each registered representative and, on a quiver that
-        # is not a path quiver, each Rep classified
+        # class key -> id (see `_class_key`): one entry per class on a path
+        # quiver; elsewhere also one per Rep classified
         self._key_to_id = {}
+        # dimvec -> its class ids in scan order, one entry per enumerated
+        # dimvec
         self._dimvec_classes = {}
         # id -> S<k> or X{d}#j, one entry per class of an enumerated dimvec
         self._names = {}
-        self._chains = path_chains(quiver)
-        # class-id tables: (dims, rank invariant) -> id on a path quiver,
-        # (M id, N id) -> dim Hom(M, N) and #Inj(M, N), L id ->
-        # {(M id, N id): g^L_{MN}}, (M id, N id) -> ((L id, g^L_{MN}), ...),
-        # and (x, y) -> <x, y> by dimvec pair
-        self._rank_to_id = {}
-        self._hom = {}
+        # (M id, N id) -> #Inj(M, N), at most C^2 over C classes
         self._inj = {}
+        # L id -> {(M id, N id): g^L_{MN}}, one entry per class
         self._sub_tables = {}
+        # (M id, N id) -> ((L id, g^L_{MN}), ...), at most C^2
         self._products = {}
+        # (x, y) -> <x, y>, one entry per dimvec pair asked
         self._euler = {}
         # presented algebras over this backend by tag, see presented.algebra
         self.algebras = {}
-        # the class-level rows of the Hall sums, keyed ("product", M id,
-        # N id), ("coproduct", L id) and ("gamma", M id, N id, mirrored):
-        # at most 3 C^2 + C rows over C classes, see the hall module
+        # the class-level rows of the Hall sums, keyed ("coproduct", L id)
+        # and ("gamma", M id, N id): at most C^2 + C rows, see `hall`
         self.hall_rows = {}
-        self._register(self.zero_rep())
+        zero = self.zero_rep()
+        self._register(zero, self._class_key(zero))
 
     # -- construction -------------------------------------------------
 
@@ -251,12 +261,18 @@ class QuiverBackend:
 
     # -- registry -----------------------------------------------------
 
-    def _register(self, rep):
+    def _class_key(self, rep):
+        """The key of rep in the classification table: (dims, rank
+        invariant) on a path quiver, where it is the same for every Rep of
+        a class, and rep itself on any other quiver."""
+        if self._chains is None:
+            return rep
+        return rep.dims, self._rank_invariant(rep.maps)
+
+    def _register(self, rep, key):
         cid = len(self._classes)
         self._classes.append(rep)
-        self._key_to_id[rep] = cid
-        if self._chains is not None:
-            self._rank_to_id[self._rank_key(rep)] = cid
+        self._key_to_id[key] = cid
         return cid
 
     def iso_classes(self, dimvec):
@@ -265,8 +281,8 @@ class QuiverBackend:
         Scans the p^N arrow assignments (N arrow-matrix entries) in
         `itertools.product` order and keeps each one not isomorphic to a
         class already found.  On a path quiver a candidate is one rank
-        key, looked up in the (dims, ranks) -> id table, and no Rep is
-        built for a rejected one; on any other quiver its quotient classes
+        key, looked up in the classification table, and nothing is stored
+        for a rejected one; on any other quiver its quotient classes
         are counted once and it is sieved against each class found (see
         `_sieve_class`), with nothing stored for it.  By orbit
         counting, the classes M at d satisfy sum_M |GL_d| / a_M = p^N with
@@ -307,14 +323,15 @@ class QuiverBackend:
                 maps.append(tuple(chunk[r * dimvec[s]:(r + 1) * dimvec[s]]
                                   for r in range(dimvec[t])))
             cand = Rep(dimvec, tuple(maps))
+            key = self._class_key(cand)
             if self._chains is not None:
-                if self._rank_to_id.get(self._rank_key(cand)) in found:
+                if self._key_to_id.get(key) in found:
                     continue
             elif found and self._sieve_class(cand, found) is not None:
                 continue
-            cid = self._key_to_id.get(cand)
+            cid = self._key_to_id.get(key)
             if cid is None:
-                cid = self._register(cand)
+                cid = self._register(cand, key)
             found.append(cid)
             if space == 1:
                 # one assignment, one class: its orbit is the whole space
@@ -345,29 +362,30 @@ class QuiverBackend:
         """IsoClassId of rep; same input class always gets the same id.
 
         The classes of rep's dimvec are enumerated first if needed.  On a
-        path quiver the id is then a lookup of rep's rank invariant in a
-        (dims, ranks) -> id table with one entry per registered class, so
-        nothing is stored for rep.  On any other quiver rep is sieved
-        against the classes in turn (see `_sieve_class`), and only the
-        answer is remembered, in the Rep -> id classification memo."""
-        cid = self._key_to_id.get(rep)
+        path quiver the id is then a lookup of rep's rank key in the
+        classification table, which has one entry per class, so nothing is
+        stored for rep.  On any other quiver rep is sieved against the
+        classes in turn (see `_sieve_class`), and only the answer is
+        remembered, under rep in the same table."""
+        key = self._class_key(rep)
+        cid = self._key_to_id.get(key)
         if cid is not None:
             return cid
         if self._chains is not None:
-            return self._rank_class(self._rank_key(rep))
+            return self._rank_class(key)
         cid = self._sieve_class(rep, self.iso_classes(rep.dims))
         if cid is None:
             raise AssertionError("enumeration missed a class")  # unreachable
-        self._key_to_id[rep] = cid
+        self._key_to_id[key] = cid
         return cid
 
-    def _rank_class(self, rank_key):
+    def _rank_class(self, key):
         """The class id of a (dims, ranks) key on a path quiver, the classes
         of dims enumerated first if needed."""
-        cid = self._rank_to_id.get(rank_key)
+        cid = self._key_to_id.get(key)
         if cid is None:
-            self.iso_classes(rank_key[0])
-            cid = self._rank_to_id.get(rank_key)
+            self.iso_classes(key[0])
+            cid = self._key_to_id.get(key)
             if cid is None:
                 raise AssertionError("enumeration missed a class")  # unreachable
         return cid
@@ -458,17 +476,14 @@ class QuiverBackend:
         return total, rows
 
     def _rep_hom_dim(self, a, b):
-        """dim Hom(a, b) for Reps a, b, not memoized."""
+        """dim Hom(a, b) for Reps a, b."""
         total, rows = self._hom_system(a, b)
         return total - row_rank(rows, self.p)
 
     def hom_dim(self, a, b):
-        """dim Hom(a, b) for class ids a, b, memoized by the pair."""
-        got = self._hom.get((a, b))
-        if got is None:
-            got = self._hom[(a, b)] = self._rep_hom_dim(self._classes[a],
-                                                        self._classes[b])
-        return got
+        """dim Hom(a, b) for class ids a, b, computed on each call: the
+        injection counts, which read it, are memoized instead."""
+        return self._rep_hom_dim(self._classes[a], self._classes[b])
 
     def ext_dim(self, a, b):
         """dim Ext^1(a, b) for class ids a, b: dim Hom - <dim a, dim b>."""
@@ -609,10 +624,6 @@ class QuiverBackend:
         """Ranks of the `_composites` of maps, in their order."""
         return tuple(row_rank(rows, self.p) for _, _, rows in self._composites(maps))
 
-    def _rank_key(self, rep):
-        """(dims, rank invariant) of a Rep on a path quiver."""
-        return rep.dims, self._rank_invariant(rep.maps)
-
     def subobject_table(self, lid):
         """{(M id, N id): g^L_{MN}} for the class id L, one entry per
         pair with g > 0, from a single pass over the subobjects X of L's
@@ -684,27 +695,23 @@ class QuiverBackend:
 
 class A1ClosedFormBackend:
     """Closed-form oracle for the one-vertex quiver: subspace counts are
-    Gaussian binomials and a_M is the general linear group order.  The
-    class of dimension d has id d, and the counts take ids, as on
-    `QuiverBackend`.  A field size p that is not prime raises ValueError."""
+    Gaussian binomials and a_M is the general linear group order.  It
+    implements the counts the `backend-oracle` suite compares with a
+    `QuiverBackend` on a1 (`aut_count`, `hom_dim`, `euler_form`,
+    `hall_number`), plus `iso_classes` and `p`.  The class of dimension d
+    has id d, and the counts take ids, as on `QuiverBackend`.  A field
+    size p that is not prime raises ValueError."""
 
     def __init__(self, p):
         _check_prime(p)
-        self.quiver = preset("a1")
         self.p = p
 
     def iso_classes(self, dimvec):
         (d,) = dimvec
         return [d]
 
-    def class_dim(self, cid):
-        return (cid,)
-
     def euler_form(self, x, y):
         return x[0] * y[0]
-
-    def sym_euler(self, x, y):
-        return 2 * x[0] * y[0]
 
     def hom_dim(self, a, b):
         return a * b

@@ -107,9 +107,11 @@ def _cmd_classes(args):
     return 0
 
 
-def _add_common(p):
-    p.add_argument("--quiver", default="a2",
-                   help="preset name (a1, a2, a3, kronecker) or file path")
+def _add_common(p, quiver="a2"):
+    p.add_argument("--quiver", default=quiver,
+                   help="preset name (a1, a2, a3, kronecker) or file path "
+                   "(default: %s)" % (quiver or "a1 for backend-oracle, a2 "
+                                      "for the other suites"))
     p.add_argument("--q", type=int, default=2, help="field size, prime")
 
 
@@ -121,7 +123,7 @@ def _build_parser():
 
     p = sub.add_parser("verify", help="run one verification suite")
     p.add_argument("--suite", required=True, choices=SUITES)
-    _add_common(p)
+    _add_common(p, quiver=None)
     p.add_argument("--m", type=int, default=0,
                    help="cyclic modulus for dhm targets (0 or > 2)")
     p.add_argument("--i", type=int, default=None,

@@ -18,34 +18,6 @@ def apply(m, vec, p):
     return tuple(sum(x * y for x, y in zip(r, vec)) % p for r in m)
 
 
-def rref(m, p):
-    """Gauss-Jordan over F_p. Returns (reduced matrix, rank, pivot_cols)."""
-    rows = [list(r) for r in m]
-    nr, nc = len(rows), len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        pr = None
-        for i in range(r, nr):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return tuple(tuple(row) for row in rows), r, pivots
-
-
 def row_rank(rows, p):
     """Rank over F_p of the span of rows, an iterable of tuples of
     residues: forward elimination only.  Each kept row is scaled to a

@@ -5,20 +5,19 @@ An element is a `Lin` of basis symbols (mid, alpha) for [M]K_alpha,
 labelled by its backend; its coproduct is a `Lin` of symbol pairs labelled
 (backend, backend).
 
-Three class-level Hall sums feed every product, coproduct and crossing the
-package forms, and each is built once per class pair as a row of the
+Two class-level Hall sums feed every coproduct and crossing the package
+forms, and each is built once per class or class pair as a row of the
 backend's table `be.hall_rows`, freed with the backend:
 
-- `product_row(M, N)`: (L, v^<M^,N^> g^L_{MN}), the twisted product
-  [M][N]; `hmult` and the twisted Hall merge of the presented algebras
-  read it;
 - `coproduct_row(L)`: the terms of Delta([L]); `comult` and the maps out
   of the double (`morphisms._double_map`) read it;
-- `gamma_row(M, N, mirrored)`: the nonzero gamma^{XY}_{MN} over
-  `cross_support(M, N)`, or their mirrors gamma^{YX}_{NM}, behind every
-  crossing relation of the presented algebras.
+- `gamma_row(M, N)`: the nonzero gamma^{XY}_{MN} over
+  `cross_support(M, N)`, behind every crossing relation of the presented
+  algebras, which read the mirrored sum of (M, N) off the row of (N, M).
 
-The table holds at most 3 C^2 + C rows over C classes."""
+The table holds at most C^2 + C rows over C classes.  The product reads
+the backend's product terms of (M, N) and scales them by v^<M^,N^> where
+it is formed."""
 
 from fractions import Fraction
 
@@ -46,27 +45,16 @@ def unit(be):
     return basis(be, 0)
 
 
-def product_row(be, mid, nid):
-    """The terms (L, v^{<M^,N^>} g^L_{MN}) of the twisted product [M][N],
-    in `product_terms` order: built once per class pair and held in
-    `be.hall_rows`."""
-    key = ("product", mid, nid)
-    row = be.hall_rows.get(key)
-    if row is None:
-        v = _vp(be, be.euler_form(be.class_dim(mid), be.class_dim(nid)))
-        row = be.hall_rows[key] = tuple(
-            (lid, v * g) for lid, g in be.product_terms(mid, nid))
-    return row
-
-
 def _symbol_product(be, out, left, right, c):
     """out += c [M]K_a [N]K_b, for the symbols left = (M, a), right =
     (N, b), one key per class L; `out` is a dict of terms."""
     (mid, alpha), (nid, beta) = left, right
-    base = c * _vp(be, be.sym_euler(alpha, be.class_dim(nid)))
+    nhat = be.class_dim(nid)
+    base = c * _vp(be, be.sym_euler(alpha, nhat)
+                   + be.euler_form(be.class_dim(mid), nhat))
     gamma_cls = add_class(alpha, beta)
-    for lid, coeff in product_row(be, mid, nid):
-        accumulate(out, (lid, gamma_cls), base * coeff)
+    for lid, g in be.product_terms(mid, nid):
+        accumulate(out, (lid, gamma_cls), base * g)
 
 
 def hmult(x, y):
@@ -157,17 +145,16 @@ def cross_support(be, M, N):
             yield X, Y, xh, yh, lh
 
 
-def gamma_row(be, M, N, mirrored=False):
-    """The terms (gamma, X, Y, X^, Y^, L^) over `cross_support(M, N)`, in
-    its order, where gamma is nonzero: gamma(M, N, X, Y), or gamma(N, M,
-    Y, X) when mirrored.  Built once per (M, N, mirrored) and held in
-    `be.hall_rows`."""
-    key = ("gamma", M, N, mirrored)
+def gamma_row(be, M, N):
+    """The terms (gamma(M, N, X, Y), X, Y, X^, Y^, L^) over
+    `cross_support(M, N)`, in its order, where gamma is nonzero.  Built
+    once per (M, N) and held in `be.hall_rows`."""
+    key = ("gamma", M, N)
     row = be.hall_rows.get(key)
     if row is None:
         terms = []
         for X, Y, xh, yh, lh in cross_support(be, M, N):
-            gam = gamma(be, N, M, Y, X) if mirrored else gamma(be, M, N, X, Y)
+            gam = gamma(be, M, N, X, Y)
             if not gam.is_zero():
                 terms.append((gam, X, Y, xh, yh, lh))
         row = be.hall_rows[key] = tuple(terms)

@@ -23,9 +23,9 @@ crossing sum v^<L, X-Y> gamma(M, N, X, Y) over letters of L, X and Y, or
 its mirror, is `_crossing_terms`, given their letters by the hd and hhd
 crossings, 4.4 and both sides of 2.18; it and the Z crossing of 4.7 and
 4.16 (`_z_cross_terms`) read their gamma terms off the backend's gamma row of
-(M, N), and the twisted Hall merge reads the product row of (M, N) (see
-`hall`), so each of these sums is built once per class pair, not once per
-letter pair or index.
+(M, N), or of (N, M) for the mirror (see `hall`), and the Hall merge reads
+the backend's product terms of (M, N), so each of these sums is built
+once per class pair, not once per letter pair or index.
 The comultiplication-pairing sum, sum phi(a_(2), b_(1)) a_(1) b_(2), is
 one function, `_pairing_sum`: the 2.7/2.12 oracles normal-order it, and
 it is both sides of the abstract double relation 2.13.
@@ -72,8 +72,7 @@ import warnings
 from collections import namedtuple
 
 from .caps import CapExceeded, current_limit
-from .hall import (basis, comult, cross_support, gamma_row, green_pairing,
-                   product_row)
+from .hall import basis, comult, cross_support, gamma_row, green_pairing
 from .quiver import add_class, neg_class, sub_class
 from .scalars import Lin, SqrtScalar, accumulate, vpow
 
@@ -245,14 +244,14 @@ def tensor_unit(algs):
 
 def _hall_merge(alg, M, N, rebuild, twisted=True):
     """Merge two same-kind module letters of objects M, N through the Hall
-    product, twisted (`hall.product_row`) or not: (coeff, letters)
-    summands, the unit letter dropped."""
-    if twisted:
-        terms = product_row(alg.be, M, N)
-    else:
-        terms = ((lid, SqrtScalar.of(g, alg.q))
-                 for lid, g in alg.be.product_terms(M, N))
-    return [(c, () if lid == 0 else (rebuild(lid),)) for lid, c in terms]
+    product, the backend's product terms of (M, N) scaled by v^<M^,N^>
+    when twisted and by v^0 when not: (coeff, letters) summands, the unit
+    letter dropped."""
+    be = alg.be
+    v = alg.v(be.euler_form(be.class_dim(M), be.class_dim(N))
+              if twisted else 0)
+    return [(v * g, () if lid == 0 else (rebuild(lid),))
+            for lid, g in be.product_terms(M, N)]
 
 
 def _strip(letters):
@@ -260,13 +259,17 @@ def _strip(letters):
 
 
 def _crossing_terms(alg, M, N, letters, mirrored=False):
-    """The crossing sum over `hall.gamma_row(M, N, mirrored)`: the summands
+    """The crossing sum over `hall.gamma_row(M, N)`: the summands
     v^<L^, X^ - Y^> gamma(M, N, X, Y) letters(L^, X, Y), or, mirrored,
-    v^<L^, Y^ - X^> gamma(N, M, Y, X) letters(L^, X, Y)."""
+    v^<L^, Y^ - X^> gamma(N, M, Y, X) letters(L^, X, Y) over the row of
+    (N, M), whose (A, B) are (Y, X).  Either way the exponent is
+    <L^, A^ - B^> over the row's own (A, B)."""
     be = alg.be
-    for gam, X, Y, xh, yh, lh in gamma_row(be, M, N, mirrored):
-        d = sub_class(yh, xh) if mirrored else sub_class(xh, yh)
-        yield gam * alg.v(be.euler_form(lh, d)), _strip(letters(lh, X, Y))
+    row = gamma_row(be, N, M) if mirrored else gamma_row(be, M, N)
+    for gam, A, B, ah, bh, lh in row:
+        X, Y = (B, A) if mirrored else (A, B)
+        yield (gam * alg.v(be.euler_form(lh, sub_class(ah, bh))),
+               _strip(letters(lh, X, Y)))
 
 
 def _e_cross_terms(alg, M, N, lo):

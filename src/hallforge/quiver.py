@@ -72,9 +72,6 @@ class Quiver:
             total -= x[s] * y[t]
         return total
 
-    def sym_euler(self, x, y):
-        return self.euler_form(x, y) + self.euler_form(y, x)
-
     def __eq__(self, other):
         return (isinstance(other, Quiver)
                 and self.vertices == other.vertices

@@ -9,8 +9,11 @@ sides); a failing check may add a fourth value, a note saying why.
 The builders that check defining relations (kashaev, kappa, psi,
 bridgeland-derived, varphi, gradings) take their relation instances from
 `presented.relation_window`, which reads them off the one relation table.
-A window is at least 0 wide: `run_suite` refuses a negative max_dim or
-idx_window, which would pass with no instance.
+`run_suite` fills in what a RunConfig leaves None: quiver a1 and max_dim
+4 for `backend-oracle`, which compares a backend on a1 with the a1
+closed forms and refuses any other quiver, and quiver a2 and max_dim 2
+for every other suite.  A window is at least 0 wide: `run_suite` refuses
+a negative max_dim or idx_window, which would pass with no instance.
 `_run_one` runs one instance: it is the one place that catches a cap
 hit and renders the sides, only for a failure.
 `RunConfig.threads` (the CLI's `--threads`) is the shard count, capped at
@@ -67,7 +70,7 @@ SUITES = ("green", "bialgebra", "pairing", "heis-oracle", "kashaev",
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     suite: str
-    quiver: str = "a2"
+    quiver: str = None  # a1 for backend-oracle, a2 for every other suite
     q: int = 2
     m: int = 0
     i: int = None
@@ -407,29 +410,28 @@ def _build_rewrite_sanity(be, cfg):
 
 
 def _build_backend_oracle(be, cfg):
-    q = cfg.q
-    brute = make_backend("a1", q)
-    closed = A1ClosedFormBackend(q)
+    """The run's backend, on a1, against the closed forms."""
+    closed = A1ClosedFormBackend(cfg.q)
     dmax = cfg.max_dim
-    cids = {d: brute.iso_classes((d,))[0] for d in range(dmax + 1)}
+    cids = {d: be.iso_classes((d,))[0] for d in range(dmax + 1)}
     for d in range(dmax + 1):
         def fn(d=d):
-            got, want = brute.aut_count(cids[d]), closed.aut_count(d)
-            ok = len(brute.iso_classes((d,))) == 1 and got == want
+            got, want = be.aut_count(cids[d]), closed.aut_count(d)
+            ok = len(be.iso_classes((d,))) == 1 and got == want
             return ok, got, want
 
         yield "aut", {"dim": d}, fn
     for a, b in itertools.product(range(dmax + 1), repeat=2):
         def fn(a=a, b=b):
-            ok = brute.hom_dim(cids[a], cids[b]) == closed.hom_dim(a, b) \
-                and brute.euler_form((a,), (b,)) == closed.euler_form(
+            ok = be.hom_dim(cids[a], cids[b]) == closed.hom_dim(a, b) \
+                and be.euler_form((a,), (b,)) == closed.euler_form(
                     (a,), (b,))
             return ok, None, None
 
         yield "hom-euler", {"A": a, "B": b}, fn
     for l, m, n in itertools.product(range(dmax + 1), repeat=3):
         def fn(l=l, m=m, n=n):
-            got = brute.hall_number(cids[l], cids[m], cids[n])
+            got = be.hall_number(cids[l], cids[m], cids[n])
             want = closed.hall_number(l, m, n)
             return got == want, got, want
 
@@ -590,9 +592,14 @@ def run_suite(cfg):
     if cfg.suite not in SUITES:
         raise ValueError("unknown suite %r (choose from %s)"
                          % (cfg.suite, ", ".join(SUITES)))
+    oracle = cfg.suite == "backend-oracle"
+    if cfg.quiver is None:
+        cfg = dataclasses.replace(cfg, quiver="a1" if oracle else "a2")
     if cfg.max_dim is None:
-        default_dim = 4 if cfg.suite == "backend-oracle" else 2
-        cfg = dataclasses.replace(cfg, max_dim=default_dim)
+        cfg = dataclasses.replace(cfg, max_dim=4 if oracle else 2)
+    if oracle and cfg.quiver != "a1":
+        raise ValueError("backend-oracle compares the a1 closed forms and "
+                         "runs on quiver a1 only, not %r" % (cfg.quiver,))
     if cfg.max_dim < 0 or cfg.idx_window < 0:
         raise ValueError("max_dim and idx_window must be at least 0, not "
                          "%r and %r" % (cfg.max_dim, cfg.idx_window))

@@ -1,9 +1,36 @@
-"""Reference constructions only the tests use: the transpose, product and
-null space of F_p matrices (tuples of row tuples, as in `hallforge.fq`),
-and the direct sum of two representations."""
+"""Reference constructions only the tests use: the reduced row echelon
+form, transpose, product and null space of F_p matrices (tuples of row
+tuples, as in `hallforge.fq`), and the direct sum of two representations."""
 
 from hallforge.backend import Rep
-from hallforge.fq import rref
+
+
+def rref(m, p):
+    """Gauss-Jordan over F_p. Returns (reduced matrix, rank, pivot_cols)."""
+    rows = [list(r) for r in m]
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        pr = None
+        for i in range(r, nr):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [(x * inv) % p for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in rows), r, pivots
 
 
 def identity(n):

@@ -38,3 +38,14 @@ def test_a_gate_run_matches_its_pin():
     check_gate_report(tally, label, workloads.suites.run_suite(cfg), count,
                       digest)
     assert tally.attempted > count and tally.failed == 0, tally.messages
+
+
+def test_the_cold_call_test_reads_the_backends_dimvec_table():
+    # `workloads.install_tracing` times an iso_classes call as cold when
+    # its dimvec is not a key of the backend's `_dimvec_classes`, read with
+    # getattr and a default: a renamed table would count every call as
+    # cold and raise nothing
+    be = workloads.backend.make_backend("a2", 2)
+    assert (1, 1) not in be._dimvec_classes
+    ids = be.iso_classes((1, 1))
+    assert be._dimvec_classes[(1, 1)] == ids

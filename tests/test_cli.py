@@ -205,6 +205,37 @@ def test_verify_writes_report(tmp_path, capsys):
                            "timestamp"}
 
 
+def test_backend_oracle_runs_on_a1_and_refuses_another_quiver(
+        tmp_path, capsys, monkeypatch):
+    # the suite compares a backend on a1 with the a1 closed forms: without
+    # --quiver it runs on a1, on the run's one backend, and another quiver
+    # exits 2 before any instance runs, instead of being reported
+    made = []
+    real = suites.make_backend
+    monkeypatch.setattr(suites, "make_backend",
+                        lambda *args: made.append(args[0].name)
+                        or real(*args))
+    out = tmp_path / "report.json"
+    rc, text, _ = run(capsys, "verify", "--suite", "backend-oracle",
+                      "--max-dim", "2", "--out", str(out))
+    assert rc == 0
+    assert text.startswith("backend-oracle on a1 (q=2): 39/39 passed")
+    assert json.loads(out.read_text())["quiver"] == "a1"
+    assert made == ["a1"]
+    out.unlink()
+    for quiver in ("kronecker", "a2"):
+        rc, text, err = run(capsys, "verify", "--suite", "backend-oracle",
+                            "--quiver", quiver, "--max-dim", "2",
+                            "--out", str(out))
+        assert rc == 2 and text == ""
+        assert "quiver a1 only, not %r" % quiver in err
+        assert not out.exists()
+    assert made == ["a1"]
+    # every other suite still defaults to a2
+    rc, text, _ = run(capsys, "verify", "--suite", "green", "--max-dim", "1")
+    assert rc == 0 and text.startswith("green on a2 (q=2)")
+
+
 def test_reports_identical_across_thread_counts(monkeypatch):
     # timestamp and elapsed_ms are wall-clock, everything else must match,
     # the order of failures from different shards included

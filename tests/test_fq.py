@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 from hallforge.caps import Budget, CapExceeded
 from hallforge.fq import (
     apply, enumerate_subspaces, gaussian_binomial, gl_order, in_rowspace,
-    reduce_against, row_rank, rowspace_coords, rref,
+    reduce_against, row_rank, rowspace_coords,
 )
 
-from matrix_oracles import identity, mat_mul, solve_nullspace, transpose
+from matrix_oracles import (identity, mat_mul, rref, solve_nullspace,
+                            transpose)
 
 
 def gauss_oracle(n, k, q):

@@ -9,7 +9,9 @@ from hallforge.hall import (basis, bialgebra_check, coassoc_check, comult,
                             cross_support, gamma, gamma_row,
                             green_formula_check, green_pairing, hmult,
                             pairing_coproduct_check, pairing_product_check,
-                            product_row, tensor_hmult, unit)
+                            tensor_hmult, unit)
+from hallforge.presented import (KcPlus, NuMinus, NuPlus, _crossing_terms,
+                                 algebra)
 from hallforge.quiver import Quiver, preset
 from hallforge.scalars import Lin, SqrtScalar, vpow
 from hallforge.suites import _alphas, _objs
@@ -262,19 +264,44 @@ def test_class_rows_match_their_per_call_formulas(tag, q):
     be = QuiverBackend(preset(tag), q)
     classes = classes_up_to(be, 3)
     for m, n in itertools.product(classes, repeat=2):
-        mh, nh = be.class_dim(m), be.class_dim(n)
-        if sum(mh) + sum(nh) <= 3:
-            want = [(lid, vpow(be.euler_form(mh, nh), q) * g)
-                    for lid, g in be.product_terms(m, n)]
-            assert list(product_row(be, m, n)) == want
-        for mirrored in (False, True):
-            want = []
-            for x, y, xh, yh, lh in cross_support(be, m, n):
-                g = (gamma(be, n, m, y, x) if mirrored
-                     else gamma(be, m, n, x, y))
-                if not g.is_zero():
-                    want.append((g, x, y, xh, yh, lh))
-            assert list(gamma_row(be, m, n, mirrored)) == want
+        want = []
+        for x, y, xh, yh, lh in cross_support(be, m, n):
+            g = gamma(be, m, n, x, y)
+            if not g.is_zero():
+                want.append((g, x, y, xh, yh, lh))
+        assert list(gamma_row(be, m, n)) == want
     # every row was built once and is read back as the same object
     assert gamma_row(be, classes[-1], classes[-1]) \
         is gamma_row(be, classes[-1], classes[-1])
+
+
+def _crossing_letters(L, X, Y):
+    # hhd's crossing letters: the stripped word names (X, Y) uniquely
+    return KcPlus(L), NuPlus(X), NuMinus(Y)
+
+
+@pytest.mark.parametrize("tag, q", ROW_CASES)
+def test_mirrored_crossing_terms_match_the_per_call_gammas(tag, q):
+    # the mirrored crossing sum of (M, N) reads the gamma row of (N, M)
+    # with X and Y exchanged: it must be v^<L^, Y^ - X^> gamma(N, M, Y, X)
+    # over cross_support(M, N), term by term
+    be = QuiverBackend(preset(tag), q)
+    alg = algebra("hhd", be)
+    classes = classes_up_to(be, 2)
+    for m, n in itertools.product(classes, repeat=2):
+        got = {}
+        for coeff, word in _crossing_terms(alg, m, n, _crossing_letters,
+                                           mirrored=True):
+            assert word not in got
+            got[word] = coeff
+        want = {}
+        for x, y, xh, yh, lh in cross_support(be, m, n):
+            g = gamma(be, n, m, y, x)
+            if not g.is_zero():
+                # the unit letters K_0, [0] dropped
+                units = (not any(lh), x == 0, y == 0)
+                word = tuple(letter for letter, unit in zip(
+                    _crossing_letters(lh, x, y), units) if not unit)
+                want[word] = g * vpow(be.euler_form(
+                    lh, tuple(b - a for a, b in zip(xh, yh))), q)
+        assert got == want, (m, n)

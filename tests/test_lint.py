@@ -1,9 +1,11 @@
 """Lints on the package's own source."""
 
 import ast
+import re
 from pathlib import Path
 
 import hallforge
+from hallforge import backend
 
 
 def test_package_has_no_assert_statements():
@@ -69,3 +71,44 @@ def test_no_module_reads_another_modules_private_attributes():
     # the check sees hall.py reading the backend's class list
     assert private_attribute_reads(ast.parse("n = len(be._classes)")) == [
         "1 be._classes"]
+
+
+def backend_interface():
+    """The names in backticks in the backend module docstring's paragraph
+    on the backend interface."""
+    (para,) = [p for p in backend.__doc__.split("\n\n")
+               if p.startswith("The backend interface")]
+    return set(re.findall(r"`(\w+)`", para))
+
+
+def backend_reads(tree):
+    """(line, name) for each attribute read off a backend: be.name,
+    alg.be.name, self.be.name and the like."""
+    return [(node.lineno, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and (isinstance(node.value, ast.Name) and node.value.id == "be"
+                 or isinstance(node.value, ast.Attribute)
+                 and node.value.attr == "be")]
+
+
+def test_modules_read_only_the_named_backend_interface():
+    # one backend interface, named once: every attribute another module
+    # reads off a backend is listed in the backend module docstring, and
+    # every name listed there is read
+    names = backend_interface()
+    assert len(names) >= 10
+    root = Path(hallforge.__file__).parent
+    found, read = [], set()
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "backend.py":
+            continue
+        for line, attr in backend_reads(ast.parse(path.read_text(),
+                                                  str(path))):
+            read.add(attr)
+            if attr not in names:
+                found.append("%s:%d be.%s" % (path.name, line, attr))
+    assert found == []
+    assert read == names
+    # the check sees reads through an Algebra's or an object's backend
+    assert backend_reads(ast.parse("alg.be.x\nself.be.y(be.z)")) == [
+        (1, "x"), (2, "y"), (2, "z")]
