@@ -37,7 +37,9 @@ each word for its leftmost redex from `start` on:
   and they held no redex, so the words it produces start at i - 1.
 - Seam.  A word of a normal form holds no redex, so in pmult with a normal
   left factor, and in both legs of tensor_mult, a product word starts at
-  the pair that joins its two factors' words.
+  the pair that joins its two factors' words.  pmult puts the product of
+  each pair of words on the stack as it is: equal products are not summed
+  first, since by linearity the normal form is the same.
 
 Either way the search finds the redex a search from 0 would find, so every
 word goes through the same rewrites and counts the same visits.
@@ -143,7 +145,11 @@ def KdMinus(alpha):
 
 
 class Algebra:
-    """A presented algebra: tag + quiver backend (+ modulus for dhm)."""
+    """A presented algebra: tag + quiver backend (+ modulus for dhm).
+
+    Compared by identity: `algebra(tag, be)` keeps the one Algebra of each
+    (tag, backend), so two elements of it carry the same label object.
+    """
 
     __slots__ = ("tag", "be", "m", "family", "_pair_rules", "_letters")
 
@@ -191,15 +197,6 @@ class Algebra:
     def residue(self, i):
         """Index i as the algebra reads it: mod m on dhm:<m>, m > 0."""
         return i % self.m if self.m else i
-
-    def __eq__(self, other):
-        # one algebra per (tag, backend), however many objects name it
-        return self is other or (isinstance(other, Algebra)
-                                 and self.tag == other.tag
-                                 and self.be is other.be)
-
-    def __hash__(self):
-        return hash(self.tag)
 
     def __repr__(self):
         return "Algebra(%s)" % self.tag
@@ -540,7 +537,7 @@ def _seam(word):
     return max(len(word) - 1, 0)
 
 
-def _rewrite(alg, stack, op, limit, spent=0):
+def _rewrite(alg, stack, op, limit):
     """Normal-order the sum of c * w over the stack entries (w, c, start).
 
     w is spelled in canonical non-unit letters and holds no redex at a pair
@@ -548,19 +545,20 @@ def _rewrite(alg, stack, op, limit, spent=0):
     words it produces keep the pairs left of i - 1, so they resume there.
     Pair-rule answers come from the algebra's table, looked up letter by
     letter and filled on first use; a rule that raises stores nothing.
-    Every word popped off the stack is one visit, counted on from `spent`
-    in a local: past `limit` the rewrite raises CapExceeded(op, limit,
-    visits).  Returns ({word: coefficient}, visits), where words whose
-    terms cancelled keep a zero coefficient until a `Lin` drops them.
+    Every word popped off the stack is one visit, counted in a local: past
+    `limit` the rewrite raises CapExceeded(op, limit, visits).  Returns
+    ({word: coefficient}, visits), where words whose terms cancelled keep a
+    zero coefficient until a `Lin` drops them.
     """
     reduce_pair = _REDUCERS[alg.family]
     rules = alg._pair_rules
     out = {}
+    visits = 0
     while stack:
         w, c, i = stack.pop()
-        spent += 1
-        if spent > limit:
-            raise CapExceeded(op, limit, spent)
+        visits += 1
+        if visits > limit:
+            raise CapExceeded(op, limit, visits)
         last = len(w) - 1
         while i < last:
             a, b = w[i], w[i + 1]
@@ -583,13 +581,13 @@ def _rewrite(alg, stack, op, limit, spent=0):
         resume = max(i - 1, 0)
         for scal, letters in res:
             stack.append((head + letters + tail, c * scal, resume))
-    return out, spent
+    return out, visits
 
 
-def _normalize_terms(alg, terms, op, limit, spent=0):
+def _normalize_terms(alg, terms, op, limit):
     """`_rewrite` of free terms {word: coeff}, searched from the start."""
     return _rewrite(alg, [(_canon_word(alg, w), c, 0)
-                          for w, c in terms.items()], op, limit, spent)
+                          for w, c in terms.items()], op, limit)
 
 
 def _word_canonical(alg, w):
@@ -622,58 +620,31 @@ def _check_oriented(alg):
         raise ValueError("the double presentation has no oriented rule table")
 
 
-def normal_form(alg, x, budget=None):
-    """Rewrite x's words to their normal form in alg.  Raises for tag 'd'.
-
-    The rewrite's visits are charged to `budget` when one is given, else
-    counted against the cap of an operation starting now."""
+def normal_form(alg, x):
+    """Rewrite x's words to their normal form in alg, counting the visits
+    against the cap of an operation starting now.  Raises for tag 'd'."""
     _check_oriented(alg)
-    if budget is None:
-        terms, _ = _normalize_terms(alg, x.terms, "normal_form",
-                                    current_limit())
-    else:
-        terms, budget.spent = _normalize_terms(alg, x.terms, budget.op,
-                                               budget.limit, budget.spent)
+    terms, _ = _normalize_terms(alg, x.terms, "normal_form", current_limit())
     return _normal_elt(alg, terms)
-
-
-def _canon_words(alg, x):
-    """{word: the same word in canonical non-unit letters} over the words
-    of x, or None when x is a normal form of alg, whose words already are."""
-    if x.label is alg:
-        return None
-    return {w: _canon_word(alg, w) for w in x.terms}
 
 
 def pmult(alg, a, b):
     """Product of two (normal or free) elements, renormalized.
 
-    Equal to normal_form of the free product.  A word of a normal form of
-    alg (an element labelled by alg itself) holds no redex and is spelled
-    in canonical letters, so it is used as it is, and when `a` is one the
-    search in each product word starts at the seam, the pair that joins
-    a's word to b's.
+    Equal to normal_form of the free product, by linearity: each pair of
+    words goes onto the rewrite stack as it is, with no sum over equal
+    products first.  A word of a normal form of alg (an element labelled
+    by alg itself) holds no redex and is spelled in canonical letters, so
+    it is used as it is, and when `a` is one the search in each product
+    word starts at the seam, the pair that joins a's word to b's.
     """
     _check_oriented(alg)
-    canon_a, canon_b = _canon_words(alg, a), _canon_words(alg, b)
-    # keyed by the raw product word, as the free product accumulates
-    prod = {}
-    for w1, c1 in a.terms.items():
-        if canon_a is None:
-            k1, start = w1, _seam(w1)
-        else:
-            k1, start = canon_a[w1], 0
-        for w2, c2 in b.terms.items():
-            w = w1 + w2
-            c = c1 * c2
-            entry = prod.get(w)
-            if entry is None:
-                k2 = w2 if canon_b is None else canon_b[w2]
-                # two normal words: the raw product is the canonical one
-                prod[w] = [w if k1 is w1 and k2 is w2 else k1 + k2, c, start]
-            else:
-                entry[1] = entry[1] + c
-    stack = [tuple(e) for e in prod.values() if not e[1].is_zero()]
+    left = [(w, c, _seam(w)) if a.label is alg
+            else (_canon_word(alg, w), c, 0) for w, c in a.terms.items()]
+    right = [(w if b.label is alg else _canon_word(alg, w), c)
+             for w, c in b.terms.items()]
+    stack = [(k1 + k2, c1 * c2, start)
+             for k1, c1, start in left for k2, c2 in right]
     terms, _ = _rewrite(alg, stack, "normal_form", current_limit())
     return _normal_elt(alg, terms)
 

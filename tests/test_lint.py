@@ -112,3 +112,36 @@ def test_modules_read_only_the_named_backend_interface():
     # the check sees reads through an Algebra's or an object's backend
     assert backend_reads(ast.parse("alg.be.x\nself.be.y(be.z)")) == [
         (1, "x"), (2, "y"), (2, "z")]
+
+
+def algebra_constructions(tree, builder=None):
+    """The lines of the `Algebra(...)` calls in a module, outside the
+    module-level function named `builder`."""
+    inside = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == builder:
+            inside.update(map(id, ast.walk(node)))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in inside
+            and "Algebra" in (getattr(node.func, "id", None),
+                              getattr(node.func, "attr", None))]
+
+
+def test_only_presented_algebra_builds_an_algebra():
+    # an Algebra is compared by identity: a second one for the same (tag,
+    # backend) would make equal elements compare unequal, without an error
+    root = Path(hallforge.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        builder = "algebra" if path.name == "presented.py" else None
+        found += ["%s:%d" % (path.name, line) for line in
+                  algebra_constructions(ast.parse(path.read_text(),
+                                                  str(path)), builder)]
+    assert found == []
+    # the one call there is, and one anywhere else, by name or attribute
+    presented = ast.parse((root / "presented.py").read_text())
+    assert len(algebra_constructions(presented)) == 1
+    assert algebra_constructions(ast.parse(
+        "def algebra(t, be):\n    return Algebra(t, be)\n"
+        "x = presented.Algebra('hd', be)\n"
+        "def f(be):\n    return Algebra('hd', be)\n"), "algebra") == [3, 5]
