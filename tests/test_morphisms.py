@@ -15,7 +15,7 @@ from hallforge.presented import (TWO_SIDED, E, FreeElt, Kc, KMinus, KPlus,
                                  MuPlus, NuMinus, NuPlus, OmMinus, OmPlus, Zg,
                                  algebra, normal_form, pmult,
                                  relation_instance, tensor_mult, tensor_word)
-from hallforge.quiver import preset
+from hallforge.quiver import neg_class, preset
 from hallforge.scalars import Lin, vpow
 from hallforge.suites import _BUILDERS, RunConfig, _alphas, _run_one
 
@@ -96,6 +96,55 @@ def test_phi_round_trip_window():
                 normal_form(ce, y)
         z = w(Kz((1, -1), n))
         assert apply_hom(phi_inv, apply_hom(phi, z)) == normal_form(ce, z)
+
+
+def _low_classes(be):
+    """Every class of total dimension 1 or 2."""
+    n = be.quiver.n
+    dims = {d for d in itertools.product(range(3), repeat=n)
+            if 1 <= sum(d) <= 2}
+    return [c for d in sorted(dims) for c in be.iso_classes(d)]
+
+
+@pytest.mark.parametrize("quiver,q", [("a2", 2), ("a2", 3), ("a3", 2),
+                                      ("kronecker", 2)])
+def test_index_shift_maps_match_their_closed_forms(quiver, q):
+    """phi and phiInv against images written out by hand, each right side
+    the normal form of that word; then phiInv o phi and phi o phiInv are
+    the identity on every generator at indices -6..6."""
+    be = QuiverBackend(preset(quiver), q)
+    phi, inv = build_hom(be, "phi"), build_hom(be, "phiInv")
+    classes = _low_classes(be)
+    for M in classes:
+        d = be.class_dim(M)
+        nd = neg_class(d)
+        mm = be.euler_form(d, d)
+        cases = [
+            (phi, Zg(M, 2), 2, (E(M, 2), Kc(nd, 1), Kc(d, 0))),
+            (phi, Zg(M, 1), 1, (E(M, 1), Kc(nd, 0))),
+            (phi, Zg(M, 0), 0, (E(M, 0),)),
+            (phi, Zg(M, -1), -1, (E(M, -1), Kc(nd, -1))),
+            (phi, Zg(M, -2), -2, (E(M, -2), Kc(nd, -2), Kc(d, -1))),
+            (inv, E(M, 2), -2, (Zg(M, 2), Kz(nd, 0), Kz(d, 1))),
+            (inv, E(M, 1), -1, (Zg(M, 1), Kz(d, 0))),
+            (inv, E(M, 0), 0, (Zg(M, 0),)),
+            (inv, E(M, -1), 1, (Zg(M, -1), Kz(d, -1))),
+            (inv, E(M, -2), 2, (Zg(M, -2), Kz(nd, -1), Kz(d, -2))),
+        ]
+        for h, letter, e, letters in cases:
+            want = normal_form(h.target,
+                               FreeElt.word(q, letters, vpow(e * mm, q)))
+            assert h.image(letter) == want, (quiver, q, h.name, letter)
+    alphas = [a for a in _alphas(be) if any(a)]
+    for n in range(-6, 7):
+        gens = [(phi, inv, Zg(M, n)) for M in classes] + \
+            [(inv, phi, E(M, n)) for M in classes] + \
+            [(phi, inv, Kz(a, n)) for a in alphas] + \
+            [(inv, phi, Kc(a, n)) for a in alphas]
+        for first, second, letter in gens:
+            x = FreeElt.word(q, (letter,))
+            assert apply_hom(second, apply_hom(first, x)) == \
+                normal_form(first.source, x), (quiver, q, letter)
 
 
 def test_phi_preserves_sample_relations():
