@@ -1,13 +1,16 @@
 """Command line front end.
 
 Exit codes: 0 all checks passed, 1 verification failures, 2 usage or
-parse errors, 3 resource cap exceeded.
+parse errors, 3 resource cap exceeded.  A warning, such as normal_form's
+on a word outside the two-residue contract, prints as one stderr line
+`warning: <message>`, from a shard child too.
 """
 
 import argparse
 import json
 import os
 import sys
+import warnings
 
 from .backend import make_backend
 from .caps import CapExceeded
@@ -162,19 +165,27 @@ def _build_parser():
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None,
+                   line=None):
+    print("warning: %s" % message, file=sys.stderr)
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    try:
-        return args.fn(args)
-    except ExprError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except CapExceeded as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    # a forked shard child inherits the printer with the rest of the module
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.fn(args)
+        except ExprError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
+        except CapExceeded as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 3
+        except ValueError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -19,9 +19,14 @@ Hall-number weight of each split is built once per class, not once per
 map.  I supplies its word pairs.  `_kappa_letter` is the letter map of both
 index-shift maps, kappa from hd and kappaCheck from hhd, reading the
 letter kinds off the source's TWO_SIDED row; psi is I's word pairs with
-each leg's letters sent through it, (kappa (x) kappaCheck) o I.  varphi
-is one formula: one v-exponent, and plus-side words for i < 0 and for
-i >= 0, whose minus side is the plus side mirrored.
+each leg's letters sent through it, (kappa (x) kappaCheck) o I.  phi and
+phiInv share one builder over one tail, `_phi_tail`: phi sends Z_{M,n}
+to v^{n<M^,M^>} e_{M,n} followed by the tail's torus letters, and phiInv
+sends e_{M,n} to v^{-n<M^,M^>} Z_{M,n} followed by the tail reversed
+with every class negated, so it undoes phi letter by letter.  varphi is
+one formula, written without that tail, so its triangle with psi checks
+phiInv against a second derivation: one v-exponent, and plus-side words
+for i < 0 and for i >= 0, whose minus side is the plus side mirrored.
 """
 
 import itertools
@@ -29,9 +34,9 @@ import itertools
 from .hall import coproduct_row
 from .presented import (TWO_SIDED, E, FreeElt, Kc, KMinus, KPlus, KcMinus,
                         KcPlus, KdMinus, KdPlus, Kz, MuMinus, MuPlus, NuMinus,
-                        NuPlus, OmMinus, OmPlus, Zg, algebra, normal_form,
-                        pmult, relation_instance, tensor_mult, tensor_unit,
-                        tensor_word)
+                        NuPlus, OmMinus, OmPlus, Zg, algebra, is_torus,
+                        normal_form, pmult, relation_instance, tensor_mult,
+                        tensor_unit, tensor_word)
 from .quiver import neg_class, sub_class
 from .scalars import Lin, SqrtScalar, accumulate, vpow
 
@@ -211,49 +216,36 @@ def _build_psi(be, m, i):
                        params={"m": m, "i": i})
 
 
-def _build_phi(be):
-    tgt = algebra("dhm:0", be)
+def _phi_tail(d, n):
+    """The torus tail of phi(Z_{M,n}), M^ = d: (class, index) pairs at
+    indices n-1 down to 0 (n >= 0) or n up to -1 (n < 0), the classes
+    alternating -d, d, -d, ... from the first."""
+    idxs = range(n - 1, -1, -1) if n >= 0 else range(n, 0)
+    return [(_signed(d, _alt(p + 1)), j) for p, j in enumerate(idxs)]
+
+
+def _build_phi(be, inverse):
+    """phi (dhce -> dhm:0) sends KZ_{a,i} to k_{a,i} and Z_{M,n} to
+    v^{n<M^,M^>} e_{M,n} followed by _phi_tail's k letters.  phiInv
+    (inverse) sends k to KZ and e_{M,n} to v^{-n<M^,M^>} Z_{M,n} followed
+    by that tail reversed, every class negated, as KZ letters."""
+    src, tgt = algebra("dhce", be), algebra("dhm:0", be)
+    module, torus, sign = E, Kc, 1
+    if inverse:
+        src, tgt, module, torus, sign = tgt, src, Zg, Kz, -1
 
     def image(letter):
-        kind = letter[0]
-        if kind == "KZ":
-            return _nf_word(tgt, (Kc(letter[1], letter[2]),))
-        M, n = letter[1], letter[2]
-        dM = be.class_dim(M)
-        mm = be.euler_form(dM, dM)
-        if n >= 0:
-            letters = [E(M, n)]
-            letters += [Kc(_signed(dM, _alt(k)), n - k)
-                        for k in range(1, n + 1)]
-            return _nf_word(tgt, letters, vpow(n * mm, be.p))
-        n = -n
-        letters = [E(M, -n)]
-        letters += [Kc(_signed(dM, _alt(k + 1)), k - n) for k in range(n)]
-        return _nf_word(tgt, letters, vpow(-n * mm, be.p))
+        _, x, n = letter
+        if is_torus(letter):
+            return _nf_word(tgt, (torus(x, n),))
+        d = be.class_dim(x)
+        tail = _phi_tail(d, n)
+        if inverse:
+            tail = [(neg_class(a), j) for a, j in reversed(tail)]
+        return _nf_word(tgt, [module(x, n)] + [torus(a, j) for a, j in tail],
+                        vpow(sign * n * be.euler_form(d, d), be.p))
 
-    return GenMap("phi", algebra("dhce", be), tgt, image)
-
-
-def _build_phi_inv(be):
-    tgt = algebra("dhce", be)
-
-    def image(letter):
-        kind = letter[0]
-        if kind == "k":
-            return _nf_word(tgt, (Kz(letter[1], letter[2]),))
-        M, n = letter[1], letter[2]
-        dM = be.class_dim(M)
-        mm = be.euler_form(dM, dM)
-        if n >= 0:
-            letters = [Zg(M, n)]
-            letters += [Kz(_signed(dM, _alt(n - k - 1)), k) for k in range(n)]
-            return _nf_word(tgt, letters, vpow(-n * mm, be.p))
-        n = -n
-        letters = [Zg(M, -n)]
-        letters += [Kz(_signed(dM, _alt(n - k)), -k) for k in range(1, n + 1)]
-        return _nf_word(tgt, letters, vpow(n * mm, be.p))
-
-    return GenMap("phiInv", algebra("dhm:0", be), tgt, image)
+    return GenMap("phiInv" if inverse else "phi", src, tgt, image)
 
 
 def _build_varphi(be, i):
@@ -307,10 +299,8 @@ def build_hom(be, name, i=None, m=None):
         if name == "psi":
             return _build_psi(be, m, i)
         return _build_kappa(be, name, m, i)
-    if name == "phi":
-        return _build_phi(be)
-    if name == "phiInv":
-        return _build_phi_inv(be)
+    if name in ("phi", "phiInv"):
+        return _build_phi(be, name == "phiInv")
     if name == "varphi":
         if i is None:
             raise ValueError("varphi needs an index i")

@@ -8,7 +8,9 @@ unrendered (an element, a scalar, an int, or None for checks without
 sides); a failing check may add a fourth value, a note saying why.
 The builders that check defining relations (kashaev, kappa, psi,
 bridgeland-derived, varphi, gradings) take their relation instances from
-`presented.relation_window`, which reads them off the one relation table.
+`presented.relation_window`, which reads them off the one relation table;
+the five that check a map (all but gradings) get them from `_map_checks`,
+which checks each instance as `partial(check_relation, hom, rel, prm)`.
 `run_suite` fills in what a RunConfig leaves None: quiver a1 and max_dim
 4 for `backend-oracle`, which compares a backend on a1 with the a1
 closed forms and refuses any other quiver, and quiver a2 and max_dim 2
@@ -112,10 +114,16 @@ def _named(be, prm):
     return out
 
 
-def _morph_insts(be, h, pairs, extra=None):
-    return ((rel, _named(be, dict(prm, **(extra or {}))),
-             partial(check_relation, h, rel, prm))
-            for rel, prm in pairs)
+def _map_checks(be, cfg, hom, label=None, w=0):
+    """The checks that hom is a homomorphism: every defining relation of
+    its source over cfg's window (objects to max_dim, every alpha, letter
+    indices in -w..w) as partial(check_relation, hom, rel, prm), its
+    params naming the map as label when one is given."""
+    extra = {} if label is None else {"map": label}
+    for rel, prm in relation_window(hom.source, _objs(be, cfg.max_dim),
+                                    _alphas(be), w):
+        yield (rel, _named(be, dict(prm, **extra)),
+               partial(check_relation, hom, rel, prm))
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +211,9 @@ def _build_heis_oracle(be, cfg):
 
 
 def _build_kashaev(be, cfg):
-    objs = _objs(be, cfg.max_dim)
-    alphas = _alphas(be)
     hom = build_hom(be, "I")
-    yield from _morph_insts(be, hom, relation_window(hom.source, objs, alphas))
+    yield from _map_checks(be, cfg, hom)
+    objs = _objs(be, cfg.max_dim)
     dd = hom.source
     for m, n in itertools.product(objs, repeat=2):
         named = _named(be, {"M": m, "N": n})
@@ -223,12 +230,13 @@ def _build_kashaev(be, cfg):
 
         yield "2.18~2.18r", named, fn
 
+    monos = double_monomials(be, _alphas(be), objs, 20)
+
     def rank_fn():
-        monos = double_monomials(be, alphas, objs, 20)
         rank = rank_independence([apply_hom(hom, x) for x in monos])
         return rank == len(monos), rank, len(monos)
 
-    yield "rank", {"count": 20}, rank_fn
+    yield "rank", {"count": len(monos)}, rank_fn
 
 
 def _index_window(cfg):
@@ -240,58 +248,45 @@ def _index_window(cfg):
 
 
 def _build_kappa(be, cfg):
-    objs = _objs(be, cfg.max_dim)
-    alphas = _alphas(be)
     for i in _index_window(cfg):
         for name in ("kappa", "kappaCheck"):
-            hom = build_hom(be, name, i=i, m=cfg.m)
-            pairs = relation_window(hom.source, objs, alphas)
-            yield from _morph_insts(be, hom, pairs,
-                                    extra={"map": "%s(%d,%d)"
-                                           % (name, cfg.m, i)})
+            yield from _map_checks(be, cfg, build_hom(be, name, i=i, m=cfg.m),
+                                   "%s(%d,%d)" % (name, cfg.m, i))
 
 
 def _build_psi(be, cfg):
-    objs = _objs(be, cfg.max_dim)
-    alphas = _alphas(be)
     for i in _index_window(cfg):
-        hom = build_hom(be, "psi", i=i, m=cfg.m)
-        pairs = relation_window(hom.source, objs, alphas)
-        yield from _morph_insts(be, hom, pairs,
-                                extra={"map": "psi(%d,%d)" % (cfg.m, i)})
+        yield from _map_checks(be, cfg, build_hom(be, "psi", i=i, m=cfg.m),
+                               "psi(%d,%d)" % (cfg.m, i))
 
 
 def _build_bridgeland(be, cfg):
-    objs = _objs(be, cfg.max_dim)
-    alphas = _alphas(be)
     w = cfg.idx_window
     hom = build_hom(be, "phi")
     inv = build_hom(be, "phiInv")
-    yield from _morph_insts(be, hom,
-                            relation_window(hom.source, objs, alphas, w))
-    dhce = hom.source
-    dhm0 = algebra("dhm:0", be)
-    objs_nz = [c for c in objs if sum(be.class_dim(c)) > 0]
+    yield from _map_checks(be, cfg, hom, w=w)
+    objs_nz = [c for c in _objs(be, cfg.max_dim) if sum(be.class_dim(c)) > 0]
+    alphas = _alphas(be)
 
-    def roundtrip(first, second, alg, letter):
+    def roundtrip(first, second, letter):
         def fn():
             x = FreeElt.word(be.p, (letter,))
             got = apply_hom(second, apply_hom(first, x))
-            want = normal_form(alg, x)
+            want = normal_form(first.source, x)
             return got == want, got, want
         return fn
 
     for n in range(-w, w + 1):
         for m in objs_nz:
             yield ("roundtrip", _named(be, {"M": m, "i": n, "gen": "Z"}),
-                   roundtrip(hom, inv, dhce, Zg(m, n)))
+                   roundtrip(hom, inv, Zg(m, n)))
             yield ("roundtrip", _named(be, {"M": m, "i": n, "gen": "e"}),
-                   roundtrip(inv, hom, dhm0, E(m, n)))
+                   roundtrip(inv, hom, E(m, n)))
         for a in alphas:
             yield ("roundtrip", _named(be, {"alpha": a, "i": n, "gen": "KZ"}),
-                   roundtrip(hom, inv, dhce, Kz(a, n)))
+                   roundtrip(hom, inv, Kz(a, n)))
             yield ("roundtrip", _named(be, {"alpha": a, "i": n, "gen": "k"}),
-                   roundtrip(inv, hom, dhm0, Kc(a, n)))
+                   roundtrip(inv, hom, Kc(a, n)))
 
 
 def _build_varphi(be, cfg):
@@ -299,14 +294,12 @@ def _build_varphi(be, cfg):
     alphas = _alphas(be)
     idxs = [cfg.i] if cfg.i is not None else [-2, -1, 0, 1]
     inv = build_hom(be, "phiInv")
+    gens = [("om", s, m) for s in (1, -1) for m in objs] + \
+           [("KD", s, a) for s in (1, -1) for a in alphas]
     for i in idxs:
         hom = build_hom(be, "varphi", i=i)
-        pairs = relation_window(hom.source, objs, alphas)
-        yield from _morph_insts(be, hom, pairs,
-                                extra={"map": "varphi(%d)" % i})
+        yield from _map_checks(be, cfg, hom, "varphi(%d)" % i)
         psi = build_hom(be, "psi", i=i, m=0)
-        gens = [("om", s, m) for s in (1, -1) for m in objs] + \
-               [("KD", s, a) for s in (1, -1) for a in alphas]
         for letter in gens:
             named = _named(be, {"i": i, "gen": letter[0] +
                                 ("+" if letter[1] > 0 else "-")})

@@ -49,3 +49,34 @@ def test_the_cold_call_test_reads_the_backends_dimvec_table():
     assert (1, 1) not in be._dimvec_classes
     ids = be.iso_classes((1, 1))
     assert be._dimvec_classes[(1, 1)] == ids
+
+
+def test_bench_pairs_summary_reads_the_pair_ratios():
+    sys.path.insert(0, str(BENCH.parent / "tools"))
+    try:
+        import bench_pairs
+    finally:
+        sys.path.remove(str(BENCH.parent / "tools"))
+    metric = {"name": "verdict_s", "better": "lower", "bound": 0.25}
+
+    def pairs(parent, change):
+        return [({"metrics": {"verdict_s": {"value": p}}},
+                 {"metrics": {"verdict_s": {"value": c}}})
+                for p, c in zip(parent, change)]
+
+    parent = [1.0, 1.1, 0.9, 1.2, 1.0, 0.8, 1.05, 0.95, 1.0, 1.1]
+    faster = [0.5 * v for v in parent]
+    got = bench_pairs.summarize(metric, pairs(parent, faster))
+    assert got["median_pair_ratio"] == 0.5 and got["gain_counts"]
+    assert got["change_better_in_pairs"] == "10/10"
+    # 8 wins in 10 pairs do not count, however large the median gap
+    mixed = faster[:8] + [2 * v for v in parent[8:]]
+    got = bench_pairs.summarize(metric, pairs(parent, mixed))
+    assert got["median_pair_ratio"] == 0.5 and not got["gain_counts"]
+    # every pair won, but by less than the parent's IQR
+    close = [v - 0.01 for v in parent]
+    got = bench_pairs.summarize(metric, pairs(parent, close))
+    assert got["change_better_in_pairs"] == "10/10"
+    assert not got["gain_counts"]
+    higher = dict(metric, better="higher")
+    assert bench_pairs.summarize(higher, pairs(faster, parent))["gain_counts"]

@@ -4,12 +4,17 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import hallforge
 from hallforge import suites
+from hallforge.backend import make_backend
 from hallforge.cli import main
+from hallforge.exprs import parse_expr, render_elt
+from hallforge.presented import algebra, normal_form
+from hallforge.quiver import preset
 from hallforge.suites import RunConfig, SUITES, exit_code, run_suite
 
 
@@ -100,6 +105,59 @@ def test_malformed_rep_file_is_refused_under_optimize(tmp_path):
                                  "--expr", "mu+[@%s]" % path)
     assert rc == 2 and out == ""
     assert "1x1 matrix" in err
+
+
+def run_cli(*argv, script=None):
+    """The CLI, or a script that runs it, in a plain `python` subprocess
+    with Python's default warning filters: (exit code, stdout, stderr)."""
+    src = os.path.dirname(os.path.dirname(hallforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    cmd = ["-c", script] if script else ["-m", "hallforge.cli"]
+    proc = subprocess.run([sys.executable, *cmd, *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_a_warning_prints_as_one_stderr_line():
+    expr = "e[S1;0]e[S2;2]e[S1;1]"
+    rc, out, err = run_cli("mult", "--algebra", "dhm:3", "--expr", expr)
+    assert rc == 0
+    assert err == ("warning: normal_form(dhm:3): word outside the two-residue"
+                   " contract; result is a deterministic reduct, not a"
+                   " canonical form\n")
+    be = make_backend(preset("a2"), 2)
+    alg = algebra("dhm:3", be)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = render_elt(be, normal_form(alg, parse_expr(expr, alg)))
+    assert out == want + "\n"
+
+
+SHARD_WARNING = """
+import sys, warnings
+from hallforge import cli, suites
+
+def build(be, cfg):
+    for k in range(2):
+        def fn(k=k):
+            if k == 1:  # stream index 1: shard 1 of 2, a forked child
+                warnings.warn("raised in shard 1")
+            return True, None, None
+        yield "w", {"k": k}, fn
+
+suites._BUILDERS["green"] = build
+suites._usable_cpus = lambda: 2
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_warning_raised_in_a_shard_child_is_printed():
+    rc, out, err = run_cli("verify", "--suite", "green", "--threads", "2",
+                           script=SHARD_WARNING)
+    assert rc == 0 and out.startswith("green on a2 (q=2): 2/2 passed")
+    assert err == "warning: raised in shard 1\n"
 
 
 def test_hallnum(capsys):

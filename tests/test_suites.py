@@ -31,6 +31,19 @@ def test_index_window_defaults():
     assert _index_window(RunConfig(suite="psi", m=7, i=2)) == [2]
 
 
+def test_kashaev_rank_names_the_monomials_it_checks():
+    # a1 at max_dim 0 has 9 distinct monomials, not the 20 asked for
+    cfg = RunConfig(suite="kashaev", quiver="a1", max_dim=0)
+    rank = [(prm, check) for rel, prm, check in
+            _BUILDERS["kashaev"](make_backend("a1", 2), cfg)
+            if rel == "rank"]
+    assert [prm for prm, _ in rank] == [{"count": 9}]
+    assert rank[0][1]() == (True, 9, 9)
+    cfg = RunConfig(suite="kashaev", max_dim=2)
+    assert [prm for rel, prm, _ in _BUILDERS["kashaev"](BE, cfg)
+            if rel == "rank"] == [{"count": 20}]
+
+
 def test_instance_order_is_stable():
     cfg = RunConfig(suite="heis-oracle", max_dim=2)
     a = [(rel, prm) for rel, prm, _ in _BUILDERS["heis-oracle"](BE, cfg)]

@@ -23,7 +23,11 @@ that BENCHMARK.json declares, each side's median and quartiles
 change wins (ties count for neither side), the change over the parent
 per pair and in the median, whether the median gap exceeds the parent's
 IQR, whether the change's median is within the metric's bound, and every
-run's value.  It is rewritten after every pair, so an interrupted series
+run's value; then `median_pair_ratio`, the median of the per-pair ratios
+(pairs share the machine's state, so their ratios carry a signal that
+the spread of either side's runs hides), and `gain_counts`, true when the
+change wins at least 9 of every 10 pairs and its median is better than
+the parent's by more than the parent's IQR.  It is rewritten after every pair, so an interrupted series
 keeps the pairs it finished.
 """
 
@@ -100,6 +104,8 @@ def summarize(metric, pairs):
     ps, cs = side(parent), side(change)
     ratio = cs["median"] / ps["median"] if ps["median"] else None
     worse = None if ratio is None else (ratio - 1 if lower else 1 - ratio)
+    ratios = [c / p for p, c in zip(parent, change) if p]
+    gain = (ps["median"] - cs["median"]) * (1 if lower else -1)
     return {
         "parent": ps, "change": cs,
         "change_better_in_pairs": "%d/%d" % (wins, len(pairs)),
@@ -114,6 +120,9 @@ def summarize(metric, pairs):
                                         for p, c in zip(parent, change)],
         "parent_runs": [round(v, 4) for v in parent],
         "change_runs": [round(v, 4) for v in change],
+        "median_pair_ratio":
+            round(statistics.median(ratios), 4) if ratios else None,
+        "gain_counts": wins * 10 >= 9 * len(pairs) and gain > ps["iqr"],
     }
 
 
