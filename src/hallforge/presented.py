@@ -43,13 +43,15 @@ each word for its leftmost redex from `start` on:
 
 Either way the search finds the redex a search from 0 would find, so every
 word goes through the same rewrites and counts the same visits.
-Each Algebra remembers its rules' answers, as tuples, in a two-level table
-looked up letter by letter, `_pair_rules[a][b]` for the pair a b: it holds
-one inner entry per distinct adjacent pair the algebra has looked at, no
-pair tuple is built for a lookup, and it lives as long as the Algebra.  A
-rule that raises (a cap hit in the backend) leaves no entry, not even an
-empty inner table.  Words enter the rewriter through a
-second table per Algebra, raw letter -> canonical letter (None for a unit
+Each Algebra remembers its rules' answers in a two-level table looked up
+letter by letter, `_pair_rules[a][b]` for the pair a b: None for a normal
+pair, the bare scalar s of a swap a b = s b a (the letters are the key's,
+reversed), and a tuple of (scalar, letters) summands for any other answer.
+It holds one inner entry per distinct adjacent pair the algebra has looked
+at, no pair tuple is built for a lookup, and it lives as long as the
+Algebra.  A rule that raises (a cap hit in the backend) leaves no entry,
+not even an empty inner table.  Words enter the rewriter through a second
+table per Algebra, raw letter -> canonical letter (None for a unit
 letter), one entry per distinct letter of the family; a letter outside the
 family raises on every call and is never stored.
 
@@ -167,9 +169,9 @@ class Algebra:
             raise ValueError("unknown algebra tag %r" % (tag,))
         self.tag = tag
         self.be = be
-        # a -> {b -> the family rule's answer for the pair a b: None, or a
-        # tuple of (scalar, letters)}; one inner entry per distinct
-        # adjacent pair looked at
+        # a -> {b -> the family rule's answer for the pair a b: None, a
+        # swap's scalar s (a b = s b a), or a tuple of (scalar, letters)};
+        # one inner entry per distinct adjacent pair looked at
         self._pair_rules = {}
         # raw letter -> its canonical letter, or None for a unit letter;
         # one entry per distinct letter of the family looked at
@@ -544,7 +546,8 @@ def _rewrite(alg, stack, op, limit):
     left of `start`.  Each step rewrites the leftmost redex, at pair i; the
     words it produces keep the pairs left of i - 1, so they resume there.
     Pair-rule answers come from the algebra's table, looked up letter by
-    letter and filled on first use; a rule that raises stores nothing.
+    letter and filled on first use, a swap as its bare scalar; a rule that
+    raises stores nothing.
     Every word popped off the stack is one visit, counted in a local: past
     `limit` the rewrite raises CapExceeded(op, limit, visits).  Returns
     ({word: coefficient}, visits), where words whose terms cancelled keep a
@@ -568,6 +571,9 @@ def _rewrite(alg, stack, op, limit):
                 res = reduce_pair(alg, a, b)
                 if res is not None:
                     res = tuple(res)
+                    # a swap a b = s b a keeps only s
+                    if len(res) == 1 and res[0][1] == (b, a):
+                        res = res[0][0]
                 if row is None:
                     row = rules[a] = {}
                 row[b] = res
@@ -579,8 +585,11 @@ def _rewrite(alg, stack, op, limit):
             continue
         head, tail = w[:i], w[i + 2:]
         resume = max(i - 1, 0)
-        for scal, letters in res:
-            stack.append((head + letters + tail, c * scal, resume))
+        if type(res) is tuple:
+            for scal, letters in res:
+                stack.append((head + letters + tail, c * scal, resume))
+        else:
+            stack.append((head + (b, a) + tail, c * res, resume))
     return out, visits
 
 

@@ -15,11 +15,12 @@ from hallforge.presented import (TWO_SIDED, E, FreeElt, Kc, KMinus, KPlus,
                                  MuPlus, NuMinus, NuPlus, OmMinus, OmPlus, Zg,
                                  algebra, normal_form, pmult,
                                  relation_instance, tensor_mult, tensor_word)
-from hallforge.quiver import neg_class, preset
+from hallforge.quiver import add_class, neg_class, preset
 from hallforge.scalars import Lin, vpow
 from hallforge.suites import _BUILDERS, RunConfig, _alphas, _run_one
 
 import fold_oracles
+from pair_oracles import check_pair_table
 
 BE = QuiverBackend(preset("a2"), 2)
 S1 = BE.class_by_name("S1")
@@ -68,36 +69,6 @@ def test_psi_frozen_image():
         tensor_word(psi.target, (Kc((1, 0), 1),), (Kc((1, 0), 0),))
 
 
-def test_phi_frozen_images():
-    phi = build_hom(BE, "phi")
-    tgt = phi.target
-    assert phi.image(Zg(S1, 0)) == normal_form(tgt, w(E(S1, 0)))
-    assert phi.image(Kz((1, 0), -2)) == normal_form(tgt, w(Kc((1, 0), -2)))
-    mm = BE.euler_form((1, 0), (1, 0))
-    assert phi.image(Zg(S1, 1)) == normal_form(
-        tgt, FreeElt.word(2, (E(S1, 1), Kc((-1, 0), 0)), vpow(mm, 2)))
-    assert phi.image(Zg(S1, -2)) == normal_form(
-        tgt, FreeElt.word(2, (E(S1, -2), Kc((-1, 0), -2), Kc((1, 0), -1)),
-                          vpow(-2 * mm, 2)))
-
-
-def test_phi_round_trip_window():
-    phi = build_hom(BE, "phi")
-    phi_inv = build_hom(BE, "phiInv")
-    dh0 = algebra("dhm:0", BE)
-    ce = algebra("dhce", BE)
-    for n in range(-3, 4):
-        for M in (S1, S2, P):
-            x = w(E(M, n))
-            assert apply_hom(phi, apply_hom(phi_inv, x)) == \
-                normal_form(dh0, x)
-            y = w(Zg(M, n))
-            assert apply_hom(phi_inv, apply_hom(phi, y)) == \
-                normal_form(ce, y)
-        z = w(Kz((1, -1), n))
-        assert apply_hom(phi_inv, apply_hom(phi, z)) == normal_form(ce, z)
-
-
 def _low_classes(be):
     """Every class of total dimension 1 or 2."""
     n = be.quiver.n
@@ -111,10 +82,12 @@ def _low_classes(be):
 def test_index_shift_maps_match_their_closed_forms(quiver, q):
     """phi and phiInv against images written out by hand, each right side
     the normal form of that word; then phiInv o phi and phi o phiInv are
-    the identity on every generator at indices -6..6."""
+    the identity on every generator at indices -6..6, torus letters of the
+    non-simple alpha S1^ - S2^ included."""
     be = QuiverBackend(preset(quiver), q)
     phi, inv = build_hom(be, "phi"), build_hom(be, "phiInv")
     classes = _low_classes(be)
+    alphas = [a for a in _alphas(be) if any(a)]
     for M in classes:
         d = be.class_dim(M)
         nd = neg_class(d)
@@ -135,7 +108,15 @@ def test_index_shift_maps_match_their_closed_forms(quiver, q):
             want = normal_form(h.target,
                                FreeElt.word(q, letters, vpow(e * mm, q)))
             assert h.image(letter) == want, (quiver, q, h.name, letter)
-    alphas = [a for a in _alphas(be) if any(a)]
+    for a in alphas:
+        for n in range(-2, 3):
+            for h, letter, image in ((phi, Kz(a, n), Kc(a, n)),
+                                     (inv, Kc(a, n), Kz(a, n))):
+                assert h.image(letter) == \
+                    normal_form(h.target, FreeElt.word(q, (image,))), \
+                    (quiver, q, h.name, letter)
+    s1, s2 = be.quiver.simple_class(0), be.quiver.simple_class(1)
+    alphas.append(add_class(s1, neg_class(s2)))
     for n in range(-6, 7):
         gens = [(phi, inv, Zg(M, n)) for M in classes] + \
             [(inv, phi, E(M, n)) for M in classes] + \
@@ -547,11 +528,7 @@ def test_owned_terms_alias_no_shared_value(monkeypatch):
     assert sum(len(row) for alg in be.algebras.values()
                for row in alg._pair_rules.values()) > 100
     for alg in be.algebras.values():
-        reduce_pair = presented._REDUCERS[alg.family]
-        for a, row in alg._pair_rules.items():
-            for b, got in row.items():
-                fresh = reduce_pair(alg, a, b)
-                assert got == (None if fresh is None else tuple(fresh))
+        check_pair_table(alg)
     for h in maps:
         assert h._cache
         for letter, img in h._cache.items():

@@ -24,6 +24,8 @@ from hallforge.presented import (Algebra, E, FreeElt, Kc, KcMinus, KcPlus,
 from hallforge.quiver import neg_class, preset
 from hallforge.scalars import Lin, SqrtScalar, vpow
 
+from pair_oracles import check_pair_table, pair_entries
+
 BE = QuiverBackend(preset("a2"), 2)
 S1 = BE.classify(BE.simple_rep(0))
 S2 = BE.classify(BE.simple_rep(1))
@@ -1048,25 +1050,34 @@ def test_cap_inside_a_pair_rule_stores_nothing():
     assert got.terms == normal_form(Algebra("hd", be), word).terms
 
 
-def _pair_entries(alg):
-    """The (a, b, answer) entries of alg's two-level pair table."""
-    return [(a, b, res) for a, row in alg._pair_rules.items()
-            for b, res in row.items()]
-
-
 def test_pair_table_holds_each_pair_once():
     alg = Algebra("hd", BE)
     x = w((MuPlus(S1), MuMinus(S1), MuPlus(S1), MuMinus(S1)))
     first = normal_form(alg, x)
-    entries = _pair_entries(alg)
+    entries = pair_entries(alg)
     assert entries
     # keyed letter by letter: every key is one letter, never a pair
     assert all(isinstance(a[0], str) and isinstance(b[0], str)
-               for a, b, _ in entries)
+               for a, b, _, _ in entries)
     assert all(row for row in alg._pair_rules.values())
-    assert all(res is None or isinstance(res, tuple) for _, _, res in entries)
+    check_pair_table(alg)
     assert normal_form(alg, x) == first
-    assert _pair_entries(alg) == entries
+    assert pair_entries(alg) == entries
+
+
+@pytest.mark.parametrize("tag", ["hd", "hhd", "dhm:0", "dhm:4", "dh",
+                                 "dhtw", "dhce"])
+def test_pair_table_stores_swaps_as_scalars(tag):
+    # the rewrite-sanity one-letter triples at max_dim 1, normal-ordered
+    be = QuiverBackend(preset("a2"), 2)
+    alg = algebra(tag, be)
+    objs = [c for c in suites._objs(be, 1) if sum(be.class_dim(c)) > 0]
+    alphas = [a for a in suites._alphas(be) if any(a)]
+    pool = suites._module_pool(objs, alg.family) + \
+        suites._torus_pool(alphas, alg.family)
+    for word in itertools.product(pool, repeat=3):
+        normal_form(alg, w(word))
+    assert check_pair_table(alg) > 0
 
 
 def test_pmult_three_residues_not_canonical():
